@@ -4,23 +4,26 @@ The catalog is the closure of the indecomposable projectives under the
 inverse AR translate, deduplicated up to isomorphism.  It is complete
 exactly for the representation-directed algebras this package targets; the
 iteration cap turns anything else into a clean error instead of a loop.
+
+Over a representation-directed algebra an indecomposable is determined by
+its dimension vector (Ringel, LNM 1099, 2.4), so entries are keyed by
+`dims`.  Two non-isomorphic modules with one vector raise
+`InvariantViolation`: the algebra is then not representation-directed.
 """
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra
-from .linalg import QMatrix
 from .errors import CapExceededError, InvariantViolation, PreconditionError
-from .modules import (Representation, direct_sum, end_reduced_dim, hom_dim, iso,
-                      min_presentation, projective, simple, split_indecomposables, tau,
-                      tau_inverse, zero_rep)
+from .modules import (Representation, end_reduced_dim, hom_dim, iso, min_presentation,
+                      projective, simple, split_indecomposables, tau_inverse,
+                      tau_of_presentation)
 
 ModuleRef = tuple[int, ...]
 """A finite multiset of catalog indices, stored sorted."""
+
+NOT_DIRECTED = "the algebra is not representation-directed"
 
 
 def default_catalog_cap(algebra: Algebra) -> int:
@@ -30,11 +33,26 @@ def default_catalog_cap(algebra: Algebra) -> int:
 class Catalog:
     """Ordered list of all indecomposables with pairwise tau-Hom tables."""
 
-    def __init__(self, algebra: Algebra, entries: Sequence[Representation], jobs: int = 1):
+    def __init__(self, algebra: Algebra, entries: Sequence[Representation]):
         self.algebra = algebra
         self.entries = tuple(entries)
         self.size = len(self.entries)
-        self.tau_reps = [tau(e) for e in self.entries]
+        self.index_by_dims = {e.dims: i for i, e in enumerate(self.entries)}
+        if len(self.index_by_dims) != self.size:
+            raise InvariantViolation(f"two catalog entries share a dimension vector; "
+                                     f"{NOT_DIRECTED}")
+        pos = algebra.quiver.vertex_pos
+        self.tau_reps: list[Representation] = []
+        self.g_vectors: list[tuple[int, ...]] = []
+        for e in self.entries:
+            pres = min_presentation(e)
+            self.tau_reps.append(tau_of_presentation(pres))
+            g = [0] * algebra.n_vertices
+            for v in pres.p0_vertices:
+                g[pos[v]] += 1
+            for v in pres.p1_vertices:
+                g[pos[v]] -= 1
+            self.g_vectors.append(tuple(g))
         self.tau_index: list[int | None] = []
         for t in self.tau_reps:
             if t.total_dim == 0:
@@ -44,12 +62,12 @@ class Catalog:
                 if idx is None:
                     raise InvariantViolation("tau of a catalog entry escaped the catalog")
                 self.tau_index.append(idx)
-        self.hom_tau_zero = self._build_tau_table(jobs)
+        self.hom_tau_zero = [[t.total_dim == 0 or hom_dim(e, t) == 0 for t in self.tau_reps]
+                             for e in self.entries]
         self.projective_index = {v: self._required_index(projective(algebra, v))
                                  for v in algebra.quiver.vertices}
         self.simple_index = {v: self._required_index(simple(algebra, v))
                              for v in algebra.quiver.vertices}
-        self._g_cache: dict[int, tuple[int, ...]] = {}
 
     def _required_index(self, rep: Representation) -> int:
         idx = self.find_index(rep)
@@ -57,24 +75,10 @@ class Catalog:
             raise InvariantViolation("standard module missing from catalog")
         return idx
 
-    def _build_tau_table(self, jobs: int) -> list[list[bool]]:
-        def row(i: int) -> list[bool]:
-            out = []
-            for j in range(self.size):
-                t = self.tau_reps[j]
-                out.append(True if t.total_dim == 0 else hom_dim(self.entries[i], t) == 0)
-            return out
-
-        if jobs > 1 and self.size > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(row, range(self.size)))
-        return [row(i) for i in range(self.size)]
-
     def find_index(self, rep: Representation) -> int | None:
-        for i, e in enumerate(self.entries):
-            if e.dims == rep.dims and iso(e, rep):
-                return i
-        return None
+        """Index of the entry isomorphic to `rep`: the dims key, confirmed by `iso`."""
+        i = self.index_by_dims.get(rep.dims)
+        return i if i is not None and iso(self.entries[i], rep) else None
 
     def compatible(self, i: int, j: int) -> bool:
         return self.hom_tau_zero[i][j] and self.hom_tau_zero[j][i]
@@ -93,27 +97,9 @@ class Catalog:
         dims = self.dims_of_ref(ref)
         return frozenset(v for v, d in zip(self.algebra.quiver.vertices, dims) if d)
 
-    def rep_of_ref(self, ref: ModuleRef) -> Representation:
-        if not ref:
-            return zero_rep(self.algebra)
-        rep, _ = direct_sum(self.algebra, [self.entries[i] for i in ref])
-        return rep
-
     def g_of_entry(self, i: int) -> tuple[int, ...]:
         """[P0] - [P1] of the minimal presentation, over the vertex basis."""
-        cached = self._g_cache.get(i)
-        if cached is not None:
-            return cached
-        pres = min_presentation(self.entries[i])
-        pos = self.algebra.quiver.vertex_pos
-        g = [0] * self.algebra.n_vertices
-        for v in pres.p0_vertices:
-            g[pos[v]] += 1
-        for v in pres.p1_vertices:
-            g[pos[v]] -= 1
-        out = tuple(g)
-        self._g_cache[i] = out
-        return out
+        return self.g_vectors[i]
 
     def decompose(self, rep: Representation) -> ModuleRef:
         """Split into indecomposables and resolve each piece to a catalog index."""
@@ -137,21 +123,25 @@ class Catalog:
         return [f"{i}: dims {list(e.dims)}" for i, e in enumerate(self.entries)]
 
 
-def build_catalog(algebra: Algebra, cap: int = 0, jobs: int = 1) -> Catalog:
-    """Close the projectives under the inverse AR translate, deduplicating by iso."""
+def build_catalog(algebra: Algebra, cap: int = 0) -> Catalog:
+    """Close the projectives under the inverse AR translate, deduplicating by dims and iso."""
     if cap <= 0:
         cap = default_catalog_cap(algebra)
     entries: list[Representation] = []
+    by_dims: dict[tuple[int, ...], Representation] = {}
 
-    def add(rep: Representation) -> bool:
-        for e in entries:
-            if e.dims == rep.dims and iso(e, rep):
-                return False
+    def add(rep: Representation) -> None:
+        known = by_dims.get(rep.dims)
+        if known is not None:
+            if not iso(known, rep):
+                raise InvariantViolation(f"two non-isomorphic modules share the dimension "
+                                         f"vector {list(rep.dims)}; {NOT_DIRECTED}")
+            return
         if end_reduced_dim(rep) != 1:
             raise InvariantViolation("non-local endomorphism ring in catalog closure; "
                                      "the base field assumption fails for this algebra")
         entries.append(rep)
-        return True
+        by_dims[rep.dims] = rep
 
     for v in algebra.quiver.vertices:
         add(projective(algebra, v))
@@ -168,33 +158,4 @@ def build_catalog(algebra: Algebra, cap: int = 0, jobs: int = 1) -> Catalog:
             add(t)
     order = sorted(range(len(entries)),
                    key=lambda i: (entries[i].total_dim, entries[i].dims, i))
-    return Catalog(algebra, [entries[i] for i in order], jobs=jobs)
-
-
-# ---------------------------------------------------------------------------
-# representation serialization
-
-def rep_to_dict(rep: Representation) -> dict:
-    q = rep.algebra.quiver
-    return {
-        "dims": {v: rep.dims[i] for i, v in enumerate(q.vertices)},
-        "matrices": {a.name: [[str(rep.map_of(a.name).entry(i, j))
-                               for j in range(rep.map_of(a.name).cols)]
-                              for i in range(rep.map_of(a.name).rows)]
-                     for a in q.arrows},
-    }
-
-
-def rep_from_dict(algebra: Algebra, doc: dict) -> Representation:
-    q = algebra.quiver
-    dims = [int(doc["dims"][v]) for v in q.vertices]
-    maps = []
-    for a in q.arrows:
-        rows = doc["matrices"][a.name]
-        maps.append(QMatrix.from_rows([[Fraction(e) for e in row] for row in rows],
-                                      cols=dims[q.vertex_pos[a.source]]))
-    return Representation(algebra, dims, maps)
-
-
-def serialize_rep(rep: Representation) -> str:
-    return json.dumps(rep_to_dict(rep), indent=2, sort_keys=True) + "\n"
+    return Catalog(algebra, [entries[i] for i in order])

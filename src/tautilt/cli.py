@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 infinite-dimensional algebra, 4 cap exceeded, 5 precondition violated.
+3 infinite-dimensional algebra, 4 cap exceeded, 5 precondition violated,
+70 internal error (any exception that is not a TautiltError).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from .catalog import build_catalog
 from .config import Config
 from .dags import hasse_to_dag, to_dot
 from .errors import (AlgebraFormatError, CapExceededError, InfiniteDimensionalError,
-                     InvariantViolation, PreconditionError)
+                     InvariantViolation, PreconditionError, TautiltError)
 from .tilting import pair_to_dict
 from .verify import (CLAIMS, Enumeration, ExtensionContext, reports_to_json,
                      reproduce_tables, run_claims)
@@ -27,26 +28,30 @@ EXIT_PARSE = 2
 EXIT_INFINITE = 3
 EXIT_CAP = 4
 EXIT_PRECONDITION = 5
+EXIT_INTERNAL = 70
+
+# Package error type -> (stderr prefix, exit code).
+ERROR_EXITS = {
+    AlgebraFormatError: ("error", EXIT_PARSE),
+    InfiniteDimensionalError: ("error", EXIT_INFINITE),
+    CapExceededError: ("error", EXIT_CAP),
+    PreconditionError: ("error", EXIT_PRECONDITION),
+    InvariantViolation: ("internal check failed", EXIT_VERIFY),
+}
 
 
 def _run(body):
     try:
         return body()
-    except AlgebraFormatError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    except InfiniteDimensionalError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INFINITE)
-    except CapExceededError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CAP)
-    except PreconditionError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
-    except InvariantViolation as exc:
-        click.echo(f"internal check failed: {exc}", err=True)
-        sys.exit(EXIT_VERIFY)
+    except TautiltError as exc:
+        prefix, code = next((v for cls, v in ERROR_EXITS.items() if isinstance(exc, cls)),
+                            ("internal error", EXIT_INTERNAL))
+        click.echo(f"{prefix}: {exc}", err=True)
+        sys.exit(code)
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        click.echo(f"internal error: {type(exc).__name__}: {message}", err=True)
+        sys.exit(EXIT_INTERNAL)
 
 
 @click.group()
@@ -54,16 +59,13 @@ def _run(body):
               show_default=True, help="Abort enumeration past this many search nodes.")
 @click.option("--cap-catalog", type=int, default=0, envvar="TAUTILT_CAP_CATALOG",
               show_default=True, help="Catalog closure cap; 0 means 10*n^2.")
-@click.option("--jobs", type=int, default=1, envvar="TAUTILT_JOBS", show_default=True,
-              help="Worker threads for batch Hom computations.")
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."),
               show_default=True, help="Directory for report and failure artifacts.")
 @click.pass_context
-def main(ctx, cap_cliques, cap_catalog, jobs, out_dir):
+def main(ctx, cap_cliques, cap_catalog, out_dir):
     """Support tau-tilting computations over monomial bound quiver algebras."""
     try:
-        ctx.obj = Config(cap_cliques=cap_cliques, cap_catalog=cap_catalog,
-                         out_dir=out_dir, jobs=jobs)
+        ctx.obj = Config(cap_cliques=cap_cliques, cap_catalog=cap_catalog, out_dir=out_dir)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PRECONDITION)
@@ -191,7 +193,7 @@ def catalog(config, file):
     """Dump the indecomposable catalog with dimension vectors."""
     def body():
         algebra = load_algebra(file)
-        cat = build_catalog(algebra, cap=config.cap_catalog, jobs=config.jobs)
+        cat = build_catalog(algebra, cap=config.cap_catalog)
         for line in cat.dump_lines():
             click.echo(line)
         click.echo(f"count {cat.size}")

@@ -10,13 +10,10 @@ class Config:
     cap_cliques: int = 1_000_000
     cap_catalog: int = 0  # 0 means 10 * n_vertices**2 per algebra
     out_dir: Path = field(default_factory=lambda: Path("."))
-    jobs: int = 1
 
     def __post_init__(self):
         if self.cap_cliques <= 0:
             raise ValueError("clique cap must be positive")
         if self.cap_catalog < 0:
             raise ValueError("catalog cap must be non-negative")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         self.out_dir = Path(self.out_dir)

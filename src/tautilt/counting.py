@@ -70,9 +70,6 @@ class SurdInt:
         return self.a
 
 
-CLOSED_FORM_KINDS = ("tilt_a", "tau_a", "stau_a", "tilt_d", "tau_d", "stau_d")
-
-
 def closed_form(kind: str, n: int) -> int:
     """Exact closed-form count for one family row at index n."""
     if kind == "tilt_a":

@@ -1,12 +1,12 @@
 """Labeled acyclic quivers: doubling surgery, isomorphism testing, DOT export."""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .tilting import HasseQuiver, pair_label
+from .util import topological_order
 
 
 @dataclass(frozen=True)
@@ -27,26 +27,8 @@ class LabeledDag:
             if (a, b) in seen:
                 raise PreconditionError("parallel arrow")
             seen.add((a, b))
-        if _topological_order(n, self.arrows) is None:
+        if topological_order(n, self.arrows) is None:
             raise PreconditionError("quiver has a cycle")
-
-
-def _topological_order(n: int, arrows: Iterable[tuple[int, int]]) -> list[int] | None:
-    adj = [[] for _ in range(n)]
-    indeg = [0] * n
-    for a, b in arrows:
-        adj[a].append(b)
-        indeg[b] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    order = []
-    while queue:
-        i = queue.popleft()
-        order.append(i)
-        for j in adj[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return order if len(order) == n else None
 
 
 def hasse_to_dag(h: HasseQuiver) -> LabeledDag:
@@ -92,7 +74,7 @@ def _adjacency(n: int, arrows: Sequence[tuple[int, int]]):
 
 def _levels(n: int, arrows: Sequence[tuple[int, int]], succ) -> list[int]:
     level = [0] * n
-    order = _topological_order(n, arrows)
+    order = topological_order(n, arrows)
     assert order is not None
     for i in order:
         for j in succ[i]:

@@ -243,20 +243,6 @@ def invert(m: QMatrix) -> QMatrix:
     return QMatrix(n, n, [red.entry(i, n + j) for i in range(n) for j in range(n)])
 
 
-def matrix_power(m: QMatrix, k: int) -> QMatrix:
-    if m.rows != m.cols:
-        raise ValueError("power of non-square matrix")
-    result = QMatrix.identity(m.rows)
-    base = m
-    while k > 0:
-        if k & 1:
-            result = result * base
-        k >>= 1
-        if k:
-            base = base * base
-    return result
-
-
 def grid_points(nvars: int, bound: int):
     """Deterministic exhaustive grid {0..bound}^nvars, cheap points first.
 

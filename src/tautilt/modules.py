@@ -518,16 +518,20 @@ def nakayama_of_presentation(pres: MinPresentation, algebra: Algebra) -> Morphis
     return Morphism(I1, I0, blocks)
 
 
+def tau_of_presentation(pres: MinPresentation) -> Representation:
+    """Auslander-Reiten translate of the module a minimal presentation presents."""
+    algebra = pres.p0.algebra
+    if not pres.p1_vertices:
+        return zero_rep(algebra)
+    ker, _ = kernel_of(nakayama_of_presentation(pres, algebra))
+    return ker
+
+
 def tau(rep: Representation) -> Representation:
     """Auslander-Reiten translate; zero on projectives."""
     if rep.total_dim == 0:
         return zero_rep(rep.algebra)
-    pres = min_presentation(rep)
-    if not pres.p1_vertices:
-        return zero_rep(rep.algebra)
-    nu = nakayama_of_presentation(pres, rep.algebra)
-    ker, _ = kernel_of(nu)
-    return ker
+    return tau_of_presentation(min_presentation(rep))
 
 
 def dual_representation(rep: Representation) -> Representation:
@@ -659,10 +663,6 @@ def end_reduced_dim(rep: Representation) -> int:
             row.append(tr)
         gram.append(row)
     return rank(QMatrix.from_rows(gram, cols=len(E)))
-
-
-def is_indecomposable(rep: Representation) -> bool:
-    return rep.total_dim > 0 and end_reduced_dim(rep) == 1
 
 
 def _total_matrix(f: Morphism) -> QMatrix:

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 from .catalog import Catalog, ModuleRef
 from .errors import CapExceededError, InvariantViolation, PreconditionError
 from .modules import ext1, pd_at_most_one
+from .util import topological_order
 
 
 @dataclass(frozen=True)
@@ -184,27 +185,13 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None,
 
 def _assert_hasse_shape(cat: Catalog, pairs: list[STauPair],
                         arrows: list[tuple[int, int]]) -> None:
+    if topological_order(len(pairs), arrows) is None:
+        raise InvariantViolation("mutation quiver has a cycle")
     indeg = [0] * len(pairs)
     outdeg = [0] * len(pairs)
-    adj: list[list[int]] = [[] for _ in pairs]
     for a, b in arrows:
         outdeg[a] += 1
         indeg[b] += 1
-        adj[a].append(b)
-    # topological order exists iff acyclic
-    from collections import deque
-    deg = list(indeg)
-    queue = deque(i for i, d in enumerate(deg) if d == 0)
-    seen = 0
-    while queue:
-        i = queue.popleft()
-        seen += 1
-        for j in adj[i]:
-            deg[j] -= 1
-            if deg[j] == 0:
-                queue.append(j)
-    if seen != len(pairs):
-        raise InvariantViolation("mutation quiver has a cycle")
     sources = [i for i, d in enumerate(indeg) if d == 0]
     sinks = [i for i, d in enumerate(outdeg) if d == 0]
     if len(sources) != 1 or len(sinks) != 1:

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import os
+from collections import deque
 from pathlib import Path
+from typing import Iterable
 
 
 def write_text_atomic(path: Path | str, text: str) -> None:
@@ -12,3 +14,22 @@ def write_text_atomic(path: Path | str, text: str) -> None:
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def topological_order(n: int, arrows: Iterable[tuple[int, int]]) -> list[int] | None:
+    """Kahn order of the vertices 0..n-1, or None when the arrows contain a cycle."""
+    adj = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in arrows:
+        adj[a].append(b)
+        indeg[b] += 1
+    queue = deque(i for i in range(n) if indeg[i] == 0)
+    order = []
+    while queue:
+        i = queue.popleft()
+        order.append(i)
+        for j in adj[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    return order if len(order) == n else None

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .algebra import Algebra, add_isolated_vertex, delete_vertex, one_point_extension
 from .catalog import Catalog, ModuleRef, build_catalog
@@ -43,7 +44,7 @@ class Enumeration:
 
     def __init__(self, algebra: Algebra, config: Config):
         self.algebra = algebra
-        self.catalog = build_catalog(algebra, cap=config.cap_catalog, jobs=config.jobs)
+        self.catalog = build_catalog(algebra, cap=config.cap_catalog)
         self.pairs = enumerate_stau(self.catalog, cap=config.cap_cliques)
 
     @property
@@ -99,6 +100,21 @@ def _ref_detail(cat: Catalog, ref: ModuleRef) -> str:
     return " + ".join(str(list(cat.entries[i].dims)) for i in ref) or "0"
 
 
+def _shape_images(ctx: ExtensionContext, base_modules: Iterable[ModuleRef],
+                  quotient_modules: Iterable[ModuleRef]) -> tuple[set[ModuleRef], set[ModuleRef]]:
+    """Shape-one images P_new + M1 of base modules and shape-two images
+    P_new + S_new + M2 of quotient modules, in the extension's catalog."""
+    cat_b = ctx.enum("extended").catalog
+    p_new = cat_b.projective_index[ctx.new_vertex]
+    s_new = cat_b.simple_index[ctx.new_vertex]
+    t_base = _transport_table(ctx.enum("base").catalog, cat_b)
+    t_quot = _transport_table(ctx.enum("quotient").catalog, cat_b)
+    shape_one = {tuple(sorted([t_base[i] for i in m] + [p_new])) for m in base_modules}
+    shape_two = {tuple(sorted([t_quot[i] for i in m] + [p_new, s_new]))
+                 for m in quotient_modules}
+    return shape_one, shape_two
+
+
 def verify_classification(ctx: ExtensionContext) -> ClaimReport:
     """Full-support modules over the extension are exactly the two transported shapes.
 
@@ -110,13 +126,7 @@ def verify_classification(ctx: ExtensionContext) -> ClaimReport:
     base = ctx.enum("base")
     quot = ctx.enum("quotient")
     cat_b = ext.catalog
-    p_new = cat_b.projective_index[ctx.new_vertex]
-    s_new = cat_b.simple_index[ctx.new_vertex]
-    t_base = _transport_table(base.catalog, cat_b)
-    t_quot = _transport_table(quot.catalog, cat_b)
-    image_one = {tuple(sorted([t_base[i] for i in m] + [p_new])) for m in base.tau_tilt()}
-    image_two = {tuple(sorted([t_quot[i] for i in m] + [p_new, s_new]))
-                 for m in quot.tau_tilt()}
+    image_one, image_two = _shape_images(ctx, base.tau_tilt(), quot.tau_tilt())
     counts = {"tau_tilt_base": len(base.tau_tilt()),
               "tau_tilt_quotient": len(quot.tau_tilt()),
               "tau_tilt_extended": len(ext.tau_tilt())}
@@ -164,19 +174,13 @@ def verify_tilting_transfer(ctx: ExtensionContext) -> ClaimReport:
     base = ctx.enum("base")
     quot = ctx.enum("quotient")
     cat_b = ext.catalog
-    p_new = cat_b.projective_index[ctx.new_vertex]
-    s_new = cat_b.simple_index[ctx.new_vertex]
-    t_base = _transport_table(base.catalog, cat_b)
-    t_quot = _transport_table(quot.catalog, cat_b)
-    image = {tuple(sorted([t_base[i] for i in m] + [p_new])) for m in base.tilt()}
+    image, shape_two = _shape_images(ctx, base.tilt(), quot.tau_tilt())
     enumerated = set(ext.tilt())
     counts = {"tilt_base": len(image), "tilt_extended": len(enumerated)}
     if image != enumerated:
         sample = next(iter(image.symmetric_difference(enumerated)))
         return ClaimReport("tilting-transfer", "fail", counts,
                            f"tilting sets differ at {_ref_detail(cat_b, sample)}")
-    shape_two = {tuple(sorted([t_quot[i] for i in m] + [p_new, s_new]))
-                 for m in quot.tau_tilt()}
     if shape_two & enumerated:
         sample = next(iter(shape_two & enumerated))
         return ClaimReport("tilting-transfer", "fail", counts,

@@ -2,9 +2,9 @@ import pytest
 
 from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
 from tautilt.catalog import build_catalog
-from tautilt.errors import CapExceededError
+from tautilt.errors import CapExceededError, InvariantViolation
 from tautilt.families import type_a_square
-from tautilt.modules import end_reduced_dim, iso, tau, tau_inverse
+from tautilt.modules import direct_sum, end_reduced_dim, iso, simple, tau, tau_inverse
 
 
 def test_a2_catalog(cat_a2, a2):
@@ -53,11 +53,21 @@ def test_catalog_determinism(lambda3):
     assert a.projective_index == b.projective_index
 
 
-def test_parallel_hom_table_matches_sequential(d4):
-    a = build_catalog(d4, jobs=1)
-    b = build_catalog(d4, jobs=3)
-    assert a.hom_tau_zero == b.hom_tau_zero
-    assert [e.dims for e in a.entries] == [e.dims for e in b.entries]
+def test_shared_dimension_vector_is_rejected():
+    # radical square zero on the 2-cycle: P1 and P2 both have dims (1, 1)
+    two_cycle = build_algebra(
+        Quiver(["1", "2"], [Arrow("x", "1", "2"), Arrow("y", "2", "1")]),
+        [("x", "y"), ("y", "x")])
+    with pytest.raises(InvariantViolation, match="share the dimension vector"):
+        build_catalog(two_cycle)
+
+
+def test_find_index_confirms_the_dims_key_by_iso(cat_a2, a2):
+    s1_s2, _ = direct_sum(a2, [simple(a2, "1"), simple(a2, "2")])
+    p2 = cat_a2.projective_index["2"]
+    assert cat_a2.entries[p2].dims == s1_s2.dims == (1, 1)
+    assert cat_a2.find_index(s1_s2) is None
+    assert cat_a2.find_index(cat_a2.entries[p2]) == p2
 
 
 def test_doubled_catalog_has_isolated_simple(a2):

@@ -175,3 +175,15 @@ def test_commands_are_byte_deterministic(runner, tmp_path, lambda3):
     t1 = runner.invoke(main, ["tables", "--nA", "3", "--nD", "4"]).output
     t2 = runner.invoke(main, ["tables", "--nA", "3", "--nD", "4"]).output
     assert t1 == t2
+
+
+def test_unexpected_exception_is_one_line_exit_70(runner, tmp_path, monkeypatch, a2):
+    def boom(path):
+        raise RuntimeError("simulated\nfailure")
+
+    monkeypatch.setattr("tautilt.cli.load_algebra", boom)
+    f = write_algebra(tmp_path / "a2.json", a2)
+    result = runner.invoke(main, ["validate", f])
+    assert result.exit_code == 70
+    assert result.stderr == "internal error: RuntimeError: simulated failure\n"
+    assert "Traceback" not in result.output

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from tautilt.algebra import one_point_extension
-from tautilt.catalog import rep_from_dict, rep_to_dict
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square
 from tautilt.linalg import QMatrix
@@ -281,11 +280,3 @@ def test_extend_by_zero(a2):
     moved = extend_by_zero(projective(a2, "2"), b)
     assert moved.dims == (1, 1, 0)
     assert iso(moved, projective(b, "2"))
-
-
-def test_rep_serialization_round_trip(lambda3):
-    p3 = projective(lambda3, "3")
-    doc = rep_to_dict(p3)
-    again = rep_from_dict(lambda3, doc)
-    assert again.dims == p3.dims
-    assert all(a == b for a, b in zip(again.arrow_maps, p3.arrow_maps))
