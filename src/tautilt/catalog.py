@@ -26,6 +26,11 @@ ModuleRef = tuple[int, ...]
 NOT_DIRECTED = "the algebra is not representation-directed"
 
 
+def _bits(flags) -> int:
+    """The int whose bit k is set iff the k-th flag is truthy."""
+    return sum(1 << k for k, f in enumerate(flags) if f)
+
+
 def default_catalog_cap(algebra: Algebra) -> int:
     return max(10 * algebra.n_vertices ** 2, 1)
 
@@ -64,6 +69,12 @@ class Catalog:
                 self.tau_index.append(idx)
         self.hom_tau_zero = [[t.total_dim == 0 or hom_dim(e, t) == 0 for t in self.tau_reps]
                              for e in self.entries]
+        # Bit j of tors_mask[i]: Hom(E_i, tau E_j) = 0.  compat_mask[i] keeps the j
+        # with Hom(E_j, tau E_i) = 0 as well; bit k of support_mask[i]: dims[k] != 0.
+        self.tors_mask = [_bits(row) for row in self.hom_tau_zero]
+        self.compat_mask = [m & _bits(row[i] for row in self.hom_tau_zero)
+                            for i, m in enumerate(self.tors_mask)]
+        self.support_mask = [_bits(e.dims) for e in self.entries]
         self.projective_index = {v: self._required_index(projective(algebra, v))
                                  for v in algebra.quiver.vertices}
         self.simple_index = {v: self._required_index(simple(algebra, v))

@@ -5,10 +5,28 @@ compatibility graph on the catalog, so enumeration is a pruned DFS over
 catalog indices.  A clique is kept as a support tau-tilting pair when its
 summand count equals its support size; the projective half of the pair is
 then the set of unsupported vertices.
+
+Sets are Python ints.  Bit i of a catalog set stands for entry i, and bit k
+of a vertex set for the k-th vertex.  `Catalog` holds one row per entry:
+`compat_mask` (its compatible entries), `tors_mask` (the j with
+Hom(E_i, tau E_j) = 0) and `support_mask` (its support).  A DFS node that
+adds entry i carries its candidates `cand & compat_mask[i]`, the OR of the
+support masks and the running g-vector of its modules, so keeping a clique
+costs one `bit_count`.
+
+`hasse` codes a pair as one int: the module bits first (bits 0 to
+cat.size - 1), then the bits of the unsupported vertices (bit cat.size + k
+for the k-th vertex).  Clearing one set bit of a code gives an almost
+complete pair, the key of its bucket.  The module part of `lower` lies in
+the torsion class of `upper` iff `upper.mods & ~tors[lower] == 0` and
+`supp[lower] & upper.proj == 0`, where `tors` is the AND of `tors_mask` and
+`supp` the OR of `support_mask` over the summands: the direction of each
+arrow is decided in O(1).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
 
 from .catalog import Catalog, ModuleRef
@@ -23,10 +41,6 @@ class STauPair:
     modules: tuple[int, ...]
     proj_part: tuple[str, ...]
     g: tuple[int, ...]
-
-    def tokens(self) -> frozenset:
-        return frozenset([("m", i) for i in self.modules] +
-                         [("p", v) for v in self.proj_part])
 
 
 @dataclass(frozen=True)
@@ -91,38 +105,46 @@ def is_tilting(cat: Catalog, ref: ModuleRef) -> bool:
 
 
 def enumerate_stau(cat: Catalog, cap: int = 1_000_000) -> list[STauPair]:
-    """All support tau-tilting pairs, canonically ordered by g-vector."""
-    rigid_singletons = [i for i in range(cat.size) if cat.self_rigid(i)]
+    """All support tau-tilting pairs, canonically ordered by g-vector.
+
+    The DFS visits cliques in lexicographic preorder, and `cap` bounds the
+    number of nodes visited.  It runs on an explicit stack of
+    (candidates, support, module g-vector, clique) nodes: a recursive inner
+    function refers to itself, and that reference cycle keeps a finished
+    search's pairs alive until the cyclic garbage collector runs.
+    """
+    vertices = cat.algebra.quiver.vertices
+    all_vertices = (1 << len(vertices)) - 1
+    compat, support_mask, g_rows = cat.compat_mask, cat.support_mask, cat.g_vectors
     pairs: list[STauPair] = []
     seen_g: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rigid = sum(1 << i for i in range(cat.size) if cat.self_rigid(i))
+    stack = [(rigid, 0, (0,) * len(vertices), ())]
     count = 0
-
-    def consider(clique: list[int]) -> None:
-        ref = tuple(clique)
-        support = cat.support_of_ref(ref)
-        if len(ref) != len(support):
-            return
-        proj = tuple(v for v in cat.algebra.quiver.vertices if v not in support)
-        g = g_vector_of_pair(cat, ref, proj)
-        if g in seen_g:
-            if seen_g[g] != ref:
-                raise InvariantViolation(f"distinct pairs share the g-vector {g}")
-            return
-        seen_g[g] = ref
-        pairs.append(STauPair(ref, proj, g))
-
-    def extend(clique: list[int], candidates: list[int]) -> None:
-        nonlocal count
+    while stack:
+        candidates, support, g_modules, clique = stack.pop()
         count += 1
         if count > cap:
             raise CapExceededError(f"tau-tilting infinite at this cap ({cap})")
-        consider(clique)
-        for k, i in enumerate(candidates):
-            clique.append(i)
-            extend(clique, [j for j in candidates[k + 1:] if cat.compatible(i, j)])
-            clique.pop()
-
-    extend([], rigid_singletons)
+        if len(clique) == support.bit_count():
+            unsupported = all_vertices & ~support
+            g = tuple(c - (unsupported >> k & 1) for k, c in enumerate(g_modules))
+            if g in seen_g:
+                if seen_g[g] != clique:
+                    raise InvariantViolation(f"distinct pairs share the g-vector {g}")
+            else:
+                seen_g[g] = clique
+                proj = tuple(v for k, v in enumerate(vertices) if unsupported >> k & 1)
+                pairs.append(STauPair(clique, proj, g))
+        # Push from the highest candidate down, so the lowest is popped first.
+        # A child's candidates are the candidates above it, ANDed with its row.
+        above = 0
+        while candidates:
+            i = candidates.bit_length() - 1
+            candidates ^= 1 << i
+            stack.append((above & compat[i], support | support_mask[i],
+                          tuple(map(add, g_modules, g_rows[i])), clique + (i,)))
+            above |= 1 << i
     pairs.sort(key=lambda p: p.g)
     return pairs
 
@@ -135,21 +157,6 @@ def tilting_modules(cat: Catalog, pairs: Sequence[STauPair]) -> list[ModuleRef]:
     return [m for m in tau_tilting_modules(pairs) if is_tilting(cat, m)]
 
 
-def _generates(cat: Catalog, lower: STauPair, upper: STauPair) -> bool:
-    """True iff the module part of `lower` lies in the torsion class of `upper`."""
-    for x in lower.modules:
-        for y in upper.modules:
-            if not cat.hom_tau_zero[x][y]:
-                return False
-    pos = cat.algebra.quiver.vertex_pos
-    for v in upper.proj_part:
-        k = pos[v]
-        for x in lower.modules:
-            if cat.entries[x].dims[k]:
-                return False
-    return True
-
-
 def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None,
           cap: int = 1_000_000) -> HasseQuiver:
     """Mutation arrows between pairs whose summand sets differ in one element."""
@@ -157,22 +164,43 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None,
         pairs = enumerate_stau(cat, cap=cap)
     pairs = list(pairs)
     n = cat.algebra.n_vertices
-    tokens = [p.tokens() for p in pairs]
-    buckets: dict[frozenset, list[int]] = {}
-    for idx, toks in enumerate(tokens):
-        for t in toks:
-            buckets.setdefault(toks - {t}, []).append(idx)
+    pos = cat.algebra.quiver.vertex_pos
+    every_entry = (1 << cat.size) - 1
+    mods: list[int] = []
+    proj: list[int] = []
+    tors: list[int] = []
+    supp: list[int] = []
+    for p in pairs:
+        m, t, s = 0, every_entry, 0
+        for i in p.modules:
+            m |= 1 << i
+            t &= cat.tors_mask[i]
+            s |= cat.support_mask[i]
+        mods.append(m)
+        tors.append(t)
+        supp.append(s)
+        proj.append(sum(1 << pos[v] for v in p.proj_part))
+    buckets: dict[int, list[int]] = {}
+    for idx, (m, q) in enumerate(zip(mods, proj)):
+        code = rest = m | q << cat.size
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            buckets.setdefault(code ^ low, []).append(idx)
+
+    def in_torsion_class(lower: int, upper: int) -> bool:
+        return not (mods[upper] & ~tors[lower] or supp[lower] & proj[upper])
+
     arrows: list[tuple[int, int]] = []
     neighbor_count = [0] * len(pairs)
-    for key, members in sorted(buckets.items(), key=lambda kv: sorted(kv[1])):
+    for members in buckets.values():
         if len(members) == 1:
             continue
         if len(members) > 2:
             raise InvariantViolation("more than two completions of an almost complete pair")
         a, b = members
-        down_ab = _generates(cat, pairs[b], pairs[a])
-        down_ba = _generates(cat, pairs[a], pairs[b])
-        if down_ab == down_ba:
+        down_ab = in_torsion_class(b, a)
+        if down_ab == in_torsion_class(a, b):
             raise InvariantViolation("mutation direction is not uniquely determined")
         arrows.append((a, b) if down_ab else (b, a))
         neighbor_count[a] += 1

@@ -4,6 +4,9 @@ from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.families import type_a_square, type_d_square
 
+# Report the oracle comparisons with pytest's expanded assertion messages.
+pytest.register_assert_rewrite("oracles")
+
 
 @pytest.fixture(scope="session")
 def a2():

@@ -1,0 +1,93 @@
+"""Reference forms of the clique search and the Hasse bucketing.
+
+These are the direct algorithms that `tautilt.tilting` replaced with int
+bitmasks: a DFS over lists of catalog indices that asks `Catalog.compatible`
+for every candidate, buckets keyed by frozensets of tokens, and a torsion
+test that reads `Catalog.hom_tau_zero` and the dimension vectors entry by
+entry.  They share no code with the bitmask rows of the catalog, so the
+tests can compare the two exactly.
+"""
+from tautilt.errors import InvariantViolation
+from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
+
+
+def all_rigid_cliques(cat):
+    """Every clique of the compatibility graph on the self-rigid entries, in DFS preorder.
+
+    One clique per DFS node, so the length of the list is the node count
+    that `enumerate_stau` compares with its cap.
+    """
+    singles = [i for i in range(cat.size) if cat.self_rigid(i)]
+    found = []
+
+    def extend(clique, candidates):
+        found.append(tuple(clique))
+        for k, i in enumerate(candidates):
+            clique.append(i)
+            extend(clique, [j for j in candidates[k + 1:] if cat.compatible(i, j)])
+            clique.pop()
+
+    extend([], singles)
+    return found
+
+
+def reference_pairs(cat):
+    """Cliques whose summand count equals their support size, completed and sorted by g."""
+    vertices = cat.algebra.quiver.vertices
+    pairs = []
+    for ref in all_rigid_cliques(cat):
+        support = cat.support_of_ref(ref)
+        if len(ref) != len(support):
+            continue
+        proj = tuple(v for v in vertices if v not in support)
+        pairs.append(STauPair(ref, proj, g_vector_of_pair(cat, ref, proj)))
+    pairs.sort(key=lambda p: p.g)
+    return pairs
+
+
+def tokens(pair):
+    return frozenset([("m", i) for i in pair.modules] + [("p", v) for v in pair.proj_part])
+
+
+def generates(cat, lower, upper):
+    """True iff the module part of `lower` lies in the torsion class of `upper`."""
+    for x in lower.modules:
+        for y in upper.modules:
+            if not cat.hom_tau_zero[x][y]:
+                return False
+    pos = cat.algebra.quiver.vertex_pos
+    for v in upper.proj_part:
+        k = pos[v]
+        for x in lower.modules:
+            if cat.entries[x].dims[k]:
+                return False
+    return True
+
+
+def reference_arrows(cat, pairs):
+    """Sorted mutation arrows: frozenset-token buckets, direction by `generates`."""
+    toks = [tokens(p) for p in pairs]
+    buckets = {}
+    for idx, t in enumerate(toks):
+        for x in t:
+            buckets.setdefault(t - {x}, []).append(idx)
+    arrows = set()
+    for members in buckets.values():
+        if len(members) == 1:
+            continue
+        if len(members) > 2:
+            raise InvariantViolation("more than two completions of an almost complete pair")
+        a, b = members
+        down_ab = generates(cat, pairs[b], pairs[a])
+        if down_ab == generates(cat, pairs[a], pairs[b]):
+            raise InvariantViolation("mutation direction is not uniquely determined")
+        arrows.add((a, b) if down_ab else (b, a))
+    return sorted(arrows)
+
+
+def assert_matches_oracle(cat):
+    """`enumerate_stau` and `hasse` equal the reference forms exactly; returns the pairs."""
+    pairs = enumerate_stau(cat)
+    assert pairs == reference_pairs(cat)
+    assert list(hasse(cat, pairs).arrows) == reference_arrows(cat, pairs)
+    return pairs

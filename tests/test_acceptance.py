@@ -21,6 +21,8 @@ from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, tau_tilting_mo
 from tautilt.verify import (ExtensionContext, reproduce_tables, verify_classification,
                             verify_count_equations, verify_hasse_gluing)
 
+from oracles import all_rigid_cliques
+
 
 @contextmanager
 def criterion(label, budget_seconds=None):
@@ -169,21 +171,6 @@ def test_criterion_6_gluing_isomorphisms():
             assert rep.status == "pass", rep.detail
 
 
-def _all_rigid_cliques(cat):
-    singles = [i for i in range(cat.size) if cat.self_rigid(i)]
-    found = []
-
-    def extend(clique, candidates):
-        found.append(tuple(clique))
-        for k, i in enumerate(candidates):
-            clique.append(i)
-            extend(clique, [j for j in candidates[k + 1:] if cat.compatible(i, j)])
-            clique.pop()
-
-    extend([], singles)
-    return found
-
-
 def test_criterion_7a_extension_projective_rigidity():
     with criterion("7a extension-projective-rigidity", budget_seconds=120):
         for base, v in ((type_a_square(2), "2"), (fork_base(), "2"),
@@ -191,7 +178,7 @@ def test_criterion_7a_extension_projective_rigidity():
             b, new_vertex = one_point_extension(base, v)
             cat = build_catalog(b)
             p_new = cat.projective_index[new_vertex]
-            for ref in _all_rigid_cliques(cat):
+            for ref in all_rigid_cliques(cat):
                 if not is_tau_rigid(cat, ref):
                     continue
                 joined = tuple(sorted(set(ref) | {p_new}))

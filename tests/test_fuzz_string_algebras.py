@@ -13,6 +13,8 @@ from tautilt.modules import ext1, hom_dim, pd_at_most_one, projective, tau
 from tautilt.tilting import enumerate_stau, hasse, is_tau_rigid, tau_tilting_modules
 from tautilt.verify import ExtensionContext, verify_count_equations
 
+from oracles import assert_matches_oracle
+
 
 @st.composite
 def monomial_quotients(draw):
@@ -46,6 +48,12 @@ def test_catalog_and_exchange_invariants(algebra):
     # hasse() asserts n-regularity, two completions, acyclicity, unique ends
     h = hasse(cat, pairs)
     assert 2 * len(h.arrows) == algebra.n_vertices * len(pairs)
+
+
+@given(monomial_quotients())
+@settings(max_examples=25, deadline=None)
+def test_bitmask_search_matches_oracle(algebra):
+    assert_matches_oracle(build_catalog(algebra))
 
 
 @given(monomial_quotients())
