@@ -1,10 +1,11 @@
 """Labeled acyclic quivers: doubling surgery, isomorphism testing, DOT export."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .tilting import HasseQuiver, pair_label
 from .util import topological_order
 
@@ -112,14 +113,18 @@ def _joint_colors(x: LabeledDag, y: LabeledDag) -> tuple[list[int], list[int]]:
 
 
 def dag_iso(x: LabeledDag, y: LabeledDag) -> bool:
-    """Arrow-preserving bijection test (labels are ignored)."""
+    """Arrow-preserving bijection test (labels are ignored).
+
+    Backtracking over color classes on an explicit stack, so the depth is not
+    bounded by the interpreter's recursion limit.  A vertex map found by the
+    search is re-checked before True is returned.
+    """
     n = len(x.labels)
     if n != len(y.labels) or len(x.arrows) != len(y.arrows):
         return False
     if n == 0:
         return True
     cx, cy = _joint_colors(x, y)
-    from collections import Counter
     if Counter(cx) != Counter(cy):
         return False
     xs = [set() for _ in range(n)]
@@ -139,37 +144,36 @@ def dag_iso(x: LabeledDag, y: LabeledDag) -> bool:
     vertex_order = sorted(range(n), key=lambda i: (len(by_color[cx[i]]), -len(xs[i]) - len(xp[i])))
     mapping = [-1] * n
     used = [False] * n
-
-    def backtrack(k: int) -> bool:
-        if k == n:
-            return True
+    # cursor[k]: position in its color class of the next candidate for vertex_order[k]
+    cursor = [0] * n
+    k = 0
+    while 0 <= k < n:
         i = vertex_order[k]
-        for j in by_color[cx[i]]:
-            if used[j]:
-                continue
-            ok = True
-            for t in xs[i]:
-                mt = mapping[t]
-                if mt != -1 and mt not in ys[j]:
-                    ok = False
-                    break
-            if ok:
-                for t in xp[i]:
-                    mt = mapping[t]
-                    if mt != -1 and mt not in yp[j]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[i] = j
-            used[j] = True
-            if backtrack(k + 1):
-                return True
+        if mapping[i] != -1:  # back from depth k + 1: undo this choice
+            used[mapping[i]] = False
             mapping[i] = -1
-            used[j] = False
+        cands = by_color[cx[i]]
+        c = cursor[k]
+        while c < len(cands):
+            j = cands[c]
+            c += 1
+            if (not used[j]
+                    and all(mapping[t] == -1 or mapping[t] in ys[j] for t in xs[i])
+                    and all(mapping[t] == -1 or mapping[t] in yp[j] for t in xp[i])):
+                cursor[k] = c
+                mapping[i] = j
+                used[j] = True
+                k += 1
+                break
+        else:
+            cursor[k] = 0
+            k -= 1
+    if k < 0:
         return False
-
-    return backtrack(0)
+    if sorted(mapping) != list(range(n)) or any(mapping[b] not in ys[mapping[a]]
+                                                 for a, b in x.arrows):
+        raise InvariantViolation("dag_iso found a vertex map that is not an isomorphism")
+    return True
 
 
 def to_dot(dag: LabeledDag, name: str = "hasse") -> str:

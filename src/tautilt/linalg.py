@@ -2,6 +2,8 @@
 
 Everything downstream (Hom spaces, kernels, the AR translate) reduces to
 row reduction of small dense matrices with `fractions.Fraction` entries.
+`rref` eliminates on integer rows and builds the Fractions once at the end;
+the reduced row echelon form is unique, so the route taken does not change it.
 Matrices are immutable; zero-row and zero-column shapes are legal and show
 up constantly as fibers over vertices of dimension zero.
 """
@@ -9,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
+_ZERO = Fraction(0)
 
 
 class QMatrix:
@@ -20,7 +24,7 @@ class QMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Fraction | int]):
-        ent = tuple(Q(e) for e in entries)
+        ent = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
         if len(ent) != rows * cols:
@@ -150,26 +154,41 @@ def vstack(mats: Sequence[QMatrix]) -> QMatrix:
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = m.to_rows()
+    """Reduced row echelon form and the pivot column indices.
+
+    Each row is cleared of denominators and eliminated as `a*row - b*pivot_row`
+    (a, b coprime), then divided by the gcd of its entries; Fractions are built
+    only at the end, by dividing each pivot row by its pivot.
+    """
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
+        d = lcm(*[e.denominator for e in row])
+        rows.append([e.numerator * (d // e.denominator) for e in row])
     pivots: list[int] = []
     pr = 0
     for pc in range(m.cols):
-        ir = next((r for r in range(pr, m.rows) if rows[r][pc] != 0), None)
+        ir = next((r for r in range(pr, m.rows) if rows[r][pc]), None)
         if ir is None:
             continue
         rows[pr], rows[ir] = rows[ir], rows[pr]
-        inv = 1 / rows[pr][pc]
-        rows[pr] = [e * inv for e in rows[pr]]
+        prow = rows[pr]
+        p = prow[pc]
         for r in range(m.rows):
-            if r != pr and rows[r][pc] != 0:
-                f = rows[r][pc]
-                rows[r] = [e - f * p for e, p in zip(rows[r], rows[pr])]
+            f = rows[r][pc]
+            if r != pr and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * e - b * q for e, q in zip(rows[r], prow)]
+                g = gcd(*row)
+                rows[r] = [e // g for e in row] if g > 1 else row
         pivots.append(pc)
         pr += 1
         if pr == m.rows:
             break
-    return QMatrix.from_rows(rows, cols=m.cols), tuple(pivots)
+    out = [Fraction(e, row[pc]) if e else _ZERO for row, pc in zip(rows, pivots) for e in row]
+    out.extend([_ZERO] * ((m.rows - pr) * m.cols))
+    return QMatrix(m.rows, m.cols, out), tuple(pivots)
 
 
 def rank(m: QMatrix) -> int:

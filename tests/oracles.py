@@ -1,14 +1,39 @@
-"""Reference forms of the clique search and the Hasse bucketing.
+"""Reference forms of the row reduction, the clique search and the Hasse bucketing.
 
-These are the direct algorithms that `tautilt.tilting` replaced with int
-bitmasks: a DFS over lists of catalog indices that asks `Catalog.compatible`
+These are the direct algorithms that the package replaced with faster ones:
+Gauss–Jordan on `Fraction` rows (`tautilt.linalg.rref` eliminates on integer
+rows), a DFS over lists of catalog indices that asks `Catalog.compatible`
 for every candidate, buckets keyed by frozensets of tokens, and a torsion
 test that reads `Catalog.hom_tau_zero` and the dimension vectors entry by
-entry.  They share no code with the bitmask rows of the catalog, so the
-tests can compare the two exactly.
+entry.  They share no code with the fast forms, so the tests can compare
+the two exactly.
 """
 from tautilt.errors import InvariantViolation
+from tautilt.linalg import QMatrix
 from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
+
+
+def rref_fraction(m):
+    """Reduced row echelon form and the pivot column indices."""
+    rows = m.to_rows()
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(m.cols):
+        ir = next((r for r in range(pr, m.rows) if rows[r][pc] != 0), None)
+        if ir is None:
+            continue
+        rows[pr], rows[ir] = rows[ir], rows[pr]
+        inv = 1 / rows[pr][pc]
+        rows[pr] = [e * inv for e in rows[pr]]
+        for r in range(m.rows):
+            if r != pr and rows[r][pc] != 0:
+                f = rows[r][pc]
+                rows[r] = [e - f * p for e, p in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    return QMatrix.from_rows(rows, cols=m.cols), tuple(pivots)
 
 
 def all_rigid_cliques(cat):

@@ -1,5 +1,9 @@
+import itertools
+
 import pytest
 
+from oracles import rref_fraction
+from tautilt import linalg, modules
 from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import CapExceededError, InvariantViolation
@@ -24,6 +28,29 @@ def test_linear_family_catalog_count(n):
     # n projectives plus n-1 non-projective simples
     cat = build_catalog(type_a_square(n))
     assert cat.size == 2 * n - 1
+
+
+def test_hereditary_d6_catalog(monkeypatch):
+    """Hereditary D6 (6 -> 5 -> 4 -> 3 -> {1, 2}) has modules of dimension 2 at a vertex."""
+    n = 6
+    vertices = [str(k) for k in range(1, n + 1)]
+    arrows = [Arrow("b1", "3", "1"), Arrow("b2", "3", "2")]
+    arrows += [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(3, n)]
+    cat = build_catalog(build_algebra(Quiver(vertices, arrows)))
+    assert cat.size == n * (n - 1)
+    # Gabriel: the indecomposables are the positive roots, the x >= 0 with Tits form 1
+    # (every positive root of D_n has coefficients at most 2).
+    pos = {v: i for i, v in enumerate(vertices)}
+    edges = [(pos[a.source], pos[a.target]) for a in arrows]
+    roots = {x for x in itertools.product(range(4), repeat=n)
+             if sum(c * c for c in x) - sum(x[s] * x[t] for s, t in edges) == 1}
+    assert {e.dims for e in cat.entries} == roots
+    assert max(max(e.dims) for e in cat.entries) == 2
+    monkeypatch.setattr(linalg, "rref", rref_fraction)
+    monkeypatch.setattr(modules, "rref", rref_fraction)
+    reference = build_catalog(build_algebra(Quiver(vertices, arrows)))
+    assert [e.dims for e in reference.entries] == [e.dims for e in cat.entries]
+    assert reference.hom_tau_zero == cat.hom_tau_zero
 
 
 def test_catalog_entries_are_local(cat_example_b):

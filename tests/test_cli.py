@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tautilt
 from tautilt.algebra import algebra_equal_upto_relabel, load_algebra, serialize_algebra
 from tautilt.cli import main
 from tautilt.families import type_a_square, type_d_square
@@ -187,3 +192,19 @@ def test_unexpected_exception_is_one_line_exit_70(runner, tmp_path, monkeypatch,
     assert result.exit_code == 70
     assert result.stderr == "internal error: RuntimeError: simulated failure\n"
     assert "Traceback" not in result.output
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("algebra, source", [(type_d_square(7), "7"), (type_a_square(8), "8")])
+def test_verify_past_the_recursion_limit(tmp_path, algebra, source):
+    """D2 n=7 and A2 n=8 extend to Hasse quivers of 1,096 and 2,378 vertices, more
+    than the default recursion limit of 1,000; run as `python -m`, as a user would."""
+    f = write_algebra(tmp_path / "base.json", algebra)
+    env = dict(os.environ, PYTHONPATH=str(Path(tautilt.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "tautilt.cli", "--out-dir", str(tmp_path),
+                             "verify", f, "--source", source],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert [line.partition(" {")[0] for line in result.stdout.splitlines()] == [
+        f"{claim}: pass" for claim in ("classification", "count-equations",
+                                       "tilting-transfer", "hasse-gluing")]

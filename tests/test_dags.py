@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,20 @@ def test_dag_iso_same_degrees_different_shape():
     x = LabeledDag(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3)))
     y = LabeledDag(("a", "b", "c", "d"), ((0, 1), (2, 1), (2, 3)))
     assert not dag_iso(x, y)
+
+
+def test_dag_iso_deeper_than_the_recursion_limit():
+    # more matched vertices than the interpreter allows nested calls
+    n = sys.getrecursionlimit() + 500
+    chain = LabeledDag(tuple(f"c{i}" for i in range(n)), tuple((i, i + 1) for i in range(n - 1)))
+    reversed_names = LabeledDag(chain.labels,
+                                tuple(sorted((n - 1 - b, n - 1 - a) for a, b in chain.arrows)))
+    assert dag_iso(chain, reversed_names)
+    # n/2 disjoint arrows: two color classes of n/2 vertices each
+    m = n // 2
+    pairs = LabeledDag(tuple(f"p{i}" for i in range(2 * m)), tuple((2 * i, 2 * i + 1) for i in range(m)))
+    split = LabeledDag(pairs.labels, tuple((i, 2 * m - 1 - i) for i in range(m)))
+    assert dag_iso(pairs, split)
 
 
 def test_to_dot_empty():

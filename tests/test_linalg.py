@@ -1,9 +1,12 @@
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import rref_fraction
 from tautilt.linalg import (QMatrix, det, hstack, invert, kernel_basis, rank,
                             row_space_basis, rref, solve, vstack)
 
@@ -125,3 +128,73 @@ def test_stack_helpers():
     assert hstack([a, b]) == mat([[1, 2, 3, 4]])
     assert vstack([a, b]) == mat([[1, 2], [3, 4]])
     assert row_space_basis(mat([[2, 4], [1, 2]])) == mat([[1, 2]])
+
+
+wide_fraction = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def oracle_matrices(draw, max_dim=5):
+    """Any shape from 0x0 up; some rows zero, some rows combinations of earlier ones."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    rows = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * c)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(wide_fraction, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((k * row[j] for k, row in zip(coeffs, rows)), Fraction(0))
+                         for j in range(c)])
+        else:
+            rows.append(draw(st.lists(wide_fraction, min_size=c, max_size=c)))
+    return QMatrix(r, c, [e for row in rows for e in row])
+
+
+@given(oracle_matrices())
+@settings(max_examples=300, deadline=None)
+@example(QMatrix(0, 0, ()))
+@example(QMatrix(0, 3, ()))
+@example(QMatrix(3, 0, ()))
+@example(QMatrix.zeros(3, 4))
+@example(mat([[0, -2, 4], [0, 0, 0], [0, 1, -2]]))
+@example(mat([[Fraction(1, 10**6), Fraction(-999_999, 7)], [Fraction(-3, 999_983), 5]]))
+def test_rref_matches_fraction_oracle(m):
+    red, pivots = rref(m)
+    assert (red, pivots) == rref_fraction(m)
+    assert all(type(e) is Fraction for e in red.entries)
+
+
+@st.composite
+def invertible_matrices(draw, max_dim=4):
+    """P * L * U with P a permutation, L unit lower and U upper triangular with nonzero
+    diagonal, returned with its determinant sign(P) * prod(diag U)."""
+    n = draw(st.integers(1, max_dim))
+    perm = draw(st.permutations(range(n)))
+    diag = draw(st.lists(wide_fraction.filter(bool), min_size=n, max_size=n))
+    off = draw(st.lists(wide_fraction, min_size=n * n, max_size=n * n))
+    lower = QMatrix(n, n, [1 if i == j else off[i * n + j] if j < i else 0
+                           for i in range(n) for j in range(n)])
+    upper = QMatrix(n, n, [diag[i] if i == j else off[i * n + j] if j > i else 0
+                           for i in range(n) for j in range(n)])
+    p = QMatrix(n, n, [1 if perm[i] == j else 0 for i in range(n) for j in range(n)])
+    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+    return p * lower * upper, (-1) ** inversions * prod(diag)
+
+
+@given(invertible_matrices())
+@settings(max_examples=100, deadline=None)
+def test_det_and_invert_match_fraction_oracle(case):
+    m, expected_det = case
+    n = m.rows
+    assert det(m) == expected_det
+    red, pivots = rref_fraction(hstack([m, QMatrix.identity(n)]))
+    assert pivots == tuple(range(n))
+    inv = invert(m)
+    assert inv == QMatrix(n, n, [red.entry(i, n + j) for i in range(n) for j in range(n)])
+    assert m * inv == QMatrix.identity(n)
