@@ -12,13 +12,14 @@ its dimension vector (Ringel, LNM 1099, 2.4), so entries are keyed by
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import Algebra
 from .errors import CapExceededError, InvariantViolation, PreconditionError
-from .modules import (Representation, end_reduced_dim, hom_dim, iso, min_presentation,
-                      projective, simple, split_indecomposables, tau_inverse,
-                      tau_of_presentation)
+from .linalg import QMatrix, solve
+from .modules import (Representation, direct_sum, end_reduced_dim, hom_dim, iso,
+                      min_presentation, projective, simple, tau_inverse)
 
 ModuleRef = tuple[int, ...]
 """A finite multiset of catalog indices, stored sorted."""
@@ -36,38 +37,37 @@ def default_catalog_cap(algebra: Algebra) -> int:
 
 
 class Catalog:
-    """Ordered list of all indecomposables with pairwise tau-Hom tables."""
+    """Ordered list of all indecomposables with pairwise tau-Hom tables.
 
-    def __init__(self, algebra: Algebra, entries: Sequence[Representation]):
+    `tau_index[j]` is the index of tau E_j, or None when E_j is projective;
+    `build_catalog` reads it off its own inverse-translate steps.
+    """
+
+    def __init__(self, algebra: Algebra, entries: Sequence[Representation],
+                 tau_index: Sequence[int | None]):
         self.algebra = algebra
         self.entries = tuple(entries)
         self.size = len(self.entries)
+        self.tau_index = list(tau_index)
         self.index_by_dims = {e.dims: i for i, e in enumerate(self.entries)}
         if len(self.index_by_dims) != self.size:
             raise InvariantViolation(f"two catalog entries share a dimension vector; "
                                      f"{NOT_DIRECTED}")
         pos = algebra.quiver.vertex_pos
-        self.tau_reps: list[Representation] = []
         self.g_vectors: list[tuple[int, ...]] = []
+        # pd E <= 1 iff the syzygy, of dimension dim P0 - dim E, is its own cover P1.
+        self.pd_le_one: list[bool] = []
         for e in self.entries:
             pres = min_presentation(e)
-            self.tau_reps.append(tau_of_presentation(pres))
             g = [0] * algebra.n_vertices
             for v in pres.p0_vertices:
                 g[pos[v]] += 1
             for v in pres.p1_vertices:
                 g[pos[v]] -= 1
             self.g_vectors.append(tuple(g))
-        self.tau_index: list[int | None] = []
-        for t in self.tau_reps:
-            if t.total_dim == 0:
-                self.tau_index.append(None)
-            else:
-                idx = self.find_index(t)
-                if idx is None:
-                    raise InvariantViolation("tau of a catalog entry escaped the catalog")
-                self.tau_index.append(idx)
-        self.hom_tau_zero = [[t.total_dim == 0 or hom_dim(e, t) == 0 for t in self.tau_reps]
+            self.pd_le_one.append(pres.p1.total_dim == pres.p0.total_dim - e.total_dim)
+        self.hom_tau_zero = [[t is None or hom_dim(e, self.entries[t]) == 0
+                              for t in self.tau_index]
                              for e in self.entries]
         # Bit j of tors_mask[i]: Hom(E_i, tau E_j) = 0.  compat_mask[i] keeps the j
         # with Hom(E_j, tau E_i) = 0 as well; bit k of support_mask[i]: dims[k] != 0.
@@ -112,22 +112,28 @@ class Catalog:
         """[P0] - [P1] of the minimal presentation, over the vertex basis."""
         return self.g_vectors[i]
 
+    @cached_property
+    def hom_dims(self) -> QMatrix:
+        """dim Hom(E_i, E_k) at row i, column k."""
+        return QMatrix.from_rows([[hom_dim(x, y) for y in self.entries] for x in self.entries],
+                                 cols=self.size)
+
     def decompose(self, rep: Representation) -> ModuleRef:
-        """Split into indecomposables and resolve each piece to a catalog index."""
+        """Multiplicities m_k solving sum_k dim Hom(E_i, E_k) m_k = dim Hom(E_i, rep).
+
+        Over a representation-finite algebra a module is fixed by these Hom
+        dimensions (Auslander), so the exact solution is the decomposition;
+        one `iso` against the direct sum it names confirms it.
+        """
         if rep.algebra != self.algebra:
             raise PreconditionError("representation over a different algebra")
-        pieces = split_indecomposables(rep)
-        out = []
-        for p in pieces:
-            if end_reduced_dim(p) != 1:
-                raise InvariantViolation("summand with non-local endomorphism ring")
-            idx = self.find_index(p)
-            if idx is None:
-                raise InvariantViolation("summand matches no catalog entry")
-            out.append(idx)
-        ref = tuple(sorted(out))
-        if self.dims_of_ref(ref) != rep.dims:
-            raise InvariantViolation("decomposition does not preserve dimension vectors")
+        mult = solve(self.hom_dims, [hom_dim(e, rep) for e in self.entries])
+        if mult is None or any(m.denominator != 1 or m < 0 for m in mult):
+            raise InvariantViolation("Hom dimensions match no sum of catalog entries")
+        ref = tuple(k for k, m in enumerate(mult) for _ in range(int(m)))
+        summed, _ = direct_sum(self.algebra, [self.entries[k] for k in ref])
+        if not iso(summed, rep):
+            raise InvariantViolation("module is not the sum its Hom dimensions name")
         return ref
 
     def dump_lines(self) -> list[str]:
@@ -135,38 +141,48 @@ class Catalog:
 
 
 def build_catalog(algebra: Algebra, cap: int = 0) -> Catalog:
-    """Close the projectives under the inverse AR translate, deduplicating by dims and iso."""
+    """Close the projectives under the inverse AR translate, deduplicating by dims and iso.
+
+    Each step records tau: when tau^-1 E_i is E_j, then tau E_j is E_i.
+    """
     if cap <= 0:
         cap = default_catalog_cap(algebra)
     entries: list[Representation] = []
-    by_dims: dict[tuple[int, ...], Representation] = {}
+    index_by_dims: dict[tuple[int, ...], int] = {}
+    tau_of: dict[int, int] = {}
 
-    def add(rep: Representation) -> None:
-        known = by_dims.get(rep.dims)
-        if known is not None:
-            if not iso(known, rep):
+    def add(rep: Representation) -> int:
+        i = index_by_dims.get(rep.dims)
+        if i is not None:
+            if not iso(entries[i], rep):
                 raise InvariantViolation(f"two non-isomorphic modules share the dimension "
                                          f"vector {list(rep.dims)}; {NOT_DIRECTED}")
-            return
+            return i
         if end_reduced_dim(rep) != 1:
             raise InvariantViolation("non-local endomorphism ring in catalog closure; "
                                      "the base field assumption fails for this algebra")
         entries.append(rep)
-        by_dims[rep.dims] = rep
+        index_by_dims[rep.dims] = len(entries) - 1
+        return len(entries) - 1
 
     for v in algebra.quiver.vertices:
         add(projective(algebra, v))
+    n_projectives = len(entries)
     pending = 0
-    iterations = 0
     while pending < len(entries):
-        rep = entries[pending]
-        pending += 1
-        iterations += 1
-        if iterations > cap:
+        if pending >= cap:
             raise CapExceededError(f"not representation-directed at this cap ({cap})")
-        t = tau_inverse(rep)
+        t = tau_inverse(entries[pending])
         if t.total_dim:
-            add(t)
+            j = add(t)
+            if j < n_projectives or j in tau_of:
+                raise InvariantViolation(f"tau^-1 of the entry with dims "
+                                         f"{list(entries[pending].dims)} is projective or "
+                                         f"the tau^-1 of another entry")
+            tau_of[j] = pending
+        pending += 1
     order = sorted(range(len(entries)),
                    key=lambda i: (entries[i].total_dim, entries[i].dims, i))
-    return Catalog(algebra, [entries[i] for i in order])
+    new_index = {old: new for new, old in enumerate(order)}
+    return Catalog(algebra, [entries[i] for i in order],
+                   [new_index[tau_of[i]] if i in tau_of else None for i in order])

@@ -152,7 +152,7 @@ def verify(config, file, source_vertex, claims, report_path):
         if unknown:
             raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
         ctx = ExtensionContext(algebra, source_vertex, config)
-        explicit_tilting = "tilting-transfer" in wanted and claims != ",".join(CLAIMS)
+        explicit_tilting = "tilting-transfer" in wanted and wanted != CLAIMS
         reports = run_claims(ctx, wanted, dot_dir=config.out_dir,
                              skip_tilting_at_sink=not explicit_tilting)
         for rep in reports:

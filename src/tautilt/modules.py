@@ -119,18 +119,6 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
                     [o * i for o, i in zip(outer.blocks, inner.blocks)], check=False)
 
 
-def identity_morphism(rep: Representation) -> Morphism:
-    return Morphism(rep, rep, [QMatrix.identity(d) for d in rep.dims], check=False)
-
-
-def morphism_add(f: Morphism, g: Morphism) -> Morphism:
-    return Morphism(f.source, f.target, [a + b for a, b in zip(f.blocks, g.blocks)], check=False)
-
-
-def morphism_scale(f: Morphism, c) -> Morphism:
-    return Morphism(f.source, f.target, [b.scale(c) for b in f.blocks], check=False)
-
-
 # ---------------------------------------------------------------------------
 # standard modules
 
@@ -518,20 +506,15 @@ def nakayama_of_presentation(pres: MinPresentation, algebra: Algebra) -> Morphis
     return Morphism(I1, I0, blocks)
 
 
-def tau_of_presentation(pres: MinPresentation) -> Representation:
-    """Auslander-Reiten translate of the module a minimal presentation presents."""
-    algebra = pres.p0.algebra
-    if not pres.p1_vertices:
-        return zero_rep(algebra)
-    ker, _ = kernel_of(nakayama_of_presentation(pres, algebra))
-    return ker
-
-
 def tau(rep: Representation) -> Representation:
     """Auslander-Reiten translate; zero on projectives."""
     if rep.total_dim == 0:
         return zero_rep(rep.algebra)
-    return tau_of_presentation(min_presentation(rep))
+    pres = min_presentation(rep)
+    if not pres.p1_vertices:
+        return zero_rep(rep.algebra)
+    ker, _ = kernel_of(nakayama_of_presentation(pres, rep.algebra))
+    return ker
 
 
 def dual_representation(rep: Representation) -> Representation:
@@ -612,7 +595,7 @@ def pd_at_most_one(rep: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and indecomposability
+# isomorphism and endomorphism rings
 
 def iso(x: Representation, y: Representation) -> bool:
     """Exact isomorphism test by scanning the determinant of a generic hom.
@@ -663,126 +646,3 @@ def end_reduced_dim(rep: Representation) -> int:
             row.append(tr)
         gram.append(row)
     return rank(QMatrix.from_rows(gram, cols=len(E)))
-
-
-def _total_matrix(f: Morphism) -> QMatrix:
-    """Block-diagonal matrix of an endomorphism acting on the sum of all fibers."""
-    n = f.source.total_dim
-    rows = [[Q(0)] * n for _ in range(n)]
-    off = 0
-    for b in f.blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[off + i][off + j] = b.entry(i, j)
-        off += b.rows
-    return QMatrix.from_rows(rows, cols=n)
-
-
-def _minimal_polynomial(m: QMatrix) -> list[Fraction]:
-    """Monic minimal polynomial coefficients, lowest degree first."""
-    n = m.rows
-    flats = [QMatrix.identity(n).entries]
-    power = QMatrix.identity(n)
-    while True:
-        power = power * m
-        cols = QMatrix(n * n, len(flats),
-                       [flats[j][i] for i in range(n * n) for j in range(len(flats))])
-        sol = solve(cols, power.entries)
-        if sol is not None:
-            return [-c for c in sol] + [Q(1)]
-        flats.append(power.entries)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a polynomial with rational coefficients."""
-    from math import lcm
-    denom = lcm(*[c.denominator for c in coeffs]) if coeffs else 1
-    ints = [int(c * denom) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    roots = set()
-    if ints[0] == 0:
-        roots.add(Q(0))
-        while ints and ints[0] == 0:
-            ints.pop(0)
-    if len(ints) <= 1:
-        return sorted(roots)
-    for p in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for cand in (Q(p, q), Q(-p, q)):
-                val = Q(0)
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def split_indecomposables(rep: Representation) -> list[Representation]:
-    """Iterated Fitting decomposition into indecomposable summands.
-
-    Shifted powers (f - r)^N for rational eigenvalues r of endomorphism
-    candidates split the module until every piece has local endomorphism
-    ring, which is asserted through the trace form.
-    """
-    if rep.total_dim == 0:
-        return []
-    E = hom_basis(rep, rep)
-    gram_rank = end_reduced_dim(rep)
-    if gram_rank == 1:
-        return [rep]
-    candidates: list[Morphism] = list(E)
-    for i in range(len(E)):
-        for j in range(len(E)):
-            if i != j:
-                candidates.append(compose(E[i], E[j]))
-    for i in range(len(E)):
-        for j in range(i + 1, len(E)):
-            candidates.append(morphism_add(E[i], E[j]))
-    N = rep.total_dim
-    for f in candidates:
-        mu = _minimal_polynomial(_total_matrix(f))
-        for r in _rational_roots(mu):
-            if _is_pure_power(mu, r):
-                # the whole module is one generalized eigenspace
-                continue
-            g = morphism_add(f, morphism_scale(identity_morphism(rep), -r))
-            power = g
-            for _ in range(N - 1):
-                power = compose(power, g)
-            ker, _ = kernel_of(power)
-            if 0 < ker.total_dim < rep.total_dim:
-                img, _ = image_of(power)
-                return split_indecomposables(ker) + split_indecomposables(img)
-    raise InvariantViolation(
-        "endomorphism ring is not local but no Fitting splitting was found")
-
-
-def _is_pure_power(mu: list[Fraction], r: Fraction) -> bool:
-    """True iff mu(t) == (t - r)^deg, by repeated synthetic division."""
-    poly = list(mu)
-    while len(poly) > 1:
-        coeffs = list(reversed(poly))
-        quot = []
-        acc = Q(0)
-        for c in coeffs:
-            acc = acc * r + c
-            quot.append(acc)
-        if quot[-1] != 0:
-            return False
-        poly = list(reversed(quot[:-1]))
-    return True

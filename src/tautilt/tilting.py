@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 
 from .catalog import Catalog, ModuleRef
 from .errors import CapExceededError, InvariantViolation, PreconditionError
-from .modules import ext1, pd_at_most_one
 from .util import topological_order
 
 
@@ -93,15 +92,16 @@ def complete_to_pair(cat: Catalog, ref: ModuleRef) -> STauPair:
 
 
 def is_tilting(cat: Catalog, ref: ModuleRef) -> bool:
-    """Classical tilting test: pd <= 1, no self-extensions, full summand count."""
+    """Classical tilting test, read off the catalog tables.
+
+    A tau-tilting module is tilting iff every summand has pd <= 1
+    (Adachi-Iyama-Reiten, tau-tilting theory, 2014): for pd M <= 1,
+    Ext^1(M, N) is dual to Hom(N, tau M).
+    """
     if len(set(ref)) != len(ref):
         raise PreconditionError("module is not basic")
-    if len(ref) != cat.algebra.n_vertices:
-        return False
-    summands = [cat.entries[i] for i in ref]
-    if not all(pd_at_most_one(s) for s in summands):
-        return False
-    return all(ext1(x, y) == 0 for x in summands for y in summands)
+    return (len(ref) == cat.algebra.n_vertices and all(cat.pd_le_one[i] for i in ref)
+            and is_tau_rigid(cat, ref))
 
 
 def enumerate_stau(cat: Catalog, cap: int = 1_000_000) -> list[STauPair]:

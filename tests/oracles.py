@@ -1,15 +1,20 @@
-"""Reference forms of the row reduction, the clique search and the Hasse bucketing.
+"""Reference forms of the row reduction, the clique search, the Hasse bucketing
+and the tilting test.
 
 These are the direct algorithms that the package replaced with faster ones:
 Gauss–Jordan on `Fraction` rows (`tautilt.linalg.rref` eliminates on integer
 rows), a DFS over lists of catalog indices that asks `Catalog.compatible`
-for every candidate, buckets keyed by frozensets of tokens, and a torsion
+for every candidate, buckets keyed by frozensets of tokens, a torsion
 test that reads `Catalog.hom_tau_zero` and the dimension vectors entry by
-entry.  They share no code with the fast forms, so the tests can compare
-the two exactly.
+entry, and a tilting test that computes syzygies and Ext^1 (`is_tilting`
+reads the catalog's pd <= 1 table).  They share no code with the fast
+forms, so the tests can compare the two exactly.
 """
-from tautilt.errors import InvariantViolation
+from functools import cache
+
+from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.linalg import QMatrix
+from tautilt.modules import ext1, pd_at_most_one
 from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
 
 
@@ -116,3 +121,24 @@ def assert_matches_oracle(cat):
     assert pairs == reference_pairs(cat)
     assert list(hasse(cat, pairs).arrows) == reference_arrows(cat, pairs)
     return pairs
+
+
+def ext1_tilting_test(cat):
+    """The classical tilting test on `cat`: pd <= 1, no self-extensions, full summand count.
+
+    Returns a predicate on basic catalog refs; pd and Ext^1 are computed once
+    per entry and per pair of entries.
+    """
+    pd = cache(lambda i: pd_at_most_one(cat.entries[i]))
+    ext = cache(lambda i, j: ext1(cat.entries[i], cat.entries[j]))
+
+    def is_tilting(ref):
+        if len(set(ref)) != len(ref):
+            raise PreconditionError("module is not basic")
+        if len(ref) != cat.algebra.n_vertices:
+            return False
+        if not all(pd(i) for i in ref):
+            return False
+        return all(ext(i, j) == 0 for i in ref for j in ref)
+
+    return is_tilting

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from oracles import rref_fraction
-from tautilt import linalg, modules
+from tautilt import catalog, linalg, modules
 from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import CapExceededError, InvariantViolation
@@ -87,6 +87,14 @@ def test_shared_dimension_vector_is_rejected():
         [("x", "y"), ("y", "x")])
     with pytest.raises(InvariantViolation, match="share the dimension vector"):
         build_catalog(two_cycle)
+
+
+@pytest.mark.parametrize("image", ["2", "1"])
+def test_tau_inverse_must_be_injective_into_non_projectives(monkeypatch, a2, image):
+    """A stand-in tau^-1 that sends every module to S_2 (hits S_2 twice) or to P_1."""
+    monkeypatch.setattr(catalog, "tau_inverse", lambda rep: simple(a2, image))
+    with pytest.raises(InvariantViolation, match="is projective or the tau"):
+        build_catalog(a2)
 
 
 def test_find_index_confirms_the_dims_key_by_iso(cat_a2, a2):

@@ -130,6 +130,22 @@ def test_verify_selected_claims(runner, tmp_path):
     assert "count-equations: pass" in result.output
 
 
+@pytest.mark.parametrize("claims, code", [
+    (None, 0),
+    ("classification, count-equations, tilting-transfer, hasse-gluing", 0),
+    ("tilting-transfer", 5),
+])
+def test_verify_at_a_sink_skips_tilting_unless_asked_alone(runner, tmp_path, claims, code):
+    """At a sink the tilting claim does not apply: the default claim list skips it,
+    however it is spelled, and naming it on its own is a precondition error."""
+    f = write_algebra(tmp_path / "a1.json", type_a_square(1))
+    args = ["--out-dir", str(tmp_path), "verify", f, "--source", "1"]
+    result = runner.invoke(main, args + (["--claims", claims] if claims else []))
+    assert result.exit_code == code, result.output
+    if code == 0:
+        assert "tilting-transfer: skipped" in result.output
+
+
 def test_verify_bad_source(runner, tmp_path, lambda3):
     f = write_algebra(tmp_path / "l3.json", lambda3)
     result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f, "--source", "2"])
@@ -195,10 +211,15 @@ def test_unexpected_exception_is_one_line_exit_70(runner, tmp_path, monkeypatch,
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("algebra, source", [(type_d_square(7), "7"), (type_a_square(8), "8")])
+@pytest.mark.parametrize("algebra, source", [
+    (type_d_square(7), "7"), (type_a_square(8), "8"),
+    (type_d_square(9), "9"), (type_a_square(9), "9"),
+    (type_d_square(10), "10"), (type_a_square(10), "10"),
+])
 def test_verify_past_the_recursion_limit(tmp_path, algebra, source):
     """D2 n=7 and A2 n=8 extend to Hasse quivers of 1,096 and 2,378 vertices, more
-    than the default recursion limit of 1,000; run as `python -m`, as a user would."""
+    than the default recursion limit of 1,000; base n = 9 and 10 are the depth of
+    the reported tables.  Run as `python -m`, as a user would."""
     f = write_algebra(tmp_path / "base.json", algebra)
     env = dict(os.environ, PYTHONPATH=str(Path(tautilt.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-m", "tautilt.cli", "--out-dir", str(tmp_path),

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from tautilt.algebra import Arrow, Quiver, build_algebra, one_point_extension
 from tautilt.catalog import build_catalog
-from tautilt.modules import ext1, hom_dim, pd_at_most_one, projective, tau
-from tautilt.tilting import enumerate_stau, hasse, is_tau_rigid, tau_tilting_modules
+from tautilt.modules import ext1, hom_dim, iso, pd_at_most_one, projective, tau
+from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, is_tilting,
+                             tau_tilting_modules)
 from tautilt.verify import ExtensionContext, verify_count_equations
 
-from oracles import assert_matches_oracle
+from oracles import assert_matches_oracle, ext1_tilting_test
 
 
 @st.composite
@@ -84,3 +85,22 @@ def test_ar_pairing_holds(algebra):
         for m_mod in cat.entries:
             rhs = hom_dim(m_mod, tn) if tn.total_dim else 0
             assert ext1(n_mod, m_mod) == rhs
+
+
+@given(monomial_quotients())
+@settings(max_examples=20, deadline=None)
+def test_catalog_tables_match_the_homological_route(algebra):
+    """pd <= 1, tau and tilting read off the catalog agree with syzygies, tau and Ext^1."""
+    cat = build_catalog(algebra)
+    for i, e in enumerate(cat.entries):
+        assert cat.pd_le_one[i] == pd_at_most_one(e)
+        t = tau(e)
+        if cat.tau_index[i] is None:
+            assert t.total_dim == 0
+        else:
+            assert iso(cat.entries[cat.tau_index[i]], t)
+    unmapped = {i for i, t in enumerate(cat.tau_index) if t is None}
+    assert unmapped == set(cat.projective_index.values())
+    oracle = ext1_tilting_test(cat)
+    for m in tau_tilting_modules(enumerate_stau(cat)):
+        assert is_tilting(cat, m) == oracle(m)

@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from tautilt.algebra import one_point_extension
+from tautilt.catalog import Catalog
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square
 from tautilt.linalg import QMatrix
-from tautilt.modules import (Representation, direct_sum, dual_representation, end_reduced_dim,
+from tautilt.modules import (Representation, direct_sum, dual_representation,
                              ext1, extend_by_zero, hom_basis, hom_dim, injective, iso,
                              min_presentation, nakayama_of_presentation, pd_at_most_one,
                              projective, projective_cover, radical, simple, socle,
-                             split_indecomposables, tau, tau_inverse, top, zero_rep)
+                             tau, tau_inverse, top, zero_rep)
 
 
 def dims_of(rep):
@@ -220,16 +221,33 @@ def test_decompose_repeated_summand(lambda3, cat_lambda3):
     assert ref == (cat_lambda3.simple_index["2"],) * 2
 
 
-def test_split_conserves_dimensions(lambda3):
-    p3, s1 = projective(lambda3, "3"), simple(lambda3, "1")
-    summed, _ = direct_sum(lambda3, [p3, s1])
-    pieces = split_indecomposables(summed)
-    got = [0] * 3
-    for p in pieces:
-        for i, d in enumerate(p.dims):
-            got[i] += d
-    assert tuple(got) == summed.dims
-    assert all(end_reduced_dim(p) == 1 for p in pieces)
+def test_decompose_zero_module(lambda3, cat_lambda3):
+    assert cat_lambda3.decompose(zero_rep(lambda3)) == ()
+
+
+def test_decompose_repeated_non_simple_non_projective_summand(d4, cat_d4):
+    standard = set(cat_d4.projective_index.values()) | set(cat_d4.simple_index.values())
+    k = next(i for i in range(cat_d4.size) if i not in standard)
+    e, s = cat_d4.entries[k], simple(d4, d4.quiver.vertices[0])
+    summed, _ = direct_sum(d4, [e, s, e])
+    assert cat_d4.decompose(summed) == tuple(sorted((k, k, cat_d4.find_index(s))))
+
+
+def test_decompose_over_another_algebra(a2, cat_lambda3):
+    with pytest.raises(PreconditionError):
+        cat_lambda3.decompose(simple(a2, "1"))
+
+
+def test_decompose_outside_the_catalog_raises(d4, cat_d4):
+    # Drop one non-projective entry; its module then matches no sum of the rest.
+    k = next(i for i in range(cat_d4.size) if cat_d4.tau_index[i] is not None
+             and i not in cat_d4.simple_index.values())
+    keep = [i for i in range(cat_d4.size) if i != k]
+    new = {old: pos for pos, old in enumerate(keep)}
+    partial = Catalog(d4, [cat_d4.entries[i] for i in keep],
+                      [new.get(cat_d4.tau_index[i]) for i in keep])
+    with pytest.raises(InvariantViolation):
+        partial.decompose(cat_d4.entries[k])
 
 
 def test_iso_basics(lambda3):
