@@ -5,11 +5,10 @@ from .algebra import (Algebra, Arrow, Path, Quiver, VertexRole, add_isolated_ver
                       load_algebra, one_point_extension, opposite_algebra,
                       parse_algebra, serialize_algebra)
 from .catalog import Catalog, ModuleRef, build_catalog
-from .config import Config
 from .counting import SurdInt, closed_form
 from .dags import LabeledDag, dag_iso, glue, hasse_to_dag, to_dot
-from .errors import (AlgebraFormatError, CapExceededError, InfiniteDimensionalError,
-                     InvariantViolation, PreconditionError, TautiltError)
+from .errors import (AlgebraFormatError, InfiniteDimensionalError, InvariantViolation,
+                     NotDirectedError, PreconditionError, TautiltError)
 from .families import family, type_a_square, type_d_square
 from .linalg import QMatrix, kernel_basis, rref, solve
 from .modules import (Morphism, Representation, ext1, extend_by_zero, hom_basis, injective,

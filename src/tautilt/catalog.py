@@ -2,13 +2,14 @@
 
 The catalog is the closure of the indecomposable projectives under the
 inverse AR translate, deduplicated up to isomorphism.  It is complete
-exactly for the representation-directed algebras this package targets; the
-iteration cap turns anything else into a clean error instead of a loop.
+exactly for the representation-directed algebras this package targets, and
+such an algebra is tau-tilting finite, so no later search needs a cap.
 
 Over a representation-directed algebra an indecomposable is determined by
-its dimension vector (Ringel, LNM 1099, 2.4), so entries are keyed by
-`dims`.  Two non-isomorphic modules with one vector raise
-`InvariantViolation`: the algebra is then not representation-directed.
+its dimension vector, and no coordinate of that vector exceeds 6 (Ringel,
+LNM 1099, 2.4).  Entries are keyed by `dims`.  Two non-isomorphic modules
+with one vector, a coordinate above 6, or a standard module the closure
+never reaches raise `NotDirectedError`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .algebra import Algebra
-from .errors import CapExceededError, InvariantViolation, PreconditionError
+from .errors import InvariantViolation, NotDirectedError, PreconditionError
 from .linalg import QMatrix, solve
 from .modules import (Representation, direct_sum, end_reduced_dim, hom_dim, iso,
                       min_presentation, projective, simple, tau_inverse)
@@ -26,14 +27,16 @@ ModuleRef = tuple[int, ...]
 
 NOT_DIRECTED = "the algebra is not representation-directed"
 
+# The support algebra of a directing module is sincere and directed, so its
+# Tits form is weakly positive (Ringel, LNM 1099, 2.4; Bongartz), and the
+# positive roots of a weakly positive unit form have coordinates at most 6
+# (Ovsienko).  Hereditary E8 reaches 6.
+MAX_DIRECTED_COORDINATE = 6
+
 
 def _bits(flags) -> int:
     """The int whose bit k is set iff the k-th flag is truthy."""
     return sum(1 << k for k, f in enumerate(flags) if f)
-
-
-def default_catalog_cap(algebra: Algebra) -> int:
-    return max(10 * algebra.n_vertices ** 2, 1)
 
 
 class Catalog:
@@ -51,8 +54,8 @@ class Catalog:
         self.tau_index = list(tau_index)
         self.index_by_dims = {e.dims: i for i, e in enumerate(self.entries)}
         if len(self.index_by_dims) != self.size:
-            raise InvariantViolation(f"two catalog entries share a dimension vector; "
-                                     f"{NOT_DIRECTED}")
+            raise NotDirectedError(f"two catalog entries share a dimension vector; "
+                                   f"{NOT_DIRECTED}")
         pos = algebra.quiver.vertex_pos
         self.g_vectors: list[tuple[int, ...]] = []
         # pd E <= 1 iff the syzygy, of dimension dim P0 - dim E, is its own cover P1.
@@ -83,7 +86,8 @@ class Catalog:
     def _required_index(self, rep: Representation) -> int:
         idx = self.find_index(rep)
         if idx is None:
-            raise InvariantViolation("standard module missing from catalog")
+            raise NotDirectedError(f"standard module with dims {list(rep.dims)} missing "
+                                   f"from catalog; {NOT_DIRECTED}")
         return idx
 
     def find_index(self, rep: Representation) -> int | None:
@@ -140,23 +144,28 @@ class Catalog:
         return [f"{i}: dims {list(e.dims)}" for i, e in enumerate(self.entries)]
 
 
-def build_catalog(algebra: Algebra, cap: int = 0) -> Catalog:
+def build_catalog(algebra: Algebra) -> Catalog:
     """Close the projectives under the inverse AR translate, deduplicating by dims and iso.
 
-    Each step records tau: when tau^-1 E_i is E_j, then tau E_j is E_i.
+    Each step records tau: when tau^-1 E_i is E_j, then tau E_j is E_i.  The
+    loop ends on every input: `add` admits one entry per dimension vector and
+    raises on a coordinate above MAX_DIRECTED_COORDINATE, and only finitely
+    many vectors stay within that bound.  The bound only raises; it never
+    drops a module.
     """
-    if cap <= 0:
-        cap = default_catalog_cap(algebra)
     entries: list[Representation] = []
     index_by_dims: dict[tuple[int, ...], int] = {}
     tau_of: dict[int, int] = {}
 
     def add(rep: Representation) -> int:
+        if max(rep.dims) > MAX_DIRECTED_COORDINATE:
+            raise NotDirectedError(f"the dimension vector {list(rep.dims)} has a coordinate "
+                                   f"above {MAX_DIRECTED_COORDINATE}; {NOT_DIRECTED}")
         i = index_by_dims.get(rep.dims)
         if i is not None:
             if not iso(entries[i], rep):
-                raise InvariantViolation(f"two non-isomorphic modules share the dimension "
-                                         f"vector {list(rep.dims)}; {NOT_DIRECTED}")
+                raise NotDirectedError(f"two non-isomorphic modules share the dimension "
+                                       f"vector {list(rep.dims)}; {NOT_DIRECTED}")
             return i
         if end_reduced_dim(rep) != 1:
             raise InvariantViolation("non-local endomorphism ring in catalog closure; "
@@ -170,8 +179,6 @@ def build_catalog(algebra: Algebra, cap: int = 0) -> Catalog:
     n_projectives = len(entries)
     pending = 0
     while pending < len(entries):
-        if pending >= cap:
-            raise CapExceededError(f"not representation-directed at this cap ({cap})")
         t = tau_inverse(entries[pending])
         if t.total_dim:
             j = add(t)

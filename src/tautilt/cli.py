@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 infinite-dimensional algebra, 4 cap exceeded, 5 precondition violated,
-70 internal error (any exception that is not a TautiltError).
+3 infinite-dimensional algebra, 4 not representation-directed,
+5 precondition violated, 70 internal error (any exception that is not a
+TautiltError).
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ import click
 
 from .algebra import load_algebra, one_point_extension, serialize_algebra
 from .catalog import build_catalog
-from .config import Config
 from .dags import hasse_to_dag, to_dot
-from .errors import (AlgebraFormatError, CapExceededError, InfiniteDimensionalError,
-                     InvariantViolation, PreconditionError, TautiltError)
+from .errors import (AlgebraFormatError, InfiniteDimensionalError, InvariantViolation,
+                     NotDirectedError, PreconditionError, TautiltError)
 from .tilting import pair_to_dict
 from .verify import (CLAIMS, Enumeration, ExtensionContext, reports_to_json,
                      reproduce_tables, run_claims)
@@ -26,7 +26,7 @@ from .util import write_text_atomic
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_INFINITE = 3
-EXIT_CAP = 4
+EXIT_NOT_DIRECTED = 4
 EXIT_PRECONDITION = 5
 EXIT_INTERNAL = 70
 
@@ -34,7 +34,7 @@ EXIT_INTERNAL = 70
 ERROR_EXITS = {
     AlgebraFormatError: ("error", EXIT_PARSE),
     InfiniteDimensionalError: ("error", EXIT_INFINITE),
-    CapExceededError: ("error", EXIT_CAP),
+    NotDirectedError: ("error", EXIT_NOT_DIRECTED),
     PreconditionError: ("error", EXIT_PRECONDITION),
     InvariantViolation: ("internal check failed", EXIT_VERIFY),
 }
@@ -55,20 +55,12 @@ def _run(body):
 
 
 @click.group()
-@click.option("--cap-cliques", type=int, default=1_000_000, envvar="TAUTILT_CAP_CLIQUES",
-              show_default=True, help="Abort enumeration past this many search nodes.")
-@click.option("--cap-catalog", type=int, default=0, envvar="TAUTILT_CAP_CATALOG",
-              show_default=True, help="Catalog closure cap; 0 means 10*n^2.")
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."),
               show_default=True, help="Directory for report and failure artifacts.")
 @click.pass_context
-def main(ctx, cap_cliques, cap_catalog, out_dir):
+def main(ctx, out_dir):
     """Support tau-tilting computations over monomial bound quiver algebras."""
-    try:
-        ctx.obj = Config(cap_cliques=cap_cliques, cap_catalog=cap_catalog, out_dir=out_dir)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PRECONDITION)
+    ctx.obj = out_dir
 
 
 @main.command()
@@ -86,12 +78,11 @@ def validate(file):
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
 @click.option("--kind", type=click.Choice(["stau", "tau", "tilt"]), default="stau",
               show_default=True)
-@click.pass_obj
-def enumerate_cmd(config, file, kind):
+def enumerate_cmd(file, kind):
     """List modules of the requested kind; the final line carries the count."""
     def body():
         algebra = load_algebra(file)
-        enum = Enumeration(algebra, config)
+        enum = Enumeration(algebra)
         if kind == "stau":
             items = [pair_to_dict(p) for p in enum.pairs]
         elif kind == "tau":
@@ -108,12 +99,11 @@ def enumerate_cmd(config, file, kind):
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
 @click.option("--dot", "dot_path", type=click.Path(path_type=Path), default=None,
               help="Write the quiver as DOT to this path.")
-@click.pass_obj
-def hasse_cmd(config, file, dot_path):
+def hasse_cmd(file, dot_path):
     """Build the left-mutation quiver and report its size."""
     def body():
         algebra = load_algebra(file)
-        enum = Enumeration(algebra, config)
+        enum = Enumeration(algebra)
         h = enum.hasse()
         if dot_path is not None:
             write_text_atomic(dot_path, to_dot(hasse_to_dag(h)))
@@ -143,7 +133,7 @@ def extend(file, source_vertex, out_path):
 @click.option("--report", "report_path", type=click.Path(path_type=Path), default=None,
               help="Report file (default: out-dir/verify_report.json).")
 @click.pass_obj
-def verify(config, file, source_vertex, claims, report_path):
+def verify(out_dir, file, source_vertex, claims, report_path):
     """Run the selected claim verifiers on the extension context of FILE."""
     def body():
         algebra = load_algebra(file)
@@ -151,9 +141,9 @@ def verify(config, file, source_vertex, claims, report_path):
         unknown = [c for c in wanted if c not in CLAIMS]
         if unknown:
             raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
-        ctx = ExtensionContext(algebra, source_vertex, config)
+        ctx = ExtensionContext(algebra, source_vertex)
         explicit_tilting = "tilting-transfer" in wanted and wanted != CLAIMS
-        reports = run_claims(ctx, wanted, dot_dir=config.out_dir,
+        reports = run_claims(ctx, wanted, dot_dir=out_dir,
                              skip_tilting_at_sink=not explicit_tilting)
         for rep in reports:
             line = f"{rep.claim}: {rep.status}"
@@ -162,7 +152,7 @@ def verify(config, file, source_vertex, claims, report_path):
             click.echo(line)
             if rep.detail:
                 click.echo(f"  {rep.detail}")
-        path = report_path or (config.out_dir / "verify_report.json")
+        path = report_path or (out_dir / "verify_report.json")
         write_text_atomic(path, reports_to_json(reports))
         if any(r.status == "fail" for r in reports):
             sys.exit(EXIT_VERIFY)
@@ -172,11 +162,10 @@ def verify(config, file, source_vertex, claims, report_path):
 @main.command()
 @click.option("--nA", "n_a", type=int, default=10, show_default=True)
 @click.option("--nD", "n_d", type=int, default=10, show_default=True)
-@click.pass_obj
-def tables(config, n_a, n_d):
+def tables(n_a, n_d):
     """Reproduce both family tables and diff them against the reported values."""
     def body():
-        result = reproduce_tables(n_a, n_d, config)
+        result = reproduce_tables(n_a, n_d)
         click.echo(result.render(), nl=False)
         warnings = sum(1 for d in result.discrepancies if d.corroborated)
         click.echo(f"warnings {warnings}")
@@ -188,12 +177,11 @@ def tables(config, n_a, n_d):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
-@click.pass_obj
-def catalog(config, file):
+def catalog(file):
     """Dump the indecomposable catalog with dimension vectors."""
     def body():
         algebra = load_algebra(file)
-        cat = build_catalog(algebra, cap=config.cap_catalog)
+        cat = build_catalog(algebra)
         for line in cat.dump_lines():
             click.echo(line)
         click.echo(f"count {cat.size}")

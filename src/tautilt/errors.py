@@ -13,8 +13,8 @@ class InfiniteDimensionalError(TautiltError):
     """The relations do not cut every cycle: the path basis is infinite."""
 
 
-class CapExceededError(TautiltError):
-    """An enumeration or closure exceeded its configured iteration cap."""
+class NotDirectedError(TautiltError):
+    """The algebra is not representation-directed: the catalog closure cannot list it."""
 
 
 class PreconditionError(TautiltError):

@@ -304,13 +304,6 @@ def kernel_of(f: Morphism) -> tuple[Representation, Morphism]:
     return sub_representation(f.source, spans)
 
 
-def image_of(f: Morphism) -> tuple[Representation, Morphism]:
-    spans = []
-    for b in f.blocks:
-        spans.append([b.col(j) for j in range(b.cols)])
-    return sub_representation(f.target, spans)
-
-
 def quotient_by(rep: Representation, inclusion: Morphism) -> tuple[Representation, Morphism]:
     """Quotient of rep by the image of an injective inclusion, with the projection."""
     q = rep.algebra.quiver

@@ -30,7 +30,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .catalog import Catalog, ModuleRef
-from .errors import CapExceededError, InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .util import topological_order
 
 
@@ -104,11 +104,11 @@ def is_tilting(cat: Catalog, ref: ModuleRef) -> bool:
             and is_tau_rigid(cat, ref))
 
 
-def enumerate_stau(cat: Catalog, cap: int = 1_000_000) -> list[STauPair]:
+def enumerate_stau(cat: Catalog) -> list[STauPair]:
     """All support tau-tilting pairs, canonically ordered by g-vector.
 
-    The DFS visits cliques in lexicographic preorder, and `cap` bounds the
-    number of nodes visited.  It runs on an explicit stack of
+    The DFS visits cliques in lexicographic preorder.  The catalog is finite,
+    so the search is too.  It runs on an explicit stack of
     (candidates, support, module g-vector, clique) nodes: a recursive inner
     function refers to itself, and that reference cycle keeps a finished
     search's pairs alive until the cyclic garbage collector runs.
@@ -120,12 +120,8 @@ def enumerate_stau(cat: Catalog, cap: int = 1_000_000) -> list[STauPair]:
     seen_g: dict[tuple[int, ...], tuple[int, ...]] = {}
     rigid = sum(1 << i for i in range(cat.size) if cat.self_rigid(i))
     stack = [(rigid, 0, (0,) * len(vertices), ())]
-    count = 0
     while stack:
         candidates, support, g_modules, clique = stack.pop()
-        count += 1
-        if count > cap:
-            raise CapExceededError(f"tau-tilting infinite at this cap ({cap})")
         if len(clique) == support.bit_count():
             unsupported = all_vertices & ~support
             g = tuple(c - (unsupported >> k & 1) for k, c in enumerate(g_modules))
@@ -157,11 +153,10 @@ def tilting_modules(cat: Catalog, pairs: Sequence[STauPair]) -> list[ModuleRef]:
     return [m for m in tau_tilting_modules(pairs) if is_tilting(cat, m)]
 
 
-def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None,
-          cap: int = 1_000_000) -> HasseQuiver:
+def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None) -> HasseQuiver:
     """Mutation arrows between pairs whose summand sets differ in one element."""
     if pairs is None:
-        pairs = enumerate_stau(cat, cap=cap)
+        pairs = enumerate_stau(cat)
     pairs = list(pairs)
     n = cat.algebra.n_vertices
     pos = cat.algebra.quiver.vertex_pos

@@ -14,7 +14,6 @@ from typing import Iterable
 
 from .algebra import Algebra, add_isolated_vertex, delete_vertex, one_point_extension
 from .catalog import Catalog, ModuleRef, build_catalog
-from .config import Config
 from .counting import (REPORTED_A, REPORTED_D, STAU_A_INDEX_SHIFT, closed_form)
 from .dags import dag_iso, glue, hasse_to_dag, to_dot
 from .errors import InvariantViolation, PreconditionError
@@ -42,10 +41,10 @@ class ClaimReport:
 class Enumeration:
     """Catalog plus canonical pair list for one algebra."""
 
-    def __init__(self, algebra: Algebra, config: Config):
+    def __init__(self, algebra: Algebra):
         self.algebra = algebra
-        self.catalog = build_catalog(algebra, cap=config.cap_catalog)
-        self.pairs = enumerate_stau(self.catalog, cap=config.cap_cliques)
+        self.catalog = build_catalog(algebra)
+        self.pairs = enumerate_stau(self.catalog)
 
     @property
     def stau_count(self) -> int:
@@ -65,10 +64,9 @@ class ExtensionContext:
     """Base algebra, its extension at a source, the vertex-deletion quotient,
     and the base with an isolated point adjoined."""
 
-    def __init__(self, base: Algebra, source_vertex: str, config: Config | None = None):
+    def __init__(self, base: Algebra, source_vertex: str):
         if not base.quiver.is_source(source_vertex):
             raise PreconditionError(f"vertex {source_vertex!r} is not a source")
-        self.config = config or Config()
         self.base = base
         self.source_vertex = source_vertex
         self.extended, self.new_vertex = one_point_extension(base, source_vertex)
@@ -80,7 +78,7 @@ class ExtensionContext:
         if which not in self._enums:
             algebra = {"base": self.base, "extended": self.extended,
                        "quotient": self.quotient, "doubled": self.doubled}[which]
-            self._enums[which] = Enumeration(algebra, self.config)
+            self._enums[which] = Enumeration(algebra)
         return self._enums[which]
 
 
@@ -269,21 +267,19 @@ def run_claims(ctx: ExtensionContext, claims=CLAIMS, dot_dir: Path | None = None
 # family recurrences and tables
 
 
-def family_counts(kind: str, n: int, config: Config | None = None) -> tuple[int, int]:
+def family_counts(kind: str, n: int) -> tuple[int, int]:
     """(full-support count, pair count) for one family member, by enumeration."""
-    cfg = config or Config()
-    enum = Enumeration(family(kind, n), cfg)
+    enum = Enumeration(family(kind, n))
     return len(enum.tau_tilt()), enum.stau_count
 
 
-def recurrence_check(kind: str, n_max: int, config: Config | None = None) -> ClaimReport:
+def recurrence_check(kind: str, n_max: int) -> ClaimReport:
     """Enumerated counts satisfy the two-step recurrences along the family."""
     kind = kind.upper()
-    cfg = config or Config()
     n_min = 1 if kind == "A2" else 4
     if n_max < n_min + 2:
         raise PreconditionError("n_max leaves no recurrence instance to check")
-    counts = {n: family_counts(kind, n, cfg) for n in range(n_min, n_max + 1)}
+    counts = {n: family_counts(kind, n) for n in range(n_min, n_max + 1)}
     failures = []
     for n in range(n_min + 2, n_max + 1):
         t2, s2 = counts[n - 2]
@@ -296,7 +292,7 @@ def recurrence_check(kind: str, n_max: int, config: Config | None = None) -> Cla
     if kind == "D2" and n_max >= 5:
         # the first fork index has no two predecessors; check it through its
         # actual extension context instead
-        ctx = ExtensionContext(family("D2", 4), "4", cfg)
+        ctx = ExtensionContext(family("D2", 4), "4")
         rep = verify_count_equations(ctx)
         t5, s5 = counts[5]
         if (rep.status != "pass"
@@ -376,8 +372,7 @@ def _closed_values(kind: str, n: int) -> tuple[int, int]:
     return closed_form("tau_d", n), closed_form("stau_d", n)
 
 
-def reproduce_tables(n_max_a: int, n_max_d: int, config: Config | None = None) -> TableReproduction:
-    cfg = config or Config()
+def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
     discrepancies: list[TableDiscrepancy] = []
     notes = [
         "pair-count closed form for the linear family is evaluated at n+1; "
@@ -388,7 +383,7 @@ def reproduce_tables(n_max_a: int, n_max_d: int, config: Config | None = None) -
         rows = []
         computed: dict[int, tuple[int, int]] = {}
         for n in range(n_min, n_max + 1):
-            t, s = family_counts(kind, n, cfg)
+            t, s = family_counts(kind, n)
             computed[n] = (t, s)
             rows.append(TableRow(n, t, s))
             closed_t, closed_s = _closed_values(kind, n)

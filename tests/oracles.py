@@ -44,8 +44,8 @@ def rref_fraction(m):
 def all_rigid_cliques(cat):
     """Every clique of the compatibility graph on the self-rigid entries, in DFS preorder.
 
-    One clique per DFS node, so the length of the list is the node count
-    that `enumerate_stau` compares with its cap.
+    One clique per DFS node, so the length of the list is the number of
+    nodes `enumerate_stau` visits.
     """
     singles = [i for i in range(cat.size) if cat.self_rigid(i)]
     found = []

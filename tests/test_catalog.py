@@ -6,7 +6,7 @@ from oracles import rref_fraction
 from tautilt import catalog, linalg, modules
 from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
 from tautilt.catalog import build_catalog
-from tautilt.errors import CapExceededError, InvariantViolation
+from tautilt.errors import InvariantViolation, NotDirectedError
 from tautilt.families import type_a_square
 from tautilt.modules import direct_sum, end_reduced_dim, iso, simple, tau, tau_inverse
 
@@ -85,7 +85,7 @@ def test_shared_dimension_vector_is_rejected():
     two_cycle = build_algebra(
         Quiver(["1", "2"], [Arrow("x", "1", "2"), Arrow("y", "2", "1")]),
         [("x", "y"), ("y", "x")])
-    with pytest.raises(InvariantViolation, match="share the dimension vector"):
+    with pytest.raises(NotDirectedError, match="share the dimension vector"):
         build_catalog(two_cycle)
 
 
@@ -113,10 +113,25 @@ def test_doubled_catalog_has_isolated_simple(a2):
 
 
 def test_representation_infinite_type_hits_cap():
+    """The Kronecker preprojectives grow without end; the closure stops at the
+    first dimension vector with a coordinate above 6, with no iteration cap."""
     kronecker = build_algebra(
         Quiver(["1", "2"], [Arrow("a", "2", "1"), Arrow("b", "2", "1")]))
-    with pytest.raises(CapExceededError):
-        build_catalog(kronecker, cap=6)
+    with pytest.raises(NotDirectedError, match=r"\[7, 6\] has a coordinate above 6"):
+        build_catalog(kronecker)
+
+
+@pytest.mark.slow
+def test_hereditary_e8_reaches_the_coordinate_bound():
+    """Hereditary E8 (8 -> 7 -> 6 -> 5 -> 4, then 4 -> 1 and 4 -> 2 -> 3) has 120
+    indecomposables, and its highest root has a 6: the bound the closure checks
+    is reached, so it is not too small."""
+    vertices = [str(k) for k in range(1, 9)]
+    arrows = [Arrow("b1", "4", "1"), Arrow("b2", "4", "2"), Arrow("b3", "2", "3")]
+    arrows += [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(4, 8)]
+    cat = build_catalog(build_algebra(Quiver(vertices, arrows)))
+    assert cat.size == 120
+    assert max(max(e.dims) for e in cat.entries) == 6
 
 
 def test_dims_and_support_of_refs(cat_lambda3):

@@ -8,7 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 import tautilt
-from tautilt.algebra import algebra_equal_upto_relabel, load_algebra, serialize_algebra
+from tautilt.algebra import (Arrow, Quiver, algebra_equal_upto_relabel, build_algebra,
+                             load_algebra, serialize_algebra)
 from tautilt.cli import main
 from tautilt.families import type_a_square, type_d_square
 
@@ -68,12 +69,6 @@ def test_enumerate_listing_is_json(runner, tmp_path, a2):
     pairs = [json.loads(line) for line in lines[:-1]]
     assert len(pairs) == 5
     assert all({"summands", "support_complement", "g"} == set(p) for p in pairs)
-
-
-def test_enumerate_cap(runner, tmp_path):
-    f = write_algebra(tmp_path / "a4.json", type_a_square(4))
-    result = runner.invoke(main, ["--cap-cliques", "3", "enumerate", f])
-    assert result.exit_code == 4
 
 
 def test_hasse_output(runner, tmp_path, a2, lambda3):
@@ -181,11 +176,40 @@ def test_catalog_dump(runner, tmp_path, lambda3):
     assert result.output.strip().splitlines()[-1] == "count 5"
 
 
-def test_env_var_cap(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("TAUTILT_CAP_CLIQUES", "3")
-    f = write_algebra(tmp_path / "a4.json", type_a_square(4))
-    result = runner.invoke(main, ["enumerate", f])
+NOT_DIRECTED = {
+    # the closure leaves the bound on the coordinates
+    "kronecker": build_algebra(Quiver(["1", "2"], [Arrow("a", "2", "1"),
+                                                   Arrow("b", "2", "1")])),
+    "euclidean-a3": build_algebra(Quiver(["1", "2", "3", "4"], [
+        Arrow("a", "1", "2"), Arrow("b", "3", "2"), Arrow("c", "3", "4"),
+        Arrow("d", "1", "4")])),
+    # the closure ends, but the simple at 1 is never reached
+    "gentle-a5-quotient": build_algebra(
+        Quiver([str(k) for k in range(1, 7)], [
+            Arrow("c0", "1", "2"), Arrow("c1", "2", "3"), Arrow("c2", "4", "3"),
+            Arrow("c3", "5", "4"), Arrow("c4", "6", "5"), Arrow("c5", "6", "1")]),
+        [("c0", "c1"), ("c5", "c0")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_DIRECTED))
+def test_not_representation_directed_exits_4(runner, tmp_path, name):
+    f = write_algebra(tmp_path / f"{name}.json", NOT_DIRECTED[name])
+    result = runner.invoke(main, ["catalog", f])
     assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.endswith("the algebra is not representation-directed\n")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
+def test_out_dir_is_the_only_global_option(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    options = [line.split()[0] for line in result.output.splitlines()
+               if line.startswith("  --")]
+    assert options == ["--out-dir", "--help"]
 
 
 def test_commands_are_byte_deterministic(runner, tmp_path, lambda3):
@@ -208,6 +232,16 @@ def test_unexpected_exception_is_one_line_exit_70(runner, tmp_path, monkeypatch,
     assert result.exit_code == 70
     assert result.stderr == "internal error: RuntimeError: simulated failure\n"
     assert "Traceback" not in result.output
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, count", [("stau", 195025), ("tau", 610)])
+def test_enumerate_a2_14_needs_no_cap(runner, tmp_path, kind, count):
+    """The clique search visits 1,017,984 nodes on A2 n=14."""
+    f = write_algebra(tmp_path / "a14.json", type_a_square(14))
+    result = runner.invoke(main, ["enumerate", f, "--kind", kind])
+    assert result.exit_code == 0, result.output
+    assert result.output.rpartition("\n")[0].rpartition("\n")[2] == f"count {count}"
 
 
 @pytest.mark.slow

@@ -2,7 +2,6 @@ import pytest
 
 from tautilt.algebra import Quiver, build_algebra
 from tautilt.catalog import build_catalog
-from tautilt.errors import CapExceededError
 from tautilt.families import type_a_square
 from tautilt.tilting import (complete_to_pair, enumerate_stau, g_vector_of_module,
                              g_vector_of_pair, hasse, is_support_tau_tilting, is_tau_rigid,
@@ -93,11 +92,6 @@ def test_tilting_counts_linear_family():
         cat = build_catalog(type_a_square(n))
         pairs = enumerate_stau(cat)
         assert len(tilting_modules(cat, pairs)) == 2
-
-
-def test_enumeration_cap(cat_lambda3):
-    with pytest.raises(CapExceededError):
-        enumerate_stau(cat_lambda3, cap=3)
 
 
 def test_g_vector_examples(cat_a2, a2):
