@@ -8,8 +8,15 @@ such an algebra is tau-tilting finite, so no later search needs a cap.
 Over a representation-directed algebra an indecomposable is determined by
 its dimension vector, and no coordinate of that vector exceeds 6 (Ringel,
 LNM 1099, 2.4).  Entries are keyed by `dims`.  Two non-isomorphic modules
-with one vector, a coordinate above 6, or a standard module the closure
-never reaches raise `NotDirectedError`.
+with one vector, a coordinate above 6, a standard module the closure never
+reaches, or an oriented cycle in the quiver raise `NotDirectedError`.  Every
+entry must have Euler form chi(dim E) = 1, as a directing module does.
+
+Each entry's minimal presentation P1 -p-> P0 -> E_j -> 0 gives its g-vector,
+whether pd E_j <= 1, and, for every entry E_i, one rank of the block matrix
+Hom(p, E_i): the corank is dim Hom(E_j, E_i), and full row rank means
+Hom(E_i, tau E_j) = 0 (Adachi-Iyama-Reiten, Compositio 2014, Prop. 2.4).
+These fill the Hom and tau-Hom tables; no Hom space is solved for.
 """
 from __future__ import annotations
 
@@ -18,9 +25,10 @@ from typing import Sequence
 
 from .algebra import Algebra
 from .errors import InvariantViolation, NotDirectedError, PreconditionError
-from .linalg import QMatrix, solve
-from .modules import (Representation, direct_sum, end_reduced_dim, hom_dim, iso,
-                      min_presentation, projective, simple, tau_inverse)
+from .linalg import QMatrix, invert, solve
+from .modules import (PathActions, Representation, direct_sum, end_reduced_dim, iso,
+                      min_presentation, presentation_hom, projective, simple, tau_inverse)
+from .util import topological_order
 
 ModuleRef = tuple[int, ...]
 """A finite multiset of catalog indices, stored sorted."""
@@ -60,8 +68,8 @@ class Catalog:
         self.g_vectors: list[tuple[int, ...]] = []
         # pd E <= 1 iff the syzygy, of dimension dim P0 - dim E, is its own cover P1.
         self.pd_le_one: list[bool] = []
-        for e in self.entries:
-            pres = min_presentation(e)
+        self.presentations = [min_presentation(e) for e in self.entries]
+        for e, pres in zip(self.entries, self.presentations):
             g = [0] * algebra.n_vertices
             for v in pres.p0_vertices:
                 g[pos[v]] += 1
@@ -69,9 +77,13 @@ class Catalog:
                 g[pos[v]] -= 1
             self.g_vectors.append(tuple(g))
             self.pd_le_one.append(pres.p1.total_dim == pres.p0.total_dim - e.total_dim)
-        self.hom_tau_zero = [[t is None or hom_dim(e, self.entries[t]) == 0
-                              for t in self.tau_index]
-                             for e in self.entries]
+        # homs[i][j] = (dim Hom(E_j, E_i), Hom(E_i, tau E_j) = 0): one rank per pair,
+        # with the path actions on E_i computed once and dropped after this loop.
+        homs = [[presentation_hom(pres, act) for pres in self.presentations]
+                for act in map(PathActions, self.entries)]
+        self.hom_tau_zero = [[zero for _, zero in row] for row in homs]
+        self._hom_dim_rows = [[homs[k][i][0] for k in range(self.size)]
+                              for i in range(self.size)]
         # Bit j of tors_mask[i]: Hom(E_i, tau E_j) = 0.  compat_mask[i] keeps the j
         # with Hom(E_j, tau E_i) = 0 as well; bit k of support_mask[i]: dims[k] != 0.
         self.tors_mask = [_bits(row) for row in self.hom_tau_zero]
@@ -82,6 +94,7 @@ class Catalog:
                                  for v in algebra.quiver.vertices}
         self.simple_index = {v: self._required_index(simple(algebra, v))
                              for v in algebra.quiver.vertices}
+        _check_euler_form(algebra, self.entries)
 
     def _required_index(self, rep: Representation) -> int:
         idx = self.find_index(rep)
@@ -118,9 +131,8 @@ class Catalog:
 
     @cached_property
     def hom_dims(self) -> QMatrix:
-        """dim Hom(E_i, E_k) at row i, column k."""
-        return QMatrix.from_rows([[hom_dim(x, y) for y in self.entries] for x in self.entries],
-                                 cols=self.size)
+        """dim Hom(E_i, E_k) at row i, column k, read off the pairwise ranks of `__init__`."""
+        return QMatrix.from_rows(self._hom_dim_rows, cols=self.size)
 
     def decompose(self, rep: Representation) -> ModuleRef:
         """Multiplicities m_k solving sum_k dim Hom(E_i, E_k) m_k = dim Hom(E_i, rep).
@@ -131,7 +143,9 @@ class Catalog:
         """
         if rep.algebra != self.algebra:
             raise PreconditionError("representation over a different algebra")
-        mult = solve(self.hom_dims, [hom_dim(e, rep) for e in self.entries])
+        act = PathActions(rep)
+        mult = solve(self.hom_dims, [presentation_hom(pres, act)[0]
+                                     for pres in self.presentations])
         if mult is None or any(m.denominator != 1 or m < 0 for m in mult):
             raise InvariantViolation("Hom dimensions match no sum of catalog entries")
         ref = tuple(k for k, m in enumerate(mult) for _ in range(int(m)))
@@ -142,6 +156,31 @@ class Catalog:
 
     def dump_lines(self) -> list[str]:
         return [f"{i}: dims {list(e.dims)}" for i, e in enumerate(self.entries)]
+
+
+def _check_euler_form(algebra: Algebra, entries: Sequence[Representation]) -> None:
+    """chi(dim E) = x^T C^-1 x = 1 for every entry; C[i][j] counts the paths i -> j.
+
+    Directing modules have End = k and no higher self-extensions (Ringel,
+    LNM 1099, 2.4), so the Euler form is 1 on each of them.  An arrow v -> w
+    is a non-zero radical map P(w) -> P(v), so an oriented cycle in the quiver
+    puts the projectives on a cycle and the algebra is not directed.  Without
+    one, C is unitriangular in a topological order, hence invertible, and a
+    value other than 1 is the catalog's fault.
+    """
+    q = algebra.quiver
+    arrows = [(q.vertex_pos[a.source], q.vertex_pos[a.target]) for a in q.arrows]
+    if topological_order(len(q.vertices), arrows) is None:
+        raise NotDirectedError(f"the quiver has an oriented cycle; {NOT_DIRECTED}")
+    inverse = invert(QMatrix.from_rows([[len(algebra.paths_between(v, w)) for w in q.vertices]
+                                        for v in q.vertices], cols=len(q.vertices))).to_rows()
+    for e in entries:
+        x = e.dims
+        support = [k for k, d in enumerate(x) if d]
+        chi = sum(x[a] * inverse[a][b] * x[b] for a in support for b in support)
+        if chi != 1:
+            raise InvariantViolation(f"the Euler form is {chi} on the dimension vector "
+                                     f"{list(x)} of a catalog entry, not 1")
 
 
 def build_catalog(algebra: Algebra) -> Catalog:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .algebra import Algebra, Path, opposite_algebra
@@ -463,6 +464,46 @@ def min_presentation(rep: Representation) -> MinPresentation:
             row.append(combo)
         entries.append(tuple(row))
     return MinPresentation(verts0, verts1, P0, P1, d1, tuple(entries))
+
+
+class PathActions(dict):
+    """The matrix of each basis path acting on `rep`, computed on first lookup."""
+
+    def __init__(self, rep: Representation):
+        super().__init__()
+        self.rep = rep
+
+    def __missing__(self, path: Path) -> QMatrix:
+        m = self[path] = path_matrix(self.rep, path)
+        return m
+
+
+def presentation_hom(pres: MinPresentation, y: PathActions) -> tuple[int, bool]:
+    """(dim Hom(M, Y), Hom(Y, tau M) = 0) from the presentation P1 -p-> P0 -> M -> 0.
+
+    Hom(P(v), Y) = Y_v, so Hom(p, Y): Hom(P0, Y) -> Hom(P1, Y) is one block
+    matrix; block (j, i) is the action on Y of the path combination
+    entries[i][j].  Its kernel is Hom(M, Y), and it is onto iff
+    Hom(Y, tau M) = 0 (Adachi-Iyama-Reiten, Prop. 2.4).
+    """
+    dims, pos = y.rep.dims, y.rep.algebra.quiver.vertex_pos
+    col_offs = list(accumulate((dims[pos[v]] for v in pres.p0_vertices), initial=0))
+    row_offs = list(accumulate((dims[pos[u]] for u in pres.p1_vertices), initial=0))
+    n_cols, n_rows = col_offs[-1], row_offs[-1]
+    if n_rows == 0 or n_cols == 0:
+        return n_cols, n_rows == 0
+    flat = [Q(0)] * (n_rows * n_cols)
+    for i, row in enumerate(pres.entries):
+        for j, combo in enumerate(row):
+            for path, c in combo.items():
+                m = y[path]
+                for a in range(m.rows):
+                    base = (row_offs[j] + a) * n_cols + col_offs[i]
+                    for b, e in enumerate(m.row(a)):
+                        if e:
+                            flat[base + b] += c * e
+    r = rank(QMatrix(n_rows, n_cols, flat))
+    return n_cols - r, r == n_rows
 
 
 def injective_sum(algebra: Algebra, verts: Sequence[str]) -> tuple[Representation, list[list[int]]]:

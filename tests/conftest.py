@@ -64,3 +64,13 @@ def cat_example_b(example_b):
 @pytest.fixture(scope="session")
 def cat_d4(d4):
     return build_catalog(d4)
+
+
+@pytest.fixture(scope="session")
+def hereditary_d():
+    """Builder of the path algebra of n -> n-1 -> ... -> 3 -> {1, 2}, no relations."""
+    def build(n):
+        arrows = [Arrow("b1", "3", "1"), Arrow("b2", "3", "2")]
+        arrows += [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(3, n)]
+        return build_algebra(Quiver([str(k) for k in range(1, n + 1)], arrows))
+    return build

@@ -1,20 +1,27 @@
-"""Reference forms of the row reduction, the clique search, the Hasse bucketing
-and the tilting test.
+"""Reference forms of the row reduction, the catalog's Hom tables, the clique
+search, the Hasse bucketing and the tilting test.
 
 These are the direct algorithms that the package replaced with faster ones:
-Gauss–Jordan on `Fraction` rows (`tautilt.linalg.rref` eliminates on integer
-rows), a DFS over lists of catalog indices that asks `Catalog.compatible`
-for every candidate, buckets keyed by frozensets of tokens, a torsion
-test that reads `Catalog.hom_tau_zero` and the dimension vectors entry by
-entry, and a tilting test that computes syzygies and Ext^1 (`is_tilting`
-reads the catalog's pd <= 1 table).  They share no code with the fast
-forms, so the tests can compare the two exactly.
+- `rref_fraction`: Gauss–Jordan on `Fraction` rows (`tautilt.linalg.rref`
+  eliminates on integer rows);
+- `tau_hom_table` and `hom_dim_table`: one intertwiner kernel (`hom_dim`)
+  per pair of entries, against tau E_j from `tau_index` (the catalog reads
+  both tables off one rank per pair on each entry's minimal presentation);
+- `all_rigid_cliques`: a DFS over lists of catalog indices that asks
+  `Catalog.compatible` for every candidate;
+- `reference_arrows`: buckets keyed by frozensets of tokens, and a torsion
+  test (`generates`) that reads `Catalog.hom_tau_zero` and the dimension
+  vectors entry by entry;
+- `ext1_tilting_test`: a tilting test that computes syzygies and Ext^1
+  (`is_tilting` reads the catalog's pd <= 1 table).
+They share no code with the fast forms, so the tests can compare the two
+exactly.
 """
 from functools import cache
 
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.linalg import QMatrix
-from tautilt.modules import ext1, pd_at_most_one
+from tautilt.modules import ext1, hom_dim, pd_at_most_one
 from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
 
 
@@ -39,6 +46,23 @@ def rref_fraction(m):
         if pr == m.rows:
             break
     return QMatrix.from_rows(rows, cols=m.cols), tuple(pivots)
+
+
+def tau_hom_table(cat):
+    """Hom(E_i, tau E_j) = 0 at row i, column j, with tau E_j = 0 for a projective E_j."""
+    return [[t is None or hom_dim(e, cat.entries[t]) == 0 for t in cat.tau_index]
+            for e in cat.entries]
+
+
+def hom_dim_table(cat):
+    """dim Hom(E_i, E_k) at row i, column k."""
+    return [[hom_dim(x, y) for y in cat.entries] for x in cat.entries]
+
+
+def assert_hom_tables_match_oracle(cat):
+    """`hom_tau_zero` and `hom_dims` equal the Hom-space route exactly."""
+    assert cat.hom_tau_zero == tau_hom_table(cat)
+    assert cat.hom_dims == QMatrix.from_rows(hom_dim_table(cat), cols=cat.size)
 
 
 def all_rigid_cliques(cat):

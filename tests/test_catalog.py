@@ -2,13 +2,15 @@ import itertools
 
 import pytest
 
-from oracles import rref_fraction
+from oracles import assert_hom_tables_match_oracle, rref_fraction
 from tautilt import catalog, linalg, modules
 from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation, NotDirectedError
 from tautilt.families import type_a_square
-from tautilt.modules import direct_sum, end_reduced_dim, iso, simple, tau, tau_inverse
+from tautilt.linalg import QMatrix
+from tautilt.modules import (Representation, direct_sum, end_reduced_dim, iso, simple, tau,
+                             tau_inverse, zero_rep)
 
 
 def test_a2_catalog(cat_a2, a2):
@@ -30,27 +32,32 @@ def test_linear_family_catalog_count(n):
     assert cat.size == 2 * n - 1
 
 
-def test_hereditary_d6_catalog(monkeypatch):
+def test_hereditary_d6_catalog(monkeypatch, hereditary_d):
     """Hereditary D6 (6 -> 5 -> 4 -> 3 -> {1, 2}) has modules of dimension 2 at a vertex."""
     n = 6
-    vertices = [str(k) for k in range(1, n + 1)]
-    arrows = [Arrow("b1", "3", "1"), Arrow("b2", "3", "2")]
-    arrows += [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(3, n)]
-    cat = build_catalog(build_algebra(Quiver(vertices, arrows)))
+    cat = build_catalog(hereditary_d(n))
     assert cat.size == n * (n - 1)
     # Gabriel: the indecomposables are the positive roots, the x >= 0 with Tits form 1
     # (every positive root of D_n has coefficients at most 2).
-    pos = {v: i for i, v in enumerate(vertices)}
-    edges = [(pos[a.source], pos[a.target]) for a in arrows]
+    q = cat.algebra.quiver
+    edges = [(q.vertex_pos[a.source], q.vertex_pos[a.target]) for a in q.arrows]
     roots = {x for x in itertools.product(range(4), repeat=n)
              if sum(c * c for c in x) - sum(x[s] * x[t] for s, t in edges) == 1}
     assert {e.dims for e in cat.entries} == roots
     assert max(max(e.dims) for e in cat.entries) == 2
     monkeypatch.setattr(linalg, "rref", rref_fraction)
     monkeypatch.setattr(modules, "rref", rref_fraction)
-    reference = build_catalog(build_algebra(Quiver(vertices, arrows)))
+    reference = build_catalog(hereditary_d(n))
     assert [e.dims for e in reference.entries] == [e.dims for e in cat.entries]
     assert reference.hom_tau_zero == cat.hom_tau_zero
+    assert reference.hom_dims == cat.hom_dims
+
+
+def test_hereditary_d8_hom_tables_match_the_hom_space_route(hereditary_d):
+    """The catalog-hered-d8 benchmark algebra: 56 entries, one rank per pair."""
+    cat = build_catalog(hereditary_d(8))
+    assert cat.size == 56
+    assert_hom_tables_match_oracle(cat)
 
 
 def test_catalog_entries_are_local(cat_example_b):
@@ -132,6 +139,44 @@ def test_hereditary_e8_reaches_the_coordinate_bound():
     cat = build_catalog(build_algebra(Quiver(vertices, arrows)))
     assert cat.size == 120
     assert max(max(e.dims) for e in cat.entries) == 6
+    # the same count from one Hom-space kernel per pair (the oracle route)
+    assert sum(map(sum, cat.hom_tau_zero)) == 9395
+
+
+def test_entry_off_the_euler_form_is_rejected(monkeypatch):
+    """Over the Kronecker algebra (C = [[1, 0], [2, 1]]) the regular module of
+    dims (1, 1) has a local endomorphism ring but Euler form 1 + 1 - 2 = 0.  A
+    stand-in tau^-1 puts it between P_1 and S_2, so every other check passes."""
+    kronecker = build_algebra(
+        Quiver(["1", "2"], [Arrow("a", "2", "1"), Arrow("b", "2", "1")]))
+    one = QMatrix.identity(1)
+    regular = Representation(kronecker, (1, 1), (one, one))
+    steps = {(1, 0): regular, (1, 1): simple(kronecker, "2")}
+    monkeypatch.setattr(catalog, "tau_inverse",
+                        lambda rep: steps.get(rep.dims, zero_rep(kronecker)))
+    with pytest.raises(InvariantViolation, match=r"Euler form is 0 on the dimension vector \[1, 1\]"):
+        build_catalog(kronecker)
+
+
+def test_singular_cartan_matrix_is_not_directed():
+    # radical square zero on the 2-cycle: one path between any two vertices, C = [[1, 1], [1, 1]]
+    two_cycle = build_algebra(
+        Quiver(["1", "2"], [Arrow("x", "1", "2"), Arrow("y", "2", "1")]),
+        [("x", "y"), ("y", "x")])
+    with pytest.raises(NotDirectedError, match="oriented cycle"):
+        catalog._check_euler_form(two_cycle, [])
+
+
+def test_closure_over_an_oriented_cycle_is_not_directed():
+    """3 -> 4 -> 2 -> 1 -> 4 with the paths 3 -> 4 -> 2, 4 -> 2 -> 1 and 2 -> 1 -> 4
+    zero: the closure meets every standard module and no shared dimension
+    vector, but x^T C^-1 x is 0 on S_4.  A directed algebra has an acyclic quiver."""
+    algebra = build_algebra(
+        Quiver(["1", "2", "3", "4"], [Arrow("x0", "4", "2"), Arrow("x1", "3", "4"),
+                                      Arrow("x2", "1", "4"), Arrow("x3", "2", "1")]),
+        [("x0", "x3"), ("x1", "x0"), ("x3", "x2")])
+    with pytest.raises(NotDirectedError, match="oriented cycle"):
+        build_catalog(algebra)
 
 
 def test_dims_and_support_of_refs(cat_lambda3):

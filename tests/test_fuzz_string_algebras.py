@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from tautilt.algebra import Arrow, Quiver, build_algebra, one_point_extension
 from tautilt.catalog import build_catalog
-from tautilt.modules import ext1, hom_dim, iso, pd_at_most_one, projective, tau
+from tautilt.modules import direct_sum, ext1, hom_dim, iso, pd_at_most_one, projective, tau
 from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, is_tilting,
                              tau_tilting_modules)
 from tautilt.verify import ExtensionContext, verify_count_equations
 
-from oracles import assert_matches_oracle, ext1_tilting_test
+from oracles import assert_hom_tables_match_oracle, assert_matches_oracle, ext1_tilting_test
 
 
 @st.composite
@@ -90,8 +90,14 @@ def test_ar_pairing_holds(algebra):
 @given(monomial_quotients())
 @settings(max_examples=20, deadline=None)
 def test_catalog_tables_match_the_homological_route(algebra):
-    """pd <= 1, tau and tilting read off the catalog agree with syzygies, tau and Ext^1."""
+    """pd <= 1, tau, the Hom tables, decomposition and tilting read off the catalog
+    agree with syzygies, tau, Hom-space kernels and Ext^1."""
     cat = build_catalog(algebra)
+    assert_hom_tables_match_oracle(cat)
+    for i in range(cat.size):
+        k = (i + 1) % cat.size
+        summed, _ = direct_sum(algebra, [cat.entries[i], cat.entries[k]])
+        assert cat.decompose(summed) == tuple(sorted((i, k)))
     for i, e in enumerate(cat.entries):
         assert cat.pd_le_one[i] == pd_at_most_one(e)
         t = tau(e)

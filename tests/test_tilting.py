@@ -197,6 +197,24 @@ def test_hereditary_linear_counts_are_catalan():
         assert len(tilting_modules(cat, pairs)) == catalan(n)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+def test_hereditary_d_counts_are_cluster_counts(hereditary_d, n):
+    """Fomin-Zelevinsky: type D_n has (3n-2)/n C(2n-2, n-1) clusters, the support
+    tau-tilting pairs, and (3n-4)/n C(2n-3, n-1) positive clusters, the tilting
+    modules; both are orientation-independent."""
+    from math import comb
+
+    pairs_num = (3 * n - 2) * comb(2 * n - 2, n - 1)
+    tilt_num = (3 * n - 4) * comb(2 * n - 3, n - 1)
+    assert pairs_num % n == 0 and tilt_num % n == 0
+    cat = build_catalog(hereditary_d(n))
+    assert cat.size == n * (n - 1)
+    pairs = enumerate_stau(cat)
+    assert len(pairs) == pairs_num // n
+    assert len(tau_tilting_modules(pairs)) == tilt_num // n
+    assert len(tilting_modules(cat, pairs)) == tilt_num // n
+
+
 def test_empty_algebra_enumeration():
     empty = build_algebra(Quiver([], []))
     cat = build_catalog(empty)
