@@ -1,22 +1,24 @@
 """The indecomposable catalog of a representation-directed algebra.
 
-The catalog is the closure of the indecomposable projectives under the
-inverse AR translate, deduplicated up to isomorphism.  It is complete
-exactly for the representation-directed algebras this package targets, and
-such an algebra is tau-tilting finite, so no later search needs a cap.
+The catalog is the closure of the indecomposable injectives under the AR
+translate tau.  It is complete for the representation-directed algebras this
+package targets, where every indecomposable is tau^k of an injective (Ringel,
+LNM 1099, 2.4), and such an algebra is tau-tilting finite, so no later
+search needs a cap.
 
 Over a representation-directed algebra an indecomposable is determined by
 its dimension vector, and no coordinate of that vector exceeds 6 (Ringel,
 LNM 1099, 2.4).  Entries are keyed by `dims`.  Two non-isomorphic modules
-with one vector, a coordinate above 6, a standard module the closure never
-reaches, or an oriented cycle in the quiver raise `NotDirectedError`.  Every
-entry must have Euler form chi(dim E) = 1, as a directing module does.
+with one vector, a coordinate above 6, a projective or simple module the
+closure never reaches, or an oriented cycle in the quiver raise
+`NotDirectedError`.  Every entry must have Euler form chi(dim E) = 1.
 
-Each entry's minimal presentation P1 -p-> P0 -> E_j -> 0 gives its g-vector,
-whether pd E_j <= 1, and, for every entry E_i, one rank of the block matrix
-Hom(p, E_i): the corank is dim Hom(E_j, E_i), and full row rank means
-Hom(E_i, tau E_j) = 0 (Adachi-Iyama-Reiten, Compositio 2014, Prop. 2.4).
-These fill the Hom and tau-Hom tables; no Hom space is solved for.
+The closure computes each entry's minimal presentation P1 -p-> P0 -> E_j -> 0
+once, and the rest is read off it: tau E_j (the kernel of the Nakayama
+functor on p), whether E_j is P(v) (P1 = 0), the g-vector, pd E_j <= 1, and,
+for every entry E_i, one rank of Hom(p, E_i): the corank is dim Hom(E_j, E_i),
+and full row rank means Hom(E_i, tau E_j) = 0 (Adachi-Iyama-Reiten,
+Compositio 2014, Prop. 2.4).  No Hom space is solved for.
 """
 from __future__ import annotations
 
@@ -26,8 +28,9 @@ from typing import Sequence
 from .algebra import Algebra
 from .errors import InvariantViolation, NotDirectedError, PreconditionError
 from .linalg import QMatrix, invert, solve
-from .modules import (PathActions, Representation, direct_sum, end_reduced_dim, iso,
-                      min_presentation, presentation_hom, projective, simple, tau_inverse)
+from .modules import (MinPresentation, PathActions, Representation, direct_sum,
+                      end_reduced_dim, injective, iso, kernel_of, min_presentation,
+                      nakayama_of_presentation, presentation_hom)
 from .util import topological_order
 
 ModuleRef = tuple[int, ...]
@@ -50,33 +53,27 @@ def _bits(flags) -> int:
 class Catalog:
     """Ordered list of all indecomposables with pairwise tau-Hom tables.
 
-    `tau_index[j]` is the index of tau E_j, or None when E_j is projective;
-    `build_catalog` reads it off its own inverse-translate steps.
+    `presentations[j]` is the minimal presentation of E_j and `tau_index[j]` the
+    index of tau E_j, or None when E_j is projective; `build_catalog` makes both.
     """
 
     def __init__(self, algebra: Algebra, entries: Sequence[Representation],
-                 tau_index: Sequence[int | None]):
+                 presentations: Sequence[MinPresentation], tau_index: Sequence[int | None]):
         self.algebra = algebra
         self.entries = tuple(entries)
+        self.presentations = list(presentations)
         self.size = len(self.entries)
         self.tau_index = list(tau_index)
         self.index_by_dims = {e.dims: i for i, e in enumerate(self.entries)}
         if len(self.index_by_dims) != self.size:
             raise NotDirectedError(f"two catalog entries share a dimension vector; "
                                    f"{NOT_DIRECTED}")
-        pos = algebra.quiver.vertex_pos
-        self.g_vectors: list[tuple[int, ...]] = []
+        vertices = algebra.quiver.vertices
+        self.g_vectors = [tuple(p.p0_vertices.count(v) - p.p1_vertices.count(v) for v in vertices)
+                          for p in self.presentations]
         # pd E <= 1 iff the syzygy, of dimension dim P0 - dim E, is its own cover P1.
-        self.pd_le_one: list[bool] = []
-        self.presentations = [min_presentation(e) for e in self.entries]
-        for e, pres in zip(self.entries, self.presentations):
-            g = [0] * algebra.n_vertices
-            for v in pres.p0_vertices:
-                g[pos[v]] += 1
-            for v in pres.p1_vertices:
-                g[pos[v]] -= 1
-            self.g_vectors.append(tuple(g))
-            self.pd_le_one.append(pres.p1.total_dim == pres.p0.total_dim - e.total_dim)
+        self.pd_le_one = [p.p1.total_dim == p.p0.total_dim - e.total_dim
+                          for e, p in zip(self.entries, self.presentations)]
         # homs[i][j] = (dim Hom(E_j, E_i), Hom(E_i, tau E_j) = 0): one rank per pair,
         # with the path actions on E_i computed once and dropped after this loop.
         homs = [[presentation_hom(pres, act) for pres in self.presentations]
@@ -90,18 +87,17 @@ class Catalog:
         self.compat_mask = [m & _bits(row[i] for row in self.hom_tau_zero)
                             for i, m in enumerate(self.tors_mask)]
         self.support_mask = [_bits(e.dims) for e in self.entries]
-        self.projective_index = {v: self._required_index(projective(algebra, v))
-                                 for v in algebra.quiver.vertices}
-        self.simple_index = {v: self._required_index(simple(algebra, v))
-                             for v in algebra.quiver.vertices}
+        # P(v) is the entry presented by P(v) alone; S_v the entry of dimension vector e_v.
+        presented = {pres.p0_vertices[0]: i for i, pres in enumerate(self.presentations)
+                     if not pres.p1_vertices}
+        units = {v: tuple(int(w == v) for w in vertices) for v in vertices}
+        missing = [v for v, e in units.items() if v not in presented or e not in self.index_by_dims]
+        if missing:
+            raise NotDirectedError(f"the projective or simple module at vertex {missing[0]} is "
+                                   f"missing from the catalog; {NOT_DIRECTED}")
+        self.projective_index = {v: presented[v] for v in units}
+        self.simple_index = {v: self.index_by_dims[e] for v, e in units.items()}
         _check_euler_form(algebra, self.entries)
-
-    def _required_index(self, rep: Representation) -> int:
-        idx = self.find_index(rep)
-        if idx is None:
-            raise NotDirectedError(f"standard module with dims {list(rep.dims)} missing "
-                                   f"from catalog; {NOT_DIRECTED}")
-        return idx
 
     def find_index(self, rep: Representation) -> int | None:
         """Index of the entry isomorphic to `rep`: the dims key, confirmed by `iso`."""
@@ -158,20 +154,24 @@ class Catalog:
         return [f"{i}: dims {list(e.dims)}" for i, e in enumerate(self.entries)]
 
 
-def _check_euler_form(algebra: Algebra, entries: Sequence[Representation]) -> None:
-    """chi(dim E) = x^T C^-1 x = 1 for every entry; C[i][j] counts the paths i -> j.
-
-    Directing modules have End = k and no higher self-extensions (Ringel,
-    LNM 1099, 2.4), so the Euler form is 1 on each of them.  An arrow v -> w
-    is a non-zero radical map P(w) -> P(v), so an oriented cycle in the quiver
-    puts the projectives on a cycle and the algebra is not directed.  Without
-    one, C is unitriangular in a topological order, hence invertible, and a
-    value other than 1 is the catalog's fault.
-    """
+def _check_acyclic(algebra: Algebra) -> None:
+    """An arrow v -> w is a radical map P(w) -> P(v): a cycle of arrows is one of projectives."""
     q = algebra.quiver
     arrows = [(q.vertex_pos[a.source], q.vertex_pos[a.target]) for a in q.arrows]
     if topological_order(len(q.vertices), arrows) is None:
         raise NotDirectedError(f"the quiver has an oriented cycle; {NOT_DIRECTED}")
+
+
+def _check_euler_form(algebra: Algebra, entries: Sequence[Representation]) -> None:
+    """chi(dim E) = x^T C^-1 x = 1 for every entry; C[i][j] counts the paths i -> j.
+
+    Directing modules have End = k and no higher self-extensions (Ringel,
+    LNM 1099, 2.4), so the Euler form is 1 on each of them.  Over an acyclic
+    quiver C is unitriangular in a topological order, hence invertible, and a
+    value other than 1 is the catalog's fault.
+    """
+    _check_acyclic(algebra)
+    q = algebra.quiver
     inverse = invert(QMatrix.from_rows([[len(algebra.paths_between(v, w)) for w in q.vertices]
                                         for v in q.vertices], cols=len(q.vertices))).to_rows()
     for e in entries:
@@ -183,52 +183,53 @@ def _check_euler_form(algebra: Algebra, entries: Sequence[Representation]) -> No
                                      f"{list(x)} of a catalog entry, not 1")
 
 
-def build_catalog(algebra: Algebra) -> Catalog:
-    """Close the projectives under the inverse AR translate, deduplicating by dims and iso.
+def tau_of_entry(rep: Representation, pres: MinPresentation) -> Representation:
+    """tau E = ker(nu p: nu P1 -> nu P0) for the minimal presentation p of a non-projective E."""
+    return kernel_of(nakayama_of_presentation(pres, rep.algebra))[0]
 
-    Each step records tau: when tau^-1 E_i is E_j, then tau E_j is E_i.  The
-    loop ends on every input: `add` admits one entry per dimension vector and
+
+def build_catalog(algebra: Algebra) -> Catalog:
+    """Close the injectives under tau, with one minimal presentation per entry.
+
+    `add` computes each new entry's presentation, and the tau step reads
+    tau E_i off it.  tau is injective into the non-injectives, so an image
+    whose dimension vector is taken raises: non-isomorphic, the algebra is not
+    directed; isomorphic, the image is an injective or the tau of another
+    entry.  The loop ends on every input: `add` admits one entry per vector and
     raises on a coordinate above MAX_DIRECTED_COORDINATE, and only finitely
-    many vectors stay within that bound.  The bound only raises; it never
-    drops a module.
+    many vectors stay within that bound.  The bound never drops a module.
     """
+    _check_acyclic(algebra)
     entries: list[Representation] = []
+    presentations: list[MinPresentation] = []
     index_by_dims: dict[tuple[int, ...], int] = {}
     tau_of: dict[int, int] = {}
 
-    def add(rep: Representation) -> int:
+    def add(rep: Representation) -> None:
         if max(rep.dims) > MAX_DIRECTED_COORDINATE:
             raise NotDirectedError(f"the dimension vector {list(rep.dims)} has a coordinate "
                                    f"above {MAX_DIRECTED_COORDINATE}; {NOT_DIRECTED}")
         i = index_by_dims.get(rep.dims)
+        if i is not None and not iso(entries[i], rep):
+            raise NotDirectedError(f"two non-isomorphic modules share the dimension "
+                                   f"vector {list(rep.dims)}; {NOT_DIRECTED}")
         if i is not None:
-            if not iso(entries[i], rep):
-                raise NotDirectedError(f"two non-isomorphic modules share the dimension "
-                                       f"vector {list(rep.dims)}; {NOT_DIRECTED}")
-            return i
+            raise InvariantViolation(f"a tau step lands on the entry with dims "
+                                     f"{list(rep.dims)}: an injective or the tau of another entry")
         if end_reduced_dim(rep) != 1:
             raise InvariantViolation("non-local endomorphism ring in catalog closure; "
                                      "the base field assumption fails for this algebra")
+        index_by_dims[rep.dims] = len(entries)
         entries.append(rep)
-        index_by_dims[rep.dims] = len(entries) - 1
-        return len(entries) - 1
+        presentations.append(min_presentation(rep))
 
     for v in algebra.quiver.vertices:
-        add(projective(algebra, v))
-    n_projectives = len(entries)
-    pending = 0
-    while pending < len(entries):
-        t = tau_inverse(entries[pending])
-        if t.total_dim:
-            j = add(t)
-            if j < n_projectives or j in tau_of:
-                raise InvariantViolation(f"tau^-1 of the entry with dims "
-                                         f"{list(entries[pending].dims)} is projective or "
-                                         f"the tau^-1 of another entry")
-            tau_of[j] = pending
-        pending += 1
-    order = sorted(range(len(entries)),
-                   key=lambda i: (entries[i].total_dim, entries[i].dims, i))
+        add(injective(algebra, v))
+    for i, pres in enumerate(presentations):  # runs on over the entries the loop adds
+        if pres.p1_vertices:
+            tau_of[i] = len(entries)
+            add(tau_of_entry(entries[i], pres))
+    order = sorted(range(len(entries)), key=lambda i: (entries[i].total_dim, entries[i].dims))
     new_index = {old: new for new, old in enumerate(order)}
-    return Catalog(algebra, [entries[i] for i in order],
+    return Catalog(algebra, [entries[i] for i in order], [presentations[i] for i in order],
                    [new_index[tau_of[i]] if i in tau_of else None for i in order])

@@ -142,9 +142,7 @@ def verify(out_dir, file, source_vertex, claims, report_path):
         if unknown:
             raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
         ctx = ExtensionContext(algebra, source_vertex)
-        explicit_tilting = "tilting-transfer" in wanted and wanted != CLAIMS
-        reports = run_claims(ctx, wanted, dot_dir=out_dir,
-                             skip_tilting_at_sink=not explicit_tilting)
+        reports = run_claims(ctx, wanted, dot_dir=out_dir)
         for rep in reports:
             line = f"{rep.claim}: {rep.status}"
             if rep.counts:

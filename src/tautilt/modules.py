@@ -547,8 +547,7 @@ def tau(rep: Representation) -> Representation:
     pres = min_presentation(rep)
     if not pres.p1_vertices:
         return zero_rep(rep.algebra)
-    ker, _ = kernel_of(nakayama_of_presentation(pres, rep.algebra))
-    return ker
+    return kernel_of(nakayama_of_presentation(pres, rep.algebra))[0]
 
 
 def dual_representation(rep: Representation) -> Representation:

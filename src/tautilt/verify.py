@@ -242,8 +242,9 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
 CLAIMS = ("classification", "count-equations", "tilting-transfer", "hasse-gluing")
 
 
-def run_claims(ctx: ExtensionContext, claims=CLAIMS, dot_dir: Path | None = None,
-               skip_tilting_at_sink: bool = True) -> list[ClaimReport]:
+def run_claims(ctx: ExtensionContext, claims=CLAIMS,
+               dot_dir: Path | None = None) -> list[ClaimReport]:
+    """Run `claims` in order; at a sink the full default list skips tilting-transfer."""
     reports = []
     for claim in claims:
         if claim == "classification":
@@ -251,7 +252,7 @@ def run_claims(ctx: ExtensionContext, claims=CLAIMS, dot_dir: Path | None = None
         elif claim == "count-equations":
             reports.append(verify_count_equations(ctx))
         elif claim == "tilting-transfer":
-            if ctx.base.quiver.is_sink(ctx.source_vertex) and skip_tilting_at_sink:
+            if ctx.base.quiver.is_sink(ctx.source_vertex) and tuple(claims) == CLAIMS:
                 reports.append(ClaimReport("tilting-transfer", "skipped", {},
                                            "source vertex is a sink"))
             else:

@@ -1,9 +1,13 @@
-"""Reference forms of the row reduction, the catalog's Hom tables, the clique
-search, the Hasse bucketing and the tilting test.
+"""Reference forms of the row reduction, the catalog closure, the catalog's Hom
+tables, the clique search, the Hasse bucketing and the tilting test.
 
 These are the direct algorithms that the package replaced with faster ones:
 - `rref_fraction`: Gauss–Jordan on `Fraction` rows (`tautilt.linalg.rref`
   eliminates on integer rows);
+- `tau_inverse_closure`: the projectives closed under `modules.tau_inverse`
+  (through the opposite algebra), with the projectives and simples found by
+  `iso` (`build_catalog` closes the injectives under tau, one minimal
+  presentation per entry);
 - `tau_hom_table` and `hom_dim_table`: one intertwiner kernel (`hom_dim`)
   per pair of entries, against tau E_j from `tau_index` (the catalog reads
   both tables off one rank per pair on each entry's minimal presentation);
@@ -21,7 +25,8 @@ from functools import cache
 
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.linalg import QMatrix
-from tautilt.modules import ext1, hom_dim, pd_at_most_one
+from tautilt.modules import (ext1, hom_dim, iso, pd_at_most_one, projective, simple,
+                             tau_inverse)
 from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
 
 
@@ -46,6 +51,53 @@ def rref_fraction(m):
         if pr == m.rows:
             break
     return QMatrix.from_rows(rows, cols=m.cols), tuple(pivots)
+
+
+def tau_inverse_closure(algebra):
+    """(entry dims in catalog order, tau_index, projective_index, simple_index).
+
+    Each tau^-1 E_i = E_j gives tau E_j = E_i; entries are keyed by dims and
+    deduplicated by `iso`, and sorted by total dimension, then dims.
+    """
+    entries, tau_of = [], {}
+
+    def index(rep):
+        return next((i for i, e in enumerate(entries) if e.dims == rep.dims and iso(e, rep)),
+                    None)
+
+    def add(rep):
+        i = index(rep)
+        if i is None:
+            assert all(e.dims != rep.dims for e in entries), "shared dimension vector"
+            entries.append(rep)
+            i = len(entries) - 1
+        return i
+
+    vertices = algebra.quiver.vertices
+    for v in vertices:
+        add(projective(algebra, v))
+    pending = 0
+    while pending < len(entries):
+        t = tau_inverse(entries[pending])
+        if t.total_dim:
+            tau_of[add(t)] = pending
+        pending += 1
+    order = sorted(range(len(entries)), key=lambda i: (entries[i].total_dim, entries[i].dims))
+    new = {old: k for k, old in enumerate(order)}
+    return ([entries[i].dims for i in order],
+            [new[tau_of[i]] if i in tau_of else None for i in order],
+            {v: new[index(projective(algebra, v))] for v in vertices},
+            {v: new[index(simple(algebra, v))] for v in vertices})
+
+
+def assert_catalog_matches_tau_inverse_closure(cat):
+    """Entry dims in order, `tau_index`, `projective_index` and `simple_index`
+    equal the tau^-1 closure of the projectives."""
+    dims, tau_index, projective_index, simple_index = tau_inverse_closure(cat.algebra)
+    assert [e.dims for e in cat.entries] == dims
+    assert cat.tau_index == tau_index
+    assert cat.projective_index == projective_index
+    assert cat.simple_index == simple_index
 
 
 def tau_hom_table(cat):

@@ -2,15 +2,16 @@ import itertools
 
 import pytest
 
-from oracles import assert_hom_tables_match_oracle, rref_fraction
+from oracles import (assert_catalog_matches_tau_inverse_closure,
+                     assert_hom_tables_match_oracle, rref_fraction)
 from tautilt import catalog, linalg, modules
 from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation, NotDirectedError
-from tautilt.families import type_a_square
+from tautilt.families import type_a_square, type_d_square
 from tautilt.linalg import QMatrix
-from tautilt.modules import (Representation, direct_sum, end_reduced_dim, iso, simple, tau,
-                             tau_inverse, zero_rep)
+from tautilt.modules import (Representation, direct_sum, end_reduced_dim, iso, projective,
+                             simple, tau, tau_inverse)
 
 
 def test_a2_catalog(cat_a2, a2):
@@ -53,6 +54,15 @@ def test_hereditary_d6_catalog(monkeypatch, hereditary_d):
     assert reference.hom_dims == cat.hom_dims
 
 
+@pytest.mark.parametrize("kind, n", [("A2", n) for n in range(1, 8)]
+                         + [("D2", n) for n in range(4, 8)] + [("D", 6), ("D", 8)])
+def test_catalog_matches_the_tau_inverse_closure(hereditary_d, kind, n):
+    """The injectives closed under tau list the same catalog as the projectives
+    closed under tau^-1, with the same tau, projectives and simples."""
+    algebra = {"A2": type_a_square, "D2": type_d_square, "D": hereditary_d}[kind](n)
+    assert_catalog_matches_tau_inverse_closure(build_catalog(algebra))
+
+
 def test_hereditary_d8_hom_tables_match_the_hom_space_route(hereditary_d):
     """The catalog-hered-d8 benchmark algebra: 56 entries, one rank per pair."""
     cat = build_catalog(hereditary_d(8))
@@ -87,21 +97,33 @@ def test_catalog_determinism(lambda3):
     assert a.projective_index == b.projective_index
 
 
-def test_shared_dimension_vector_is_rejected():
-    # radical square zero on the 2-cycle: P1 and P2 both have dims (1, 1)
+def test_shared_dimension_vector_is_rejected(monkeypatch):
+    """Radical square zero on the 2-cycle: P1 and P2 both have dims (1, 1), but
+    the oriented cycle is rejected first, before any module is built."""
     two_cycle = build_algebra(
         Quiver(["1", "2"], [Arrow("x", "1", "2"), Arrow("y", "2", "1")]),
         [("x", "y"), ("y", "x")])
-    with pytest.raises(NotDirectedError, match="share the dimension vector"):
+    monkeypatch.setattr(catalog, "injective", lambda *args: pytest.fail("closure started"))
+    with pytest.raises(NotDirectedError, match="oriented cycle"):
         build_catalog(two_cycle)
 
 
-@pytest.mark.parametrize("image", ["2", "1"])
-def test_tau_inverse_must_be_injective_into_non_projectives(monkeypatch, a2, image):
-    """A stand-in tau^-1 that sends every module to S_2 (hits S_2 twice) or to P_1."""
-    monkeypatch.setattr(catalog, "tau_inverse", lambda rep: simple(a2, image))
-    with pytest.raises(InvariantViolation, match="is projective or the tau"):
+def test_non_isomorphic_modules_with_one_dimension_vector_are_rejected(monkeypatch, a2):
+    """A stand-in tau step sends S_2 to S_1 + S_2, which has the dims (1, 1) of I_1 = P_2."""
+    s1_s2, _ = direct_sum(a2, [simple(a2, "1"), simple(a2, "2")])
+    monkeypatch.setattr(catalog, "tau_of_entry", lambda rep, pres: s1_s2)
+    with pytest.raises(NotDirectedError, match=r"share the dimension vector \[1, 1\]"):
         build_catalog(a2)
+
+
+@pytest.mark.parametrize("image", ["2", "3"])
+def test_tau_must_be_injective_into_non_injectives(monkeypatch, lambda3, image):
+    """Over 3 -> 2 -> 1 the non-projectives are S_3 and S_2.  A stand-in tau step
+    that sends both to S_2 hits S_2 twice; one that sends S_3 to S_3 lands on an
+    injective."""
+    monkeypatch.setattr(catalog, "tau_of_entry", lambda rep, pres: simple(lambda3, image))
+    with pytest.raises(InvariantViolation, match="an injective or the tau of another entry"):
+        build_catalog(lambda3)
 
 
 def test_find_index_confirms_the_dims_key_by_iso(cat_a2, a2):
@@ -120,11 +142,11 @@ def test_doubled_catalog_has_isolated_simple(a2):
 
 
 def test_representation_infinite_type_hits_cap():
-    """The Kronecker preprojectives grow without end; the closure stops at the
+    """The Kronecker preinjectives grow without end; the closure stops at the
     first dimension vector with a coordinate above 6, with no iteration cap."""
     kronecker = build_algebra(
         Quiver(["1", "2"], [Arrow("a", "2", "1"), Arrow("b", "2", "1")]))
-    with pytest.raises(NotDirectedError, match=r"\[7, 6\] has a coordinate above 6"):
+    with pytest.raises(NotDirectedError, match=r"\[7, 8\] has a coordinate above 6"):
         build_catalog(kronecker)
 
 
@@ -145,15 +167,16 @@ def test_hereditary_e8_reaches_the_coordinate_bound():
 
 def test_entry_off_the_euler_form_is_rejected(monkeypatch):
     """Over the Kronecker algebra (C = [[1, 0], [2, 1]]) the regular module of
-    dims (1, 1) has a local endomorphism ring but Euler form 1 + 1 - 2 = 0.  A
-    stand-in tau^-1 puts it between P_1 and S_2, so every other check passes."""
+    dims (1, 1) has a local endomorphism ring but Euler form 1 + 1 - 2 = 0.
+    Stand-in tau steps I_1 -> (1, 1) -> P_1 and S_2 -> P_2 reach every standard
+    module, so every other check passes."""
     kronecker = build_algebra(
         Quiver(["1", "2"], [Arrow("a", "2", "1"), Arrow("b", "2", "1")]))
     one = QMatrix.identity(1)
     regular = Representation(kronecker, (1, 1), (one, one))
-    steps = {(1, 0): regular, (1, 1): simple(kronecker, "2")}
-    monkeypatch.setattr(catalog, "tau_inverse",
-                        lambda rep: steps.get(rep.dims, zero_rep(kronecker)))
+    steps = {(1, 2): regular, (1, 1): simple(kronecker, "1"),
+             (0, 1): projective(kronecker, "2")}
+    monkeypatch.setattr(catalog, "tau_of_entry", lambda rep, pres: steps[rep.dims])
     with pytest.raises(InvariantViolation, match=r"Euler form is 0 on the dimension vector \[1, 1\]"):
         build_catalog(kronecker)
 

@@ -183,7 +183,7 @@ NOT_DIRECTED = {
     "euclidean-a3": build_algebra(Quiver(["1", "2", "3", "4"], [
         Arrow("a", "1", "2"), Arrow("b", "3", "2"), Arrow("c", "3", "4"),
         Arrow("d", "1", "4")])),
-    # the closure ends, but the simple at 1 is never reached
+    # the closure ends, but the simples at 1 and 2 are never reached
     "gentle-a5-quotient": build_algebra(
         Quiver([str(k) for k in range(1, 7)], [
             Arrow("c0", "1", "2"), Arrow("c1", "2", "3"), Arrow("c2", "4", "3"),

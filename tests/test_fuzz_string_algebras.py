@@ -14,7 +14,8 @@ from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, is_tilting,
                              tau_tilting_modules)
 from tautilt.verify import ExtensionContext, verify_count_equations
 
-from oracles import assert_hom_tables_match_oracle, assert_matches_oracle, ext1_tilting_test
+from oracles import (assert_catalog_matches_tau_inverse_closure, assert_hom_tables_match_oracle,
+                     assert_matches_oracle, ext1_tilting_test)
 
 
 @st.composite
@@ -90,9 +91,11 @@ def test_ar_pairing_holds(algebra):
 @given(monomial_quotients())
 @settings(max_examples=20, deadline=None)
 def test_catalog_tables_match_the_homological_route(algebra):
-    """pd <= 1, tau, the Hom tables, decomposition and tilting read off the catalog
-    agree with syzygies, tau, Hom-space kernels and Ext^1."""
+    """The entries, pd <= 1, tau, the Hom tables, decomposition and tilting read
+    off the catalog agree with the tau^-1 closure, syzygies, tau, Hom-space
+    kernels and Ext^1."""
     cat = build_catalog(algebra)
+    assert_catalog_matches_tau_inverse_closure(cat)
     assert_hom_tables_match_oracle(cat)
     for i in range(cat.size):
         k = (i + 1) % cat.size

@@ -244,6 +244,7 @@ def test_decompose_outside_the_catalog_raises(d4, cat_d4):
     keep = [i for i in range(cat_d4.size) if i != k]
     new = {old: pos for pos, old in enumerate(keep)}
     partial = Catalog(d4, [cat_d4.entries[i] for i in keep],
+                      [cat_d4.presentations[i] for i in keep],
                       [new.get(cat_d4.tau_index[i]) for i in keep])
     with pytest.raises(InvariantViolation):
         partial.decompose(cat_d4.entries[k])
