@@ -11,7 +11,8 @@ its dimension vector, and no coordinate of that vector exceeds 6 (Ringel,
 LNM 1099, 2.4).  Entries are keyed by `dims`.  Two non-isomorphic modules
 with one vector, a coordinate above 6, a projective or simple module the
 closure never reaches, or an oriented cycle in the quiver raise
-`NotDirectedError`.  Every entry must have Euler form chi(dim E) = 1.
+`NotDirectedError`.  Every entry must have dim End E = 1, read off the
+diagonal of the Hom table, and Euler form chi(dim E) = 1.
 
 The closure computes each entry's minimal presentation P1 -p-> P0 -> E_j -> 0
 once, and the rest is read off it: tau E_j (the kernel of the Nakayama
@@ -29,7 +30,7 @@ from .algebra import Algebra
 from .errors import InvariantViolation, NotDirectedError, PreconditionError
 from .linalg import QMatrix, invert, solve
 from .modules import (MinPresentation, PathActions, Representation, direct_sum,
-                      end_reduced_dim, injective, iso, kernel_of, min_presentation,
+                      injective, iso, kernel_of, min_presentation,
                       nakayama_of_presentation, presentation_hom)
 from .util import topological_order
 
@@ -78,6 +79,11 @@ class Catalog:
         # with the path actions on E_i computed once and dropped after this loop.
         homs = [[presentation_hom(pres, act) for pres in self.presentations]
                 for act in map(PathActions, self.entries)]
+        # A directing module has End = k (Ringel, LNM 1099, 2.4): the diagonal reads 1.
+        for i, e in enumerate(self.entries):
+            if homs[i][i][0] != 1:
+                raise InvariantViolation(f"dim End is {homs[i][i][0]} on the catalog entry with "
+                                         f"dims {list(e.dims)}, not 1")
         self.hom_tau_zero = [[zero for _, zero in row] for row in homs]
         self._hom_dim_rows = [[homs[k][i][0] for k in range(self.size)]
                               for i in range(self.size)]
@@ -216,9 +222,6 @@ def build_catalog(algebra: Algebra) -> Catalog:
         if i is not None:
             raise InvariantViolation(f"a tau step lands on the entry with dims "
                                      f"{list(rep.dims)}: an injective or the tau of another entry")
-        if end_reduced_dim(rep) != 1:
-            raise InvariantViolation("non-local endomorphism ring in catalog closure; "
-                                     "the base field assumption fails for this algebra")
         index_by_dims[rep.dims] = len(entries)
         entries.append(rep)
         presentations.append(min_presentation(rep))

@@ -255,30 +255,20 @@ def hom_dim(x: Representation, y: Representation) -> int:
 
 def sub_representation(rep: Representation, spans: Sequence[Sequence[Sequence[Fraction | int]]]
                        ) -> tuple[Representation, Morphism]:
-    """Subrepresentation generated by per-vertex spanning vectors.
+    """The subrepresentation spanned at each vertex by the given vectors.
 
-    Spans are closed under the arrow action; returns the subobject with a
-    canonical echelon basis and its inclusion.
+    The spans must already be closed under the arrow action: the image of
+    every spanning vector under an arrow lies in the span at its target.  A
+    span that is not closed raises `InvariantViolation`; nothing is added to
+    close it.  Returns the subobject with a canonical echelon basis and its
+    inclusion.
     """
     q = rep.algebra.quiver
-    nv = len(q.vertices)
     bases: list[QMatrix] = []
-    for i in range(nv):
-        vecs = [list(v) for v in spans[i]]
+    for i, vectors in enumerate(spans):
+        vecs = [list(v) for v in vectors]
         m = QMatrix.from_rows(vecs, cols=rep.dims[i]) if vecs else QMatrix.zeros(0, rep.dims[i])
         bases.append(row_space_basis(m))
-    changed = True
-    while changed:
-        changed = False
-        for ai, a in enumerate(q.arrows):
-            s, t = q.vertex_pos[a.source], q.vertex_pos[a.target]
-            if bases[s].rows == 0:
-                continue
-            imaged = bases[s] * rep.arrow_maps[ai].transpose()
-            stacked = row_space_basis(vstack([bases[t], imaged]))
-            if stacked.rows != bases[t].rows:
-                bases[t] = stacked
-                changed = True
     dims = [b.rows for b in bases]
     incl_blocks = [b.transpose() for b in bases]
     maps = []
@@ -369,12 +359,16 @@ def socle(rep: Representation) -> tuple[Representation, Morphism]:
 
 
 def _top_generators(rep: Representation) -> list[tuple[str, int]]:
-    """Standard-basis lifts of a basis of top(rep): pairs (vertex, coordinate)."""
+    """Standard-basis lifts of a basis of top(rep): pairs (vertex, coordinate).
+
+    At vertex v the radical is the span of the incoming arrow images, so the
+    coordinates that extend the columns C of those maps to a basis give the top.
+    """
     q = rep.algebra.quiver
-    rad, incl = radical(rep)
     gens = []
     for i, v in enumerate(q.vertices):
-        C = incl.blocks[i]
+        C = hstack([QMatrix.zeros(rep.dims[i], 0)]
+                   + [m for a, m in zip(q.arrows, rep.arrow_maps) if a.target == v])
         aug = hstack([C, QMatrix.identity(rep.dims[i])])
         _, pivots = rref(aug)
         for p in pivots:
@@ -628,7 +622,7 @@ def pd_at_most_one(rep: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and endomorphism rings
+# isomorphism
 
 def iso(x: Representation, y: Representation) -> bool:
     """Exact isomorphism test by scanning the determinant of a generic hom.
@@ -662,20 +656,3 @@ def iso(x: Representation, y: Representation) -> bool:
             return True
     return False
 
-
-def end_reduced_dim(rep: Representation) -> int:
-    """dim End/rad End, via the radical of the trace form (characteristic zero)."""
-    if rep.total_dim == 0:
-        return 0
-    E = hom_basis(rep, rep)
-    gram = []
-    for f in E:
-        row = []
-        for g in E:
-            tr = Q(0)
-            for bf, bg in zip(f.blocks, g.blocks):
-                prod = bf * bg
-                tr += sum((prod.entry(i, i) for i in range(prod.rows)), Q(0))
-            row.append(tr)
-        gram.append(row)
-    return rank(QMatrix.from_rows(gram, cols=len(E)))

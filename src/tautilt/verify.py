@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -81,6 +82,13 @@ class ExtensionContext:
             self._enums[which] = Enumeration(algebra)
         return self._enums[which]
 
+    @cached_property
+    def transport(self) -> tuple[dict[int, int], dict[int, int]]:
+        """`_transport_table` from the base and from the quotient into the extension."""
+        cat_b = self.enum("extended").catalog
+        return (_transport_table(self.enum("base").catalog, cat_b),
+                _transport_table(self.enum("quotient").catalog, cat_b))
+
 
 def _transport_table(src: Catalog, dst: Catalog) -> dict[int, int]:
     """Catalog indices of the zero-extensions of every source-catalog entry."""
@@ -105,8 +113,7 @@ def _shape_images(ctx: ExtensionContext, base_modules: Iterable[ModuleRef],
     cat_b = ctx.enum("extended").catalog
     p_new = cat_b.projective_index[ctx.new_vertex]
     s_new = cat_b.simple_index[ctx.new_vertex]
-    t_base = _transport_table(ctx.enum("base").catalog, cat_b)
-    t_quot = _transport_table(ctx.enum("quotient").catalog, cat_b)
+    t_base, t_quot = ctx.transport
     shape_one = {tuple(sorted([t_base[i] for i in m] + [p_new])) for m in base_modules}
     shape_two = {tuple(sorted([t_quot[i] for i in m] + [p_new, s_new]))
                  for m in quotient_modules}
@@ -274,6 +281,12 @@ def family_counts(kind: str, n: int) -> tuple[int, int]:
     return len(enum.tau_tilt()), enum.stau_count
 
 
+def _recurrence(row: str, prev1: int, prev2: int) -> int:
+    """The count at n that the family recurrence predicts from n - 1 and n - 2:
+    t_n = t_{n-1} + t_{n-2} for the "tau" row, s_n = 2 s_{n-1} + s_{n-2} for "stau"."""
+    return prev1 + prev2 if row == "tau" else 2 * prev1 + prev2
+
+
 def recurrence_check(kind: str, n_max: int) -> ClaimReport:
     """Enumerated counts satisfy the two-step recurrences along the family."""
     kind = kind.upper()
@@ -286,9 +299,9 @@ def recurrence_check(kind: str, n_max: int) -> ClaimReport:
         t2, s2 = counts[n - 2]
         t1, s1 = counts[n - 1]
         t0, s0 = counts[n]
-        if t0 != t1 + t2:
+        if t0 != _recurrence("tau", t1, t2):
             failures.append(f"full-support recurrence fails at n={n}: {t0} != {t1}+{t2}")
-        if s0 != 2 * s1 + s2:
+        if s0 != _recurrence("stau", s1, s2):
             failures.append(f"pair recurrence fails at n={n}: {s0} != 2*{s1}+{s2}")
     if kind == "D2" and n_max >= 5:
         # the first fork index has no two predecessors; check it through its
@@ -394,7 +407,7 @@ def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
                     continue
                 rep_value = rep[0] if row_name == "tau" else rep[1]
                 if rep_value != comp:
-                    recur_ok = _recurrence_agrees(kind, row_name, n, computed, reported)
+                    recur_ok = _recurrence_agrees(row_name, n, computed)
                     discrepancies.append(TableDiscrepancy(
                         kind, n, row_name, rep_value, comp,
                         corroborated=(closed == comp and recur_ok)))
@@ -408,14 +421,12 @@ def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
     return TableReproduction(table_a, table_d, discrepancies, notes)
 
 
-def _recurrence_agrees(kind: str, row: str, n: int, computed: dict[int, tuple[int, int]],
-                       reported: dict[int, tuple[int, int]]) -> bool:
+def _recurrence_agrees(row: str, n: int, computed: dict[int, tuple[int, int]]) -> bool:
+    """The computed (tau-tilting, pair) counts at n - 2, n - 1, n satisfy `row`'s recurrence."""
     if n - 2 not in computed:
         return False
-    pick = (lambda pair: pair[0]) if row == "tau" else (lambda pair: pair[1])
-    prev1, prev2 = pick(computed[n - 1]), pick(computed[n - 2])
-    expect = prev1 + prev2 if row == "tau" else 2 * prev1 + prev2
-    return expect == pick(computed[n])
+    k = 0 if row == "tau" else 1
+    return computed[n][k] == _recurrence(row, computed[n - 1][k], computed[n - 2][k])
 
 
 def reports_to_json(reports: list[ClaimReport]) -> str:

@@ -11,6 +11,10 @@ These are the direct algorithms that the package replaced with faster ones:
 - `tau_hom_table` and `hom_dim_table`: one intertwiner kernel (`hom_dim`)
   per pair of entries, against tau E_j from `tau_index` (the catalog reads
   both tables off one rank per pair on each entry's minimal presentation);
+- `end_reduced_dim`: dim End/rad End from a Gram matrix on a solved
+  End(E) (the catalog reads dim End(E_i) = 1 off its Hom table's diagonal);
+- `radical_top_generators`: the top read off a built `radical` submodule and
+  its inclusion (`modules._top_generators` stacks the incoming arrow maps);
 - `all_rigid_cliques`: a DFS over lists of catalog indices that asks
   `Catalog.compatible` for every candidate;
 - `reference_arrows`: buckets keyed by frozensets of tokens, and a torsion
@@ -23,10 +27,12 @@ exactly.
 """
 from functools import cache
 
+from tautilt.algebra import opposite_algebra
+from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation, PreconditionError
-from tautilt.linalg import QMatrix
-from tautilt.modules import (ext1, hom_dim, iso, pd_at_most_one, projective, simple,
-                             tau_inverse)
+from tautilt.linalg import Q, QMatrix, hstack, rank, rref
+from tautilt.modules import (_top_generators, ext1, hom_basis, hom_dim, iso, pd_at_most_one,
+                             projective, radical, simple, syzygy, tau_inverse)
 from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
 
 
@@ -115,6 +121,48 @@ def assert_hom_tables_match_oracle(cat):
     """`hom_tau_zero` and `hom_dims` equal the Hom-space route exactly."""
     assert cat.hom_tau_zero == tau_hom_table(cat)
     assert cat.hom_dims == QMatrix.from_rows(hom_dim_table(cat), cols=cat.size)
+
+
+def end_reduced_dim(rep):
+    """dim End/rad End, via the radical of the trace form (characteristic zero)."""
+    if rep.total_dim == 0:
+        return 0
+    E = hom_basis(rep, rep)
+    gram = []
+    for f in E:
+        row = []
+        for g in E:
+            tr = Q(0)
+            for bf, bg in zip(f.blocks, g.blocks):
+                prod = bf * bg
+                tr += sum((prod.entry(i, i) for i in range(prod.rows)), Q(0))
+            row.append(tr)
+        gram.append(row)
+    return rank(QMatrix.from_rows(gram, cols=len(E)))
+
+
+def radical_top_generators(rep):
+    """(vertex, coordinate) lifts of a basis of top(rep), from the inclusion of `radical`."""
+    _, incl = radical(rep)
+    gens = []
+    for i, v in enumerate(rep.algebra.quiver.vertices):
+        C = incl.blocks[i]
+        _, pivots = rref(hstack([C, QMatrix.identity(rep.dims[i])]))
+        gens.extend((v, p - C.cols) for p in pivots if p >= C.cols)
+    return gens
+
+
+def assert_presentation_shortcuts_match_oracle(algebra):
+    """On `algebra` and its opposite (a fork's has a vertex with two incoming
+    arrows): `_top_generators` equals `radical_top_generators` on every entry
+    and its syzygy, and the Hom diagonal equals `end_reduced_dim`, which is 1."""
+    for alg in (algebra, opposite_algebra(algebra)):
+        cat = build_catalog(alg)
+        for i, e in enumerate(cat.entries):
+            omega = syzygy(e)[0]
+            for rep in (e, omega) if omega.total_dim else (e,):
+                assert _top_generators(rep) == radical_top_generators(rep)
+            assert cat.hom_dims.entry(i, i) == end_reduced_dim(e) == 1
 
 
 def all_rigid_cliques(cat):

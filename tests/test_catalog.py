@@ -3,15 +3,17 @@ import itertools
 import pytest
 
 from oracles import (assert_catalog_matches_tau_inverse_closure,
-                     assert_hom_tables_match_oracle, rref_fraction)
+                     assert_hom_tables_match_oracle,
+                     assert_presentation_shortcuts_match_oracle, end_reduced_dim,
+                     rref_fraction)
 from tautilt import catalog, linalg, modules
 from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation, NotDirectedError
 from tautilt.families import type_a_square, type_d_square
 from tautilt.linalg import QMatrix
-from tautilt.modules import (Representation, direct_sum, end_reduced_dim, iso, projective,
-                             simple, tau, tau_inverse)
+from tautilt.modules import (Representation, direct_sum, iso, projective, simple, tau,
+                             tau_inverse)
 
 
 def test_a2_catalog(cat_a2, a2):
@@ -71,7 +73,31 @@ def test_hereditary_d8_hom_tables_match_the_hom_space_route(hereditary_d):
 
 
 def test_catalog_entries_are_local(cat_example_b):
-    assert all(end_reduced_dim(e) == 1 for e in cat_example_b.entries)
+    """The Hom table's diagonal dim End(E_i) is 1, as is the trace-form dim End/rad End."""
+    for i, e in enumerate(cat_example_b.entries):
+        assert cat_example_b.hom_dims.entry(i, i) == end_reduced_dim(e) == 1
+
+
+@pytest.mark.parametrize("kind, n", [("A2", n) for n in range(1, 8)]
+                         + [("D2", n) for n in range(4, 8)] + [("D", 6), ("D", 8)])
+def test_presentation_shortcuts_match_the_radical_and_trace_form_routes(hereditary_d, kind, n):
+    algebra = {"A2": type_a_square, "D2": type_d_square, "D": hereditary_d}[kind](n)
+    assert_presentation_shortcuts_match_oracle(algebra)
+
+
+def test_decomposable_entry_is_rejected_by_the_hom_diagonal(monkeypatch):
+    """Over 4 -> 3 -> 2 -> 1 (radical square zero) S_1 + S_4 has the fresh dimension
+    vector (1, 0, 0, 1) and Euler form 1.  Stand-in tau steps S_2 -> S_1 + S_4 -> S_1
+    keep every projective and simple in the closure, so only dim End = 2 is wrong."""
+    algebra = type_a_square(4)
+    s1_s4, _ = direct_sum(algebra, [simple(algebra, "1"), simple(algebra, "4")])
+    steps = {(0, 1, 0, 0): s1_s4, (1, 0, 0, 1): simple(algebra, "1")}
+    real = catalog.tau_of_entry
+    monkeypatch.setattr(catalog, "tau_of_entry",
+                        lambda rep, pres: steps[rep.dims] if rep.dims in steps else real(rep, pres))
+    with pytest.raises(InvariantViolation,
+                       match=r"dim End is 2 on the catalog entry with dims \[1, 0, 0, 1\]"):
+        build_catalog(algebra)
 
 
 def test_catalog_closed_under_tau_inverse(cat_lambda3):

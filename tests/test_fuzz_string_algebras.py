@@ -15,7 +15,8 @@ from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, is_tilting,
 from tautilt.verify import ExtensionContext, verify_count_equations
 
 from oracles import (assert_catalog_matches_tau_inverse_closure, assert_hom_tables_match_oracle,
-                     assert_matches_oracle, ext1_tilting_test)
+                     assert_matches_oracle, assert_presentation_shortcuts_match_oracle,
+                     ext1_tilting_test)
 
 
 @st.composite
@@ -56,6 +57,12 @@ def test_catalog_and_exchange_invariants(algebra):
 @settings(max_examples=25, deadline=None)
 def test_bitmask_search_matches_oracle(algebra):
     assert_matches_oracle(build_catalog(algebra))
+
+
+@given(monomial_quotients())
+@settings(max_examples=20, deadline=None)
+def test_presentation_shortcuts_match_the_radical_and_trace_form_routes(algebra):
+    assert_presentation_shortcuts_match_oracle(algebra)
 
 
 @given(monomial_quotients())

@@ -11,7 +11,7 @@ from tautilt.modules import (Representation, direct_sum, dual_representation,
                              ext1, extend_by_zero, hom_basis, hom_dim, injective, iso,
                              min_presentation, nakayama_of_presentation, pd_at_most_one,
                              projective, projective_cover, quotient_by, radical, simple,
-                             socle, tau, tau_inverse, top, zero_rep)
+                             socle, sub_representation, tau, tau_inverse, top, zero_rep)
 
 
 def dims_of(rep):
@@ -68,6 +68,16 @@ def test_top_and_radical(lambda3):
     semi, _ = direct_sum(lambda3, [simple(lambda3, "1"), simple(lambda3, "2")])
     rad2, _ = radical(semi)
     assert rad2.total_dim == 0
+
+
+def test_sub_representation_rejects_a_span_that_is_not_closed(lambda3):
+    """P_3 over 3 -> 2 -> 1 has dims (0, 1, 1), and the arrow 3 -> 2 sends its
+    generator to a nonzero vector: the generator's span alone is not closed."""
+    p3 = projective(lambda3, "3")
+    with pytest.raises(InvariantViolation, match="span not closed under arrow action"):
+        sub_representation(p3, [[], [], [(1,)]])
+    sub, _ = sub_representation(p3, [[], [(1,)], [(1,)]])
+    assert sub.dims == p3.dims
 
 
 def test_socle_of_extension_projective(a2):
