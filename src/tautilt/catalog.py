@@ -19,7 +19,8 @@ once, and the rest is read off it: tau E_j (the kernel of the Nakayama
 functor on p), whether E_j is P(v) (P1 = 0), the g-vector, pd E_j <= 1, and,
 for every entry E_i, one rank of Hom(p, E_i): the corank is dim Hom(E_j, E_i),
 and full row rank means Hom(E_i, tau E_j) = 0 (Adachi-Iyama-Reiten,
-Compositio 2014, Prop. 2.4).  No Hom space is solved for.
+Compositio 2014, Prop. 2.4).  No Hom space is solved for, and the tau-Hom
+relation is kept only as the bit rows `tors_mask` and `compat_mask`.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .errors import InvariantViolation, NotDirectedError, PreconditionError
 from .linalg import QMatrix, invert, solve
 from .modules import (MinPresentation, PathActions, Representation, direct_sum,
                       injective, iso, kernel_of, min_presentation,
-                      nakayama_of_presentation, presentation_hom)
+                      nakayama_of_presentation, presentation_hom, projective)
 from .util import topological_order
 
 ModuleRef = tuple[int, ...]
@@ -73,7 +74,9 @@ class Catalog:
         self.g_vectors = [tuple(p.p0_vertices.count(v) - p.p1_vertices.count(v) for v in vertices)
                           for p in self.presentations]
         # pd E <= 1 iff the syzygy, of dimension dim P0 - dim E, is its own cover P1.
-        self.pd_le_one = [p.p1.total_dim == p.p0.total_dim - e.total_dim
+        dim_p = {v: projective(algebra, v).total_dim for v in vertices}
+        self.pd_le_one = [sum(dim_p[u] for u in p.p1_vertices)
+                          == sum(dim_p[v] for v in p.p0_vertices) - e.total_dim
                           for e, p in zip(self.entries, self.presentations)]
         # homs[i][j] = (dim Hom(E_j, E_i), Hom(E_i, tau E_j) = 0): one rank per pair,
         # with the path actions on E_i computed once and dropped after this loop.
@@ -84,13 +87,13 @@ class Catalog:
             if homs[i][i][0] != 1:
                 raise InvariantViolation(f"dim End is {homs[i][i][0]} on the catalog entry with "
                                          f"dims {list(e.dims)}, not 1")
-        self.hom_tau_zero = [[zero for _, zero in row] for row in homs]
         self._hom_dim_rows = [[homs[k][i][0] for k in range(self.size)]
                               for i in range(self.size)]
-        # Bit j of tors_mask[i]: Hom(E_i, tau E_j) = 0.  compat_mask[i] keeps the j
-        # with Hom(E_j, tau E_i) = 0 as well; bit k of support_mask[i]: dims[k] != 0.
-        self.tors_mask = [_bits(row) for row in self.hom_tau_zero]
-        self.compat_mask = [m & _bits(row[i] for row in self.hom_tau_zero)
+        # Bit j of tors_mask[i]: Hom(E_i, tau E_j) = 0, so E_i is tau-rigid iff bit i
+        # is set.  compat_mask[i] keeps the j with Hom(E_j, tau E_i) = 0 as well;
+        # bit k of support_mask[i]: dims[k] != 0.
+        self.tors_mask = [_bits(zero for _, zero in row) for row in homs]
+        self.compat_mask = [m & _bits(row[i][1] for row in homs)
                             for i, m in enumerate(self.tors_mask)]
         self.support_mask = [_bits(e.dims) for e in self.entries]
         # P(v) is the entry presented by P(v) alone; S_v the entry of dimension vector e_v.
@@ -110,12 +113,6 @@ class Catalog:
         i = self.index_by_dims.get(rep.dims)
         return i if i is not None and iso(self.entries[i], rep) else None
 
-    def compatible(self, i: int, j: int) -> bool:
-        return self.hom_tau_zero[i][j] and self.hom_tau_zero[j][i]
-
-    def self_rigid(self, i: int) -> bool:
-        return self.hom_tau_zero[i][i]
-
     def dims_of_ref(self, ref: ModuleRef) -> tuple[int, ...]:
         dims = [0] * self.algebra.n_vertices
         for i in ref:
@@ -126,10 +123,6 @@ class Catalog:
     def support_of_ref(self, ref: ModuleRef) -> frozenset[str]:
         dims = self.dims_of_ref(ref)
         return frozenset(v for v, d in zip(self.algebra.quiver.vertices, dims) if d)
-
-    def g_of_entry(self, i: int) -> tuple[int, ...]:
-        """[P0] - [P1] of the minimal presentation, over the vertex basis."""
-        return self.g_vectors[i]
 
     @cached_property
     def hom_dims(self) -> QMatrix:

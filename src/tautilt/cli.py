@@ -141,6 +141,8 @@ def verify(out_dir, file, source_vertex, claims, report_path):
         unknown = [c for c in wanted if c not in CLAIMS]
         if unknown:
             raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
+        if not wanted:
+            raise PreconditionError("no claims selected")
         ctx = ExtensionContext(algebra, source_vertex)
         reports = run_claims(ctx, wanted, dot_dir=out_dir)
         for rep in reports:

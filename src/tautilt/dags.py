@@ -176,9 +176,9 @@ def dag_iso(x: LabeledDag, y: LabeledDag) -> bool:
     return True
 
 
-def to_dot(dag: LabeledDag, name: str = "hasse") -> str:
+def to_dot(dag: LabeledDag) -> str:
     """Deterministic DOT text: one node line per vertex, then sorted edges."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph hasse {"]
     for i, label in enumerate(dag.labels):
         esc = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{esc}"];')

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -21,12 +22,12 @@ from .linalg import (QMatrix, Q, det, grid_points, hstack, invert, kernel_basis,
 
 
 class Representation:
-    """Immutable quiver representation; relation matrices are checked at build."""
+    """Immutable quiver representation; every relation is checked at build."""
 
     __slots__ = ("algebra", "dims", "arrow_maps", "total_dim")
 
     def __init__(self, algebra: Algebra, dims: Sequence[int],
-                 arrow_maps: Sequence[QMatrix], check: bool = True):
+                 arrow_maps: Sequence[QMatrix]):
         dims = tuple(int(d) for d in dims)
         arrow_maps = tuple(arrow_maps)
         q = algebra.quiver
@@ -42,8 +43,7 @@ class Representation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "arrow_maps", arrow_maps)
         object.__setattr__(self, "total_dim", sum(dims))
-        if check:
-            _check_relations(self)
+        _check_relations(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -76,12 +76,12 @@ def path_matrix(rep: Representation, path: Path) -> QMatrix:
 
 
 class Morphism:
-    """A vertex-indexed family of blocks intertwining the arrow actions."""
+    """A vertex-indexed family of blocks; the intertwining is checked at build."""
 
     __slots__ = ("source", "target", "blocks")
 
     def __init__(self, source: Representation, target: Representation,
-                 blocks: Sequence[QMatrix], check: bool = True):
+                 blocks: Sequence[QMatrix]):
         blocks = tuple(blocks)
         q = source.algebra.quiver
         if source.algebra != target.algebra:
@@ -94,11 +94,10 @@ class Morphism:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "blocks", blocks)
-        if check:
-            for a in q.arrows:
-                s, t = q.vertex_pos[a.source], q.vertex_pos[a.target]
-                if target.map_of(a.name) * blocks[s] != blocks[t] * source.map_of(a.name):
-                    raise InvariantViolation(f"blocks do not intertwine arrow {a.name!r}")
+        for a in q.arrows:
+            s, t = q.vertex_pos[a.source], q.vertex_pos[a.target]
+            if target.map_of(a.name) * blocks[s] != blocks[t] * source.map_of(a.name):
+                raise InvariantViolation(f"blocks do not intertwine arrow {a.name!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
@@ -117,16 +116,20 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     if inner.target.dims != outer.source.dims:
         raise ValueError("morphisms not composable")
     return Morphism(inner.source, outer.target,
-                    [o * i for o, i in zip(outer.blocks, inner.blocks)], check=False)
+                    [o * i for o, i in zip(outer.blocks, inner.blocks)])
 
 
 # ---------------------------------------------------------------------------
 # standard modules
+#
+# `projective` and `injective` are memoised per (algebra, vertex), as
+# `opposite_algebra` is: a Representation is immutable, so covers, Nakayama
+# steps and the catalog share one checked copy of each.
 
 def zero_rep(algebra: Algebra) -> Representation:
     q = algebra.quiver
     return Representation(algebra, [0] * len(q.vertices),
-                          [QMatrix.zeros(0, 0) for _ in q.arrows], check=False)
+                          [QMatrix.zeros(0, 0) for _ in q.arrows])
 
 
 def simple(algebra: Algebra, v: str) -> Representation:
@@ -139,6 +142,7 @@ def simple(algebra: Algebra, v: str) -> Representation:
     return Representation(algebra, dims, maps)
 
 
+@lru_cache(maxsize=None)
 def projective(algebra: Algebra, v: str) -> Representation:
     """Fiber at w is spanned by the basis paths v -> w; arrows append on the right."""
     q = algebra.quiver
@@ -158,6 +162,7 @@ def projective(algebra: Algebra, v: str) -> Representation:
     return Representation(algebra, dims, maps)
 
 
+@lru_cache(maxsize=None)
 def injective(algebra: Algebra, v: str) -> Representation:
     """Fiber at w is spanned by the basis paths w -> v; arrows strip on the left."""
     q = algebra.quiver
@@ -196,7 +201,7 @@ def direct_sum(algebra: Algebra, reps: Sequence[Representation]) -> tuple[Repres
             for i in range(blk.rows):
                 rows[ro + i][co:co + blk.cols] = list(blk.row(i))
         maps.append(QMatrix.from_rows(rows, cols=dims[s]))
-    return Representation(algebra, dims, maps, check=False), offsets
+    return Representation(algebra, dims, maps), offsets
 
 
 # ---------------------------------------------------------------------------
@@ -416,48 +421,43 @@ def syzygy(rep: Representation) -> tuple[Representation, Morphism, Representatio
 
 @dataclass(frozen=True)
 class MinPresentation:
-    """Minimal presentation P1 -> P0 -> M -> 0 with path-combination entries.
+    """Minimal presentation P1 -> P0 -> M -> 0 with P0 = sum P(v_i), P1 = sum P(u_j).
 
     entries[i][j] expresses the component P(u_j) -> P(v_i) as a rational
-    combination of basis paths v_i -> u_j.
+    combination of basis paths v_i -> u_j; a projective M has no u_j.
     """
     p0_vertices: tuple[str, ...]
     p1_vertices: tuple[str, ...]
-    p0: Representation
-    p1: Representation
-    map: Morphism
     entries: tuple[tuple[dict, ...], ...]
 
 
 def min_presentation(rep: Representation) -> MinPresentation:
+    """Both projective covers, P0 -> M and P1 -> ker; entries[i][j] is the kernel
+    inclusion applied to the j-th generator e_{u_j} of P1, read in P(v_i)."""
     if rep.total_dim == 0:
         raise PreconditionError("the zero module has no presentation")
     algebra = rep.algebra
     q = algebra.quiver
-    P0, cover, verts0, offs0 = projective_cover(rep)
+    _, cover, verts0, offs0 = projective_cover(rep)
     omega, incl = kernel_of(cover)
     if omega.total_dim == 0:
-        p1 = zero_rep(algebra)
-        d1 = Morphism(p1, P0, [QMatrix.zeros(d, 0) for d in P0.dims], check=False)
-        return MinPresentation(verts0, (), P0, p1, d1, ())
-    P1, cover1, verts1, offs1 = projective_cover(omega)
-    d1 = compose(incl, cover1)
+        return MinPresentation(verts0, (), ())
+    _, cover1, verts1, offs1 = projective_cover(omega)
+    # e_u is the first basis path u -> u, so generator j sits at column offs1[j][u] of P1.
+    images = []
+    for j, u in enumerate(verts1):
+        upos = q.vertex_pos[u]
+        images.append(incl.blocks[upos].apply(cover1.blocks[upos].col(offs1[j][upos])))
     entries = []
     for i, v in enumerate(verts0):
         row = []
         for j, u in enumerate(verts1):
-            upos = q.vertex_pos[u]
-            gen_col = offs1[j][upos] + 0  # e_u is the first basis path u -> u
-            blk = d1.blocks[upos]
-            paths = algebra.paths_between(v, u)
-            combo = {}
-            for k, p in enumerate(paths):
-                c = blk.entry(offs0[i][upos] + k, gen_col)
-                if c != 0:
-                    combo[p] = c
-            row.append(combo)
+            start = offs0[i][q.vertex_pos[u]]
+            row.append({p: images[j][start + k]
+                        for k, p in enumerate(algebra.paths_between(v, u))
+                        if images[j][start + k] != 0})
         entries.append(tuple(row))
-    return MinPresentation(verts0, verts1, P0, P1, d1, tuple(entries))
+    return MinPresentation(verts0, verts1, tuple(entries))
 
 
 class PathActions(dict):
@@ -551,17 +551,12 @@ def dual_representation(rep: Representation) -> Representation:
     return Representation(aop, rep.dims, maps)
 
 
-def _with_algebra(rep: Representation, algebra: Algebra) -> Representation:
-    maps = [rep.map_of(a.name) for a in algebra.quiver.arrows]
-    return Representation(algebra, rep.dims, maps)
-
-
 def tau_inverse(rep: Representation) -> Representation:
-    """Inverse AR translate; zero on injectives.  Computed dually over the opposite."""
+    """Inverse AR translate; zero on injectives.  Computed dually over the opposite,
+    whose opposite compares equal to `rep.algebra`."""
     if rep.total_dim == 0:
         return zero_rep(rep.algebra)
-    t = tau(dual_representation(rep))
-    return _with_algebra(dual_representation(t), rep.algebra)
+    return dual_representation(tau(dual_representation(rep)))
 
 
 def extend_by_zero(rep: Representation, target: Algebra) -> Representation:

@@ -51,7 +51,7 @@ class HasseQuiver:
 
 
 def is_tau_rigid(cat: Catalog, ref: ModuleRef) -> bool:
-    return all(cat.hom_tau_zero[i][j] for i in ref for j in ref)
+    return all(cat.tors_mask[i] >> j & 1 for i in ref for j in ref)
 
 
 def is_tau_tilting(cat: Catalog, ref: ModuleRef) -> bool:
@@ -69,7 +69,7 @@ def is_support_tau_tilting(cat: Catalog, ref: ModuleRef) -> bool:
 def g_vector_of_module(cat: Catalog, ref: ModuleRef) -> tuple[int, ...]:
     g = [0] * cat.algebra.n_vertices
     for i in ref:
-        for k, c in enumerate(cat.g_of_entry(i)):
+        for k, c in enumerate(cat.g_vectors[i]):
             g[k] += c
     return tuple(g)
 
@@ -118,7 +118,7 @@ def enumerate_stau(cat: Catalog) -> list[STauPair]:
     compat, support_mask, g_rows = cat.compat_mask, cat.support_mask, cat.g_vectors
     pairs: list[STauPair] = []
     seen_g: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rigid = sum(1 << i for i in range(cat.size) if cat.self_rigid(i))
+    rigid = sum(1 << i for i, m in enumerate(cat.tors_mask) if m >> i & 1)
     stack = [(rigid, 0, (0,) * len(vertices), ())]
     while stack:
         candidates, support, g_modules, clique = stack.pop()

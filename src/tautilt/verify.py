@@ -66,8 +66,6 @@ class ExtensionContext:
     and the base with an isolated point adjoined."""
 
     def __init__(self, base: Algebra, source_vertex: str):
-        if not base.quiver.is_source(source_vertex):
-            raise PreconditionError(f"vertex {source_vertex!r} is not a source")
         self.base = base
         self.source_vertex = source_vertex
         self.extended, self.new_vertex = one_point_extension(base, source_vertex)

@@ -1,5 +1,6 @@
-"""Reference forms of the row reduction, the catalog closure, the catalog's Hom
-tables, the clique search, the Hasse bucketing and the tilting test.
+"""Reference forms of the row reduction, the catalog closure, the minimal
+presentation, the catalog's Hom tables, the clique search, the Hasse bucketing
+and the tilting test.
 
 These are the direct algorithms that the package replaced with faster ones:
 - `rref_fraction`: Gauss–Jordan on `Fraction` rows (`tautilt.linalg.rref`
@@ -8,6 +9,11 @@ These are the direct algorithms that the package replaced with faster ones:
   (through the opposite algebra), with the projectives and simples found by
   `iso` (`build_catalog` closes the injectives under tau, one minimal
   presentation per entry);
+- `composed_presentation`: the presentation read off the composite
+  `incl ∘ cover1`: P1 -> P0 of two projective covers, and pd <= 1 off the
+  dimensions of the built P0 and P1 (`min_presentation` applies the kernel
+  inclusion to each generator of P1 and keeps only the vertex lists and the
+  path combinations);
 - `tau_hom_table` and `hom_dim_table`: one intertwiner kernel (`hom_dim`)
   per pair of entries, against tau E_j from `tau_index` (the catalog reads
   both tables off one rank per pair on each entry's minimal presentation);
@@ -15,11 +21,11 @@ These are the direct algorithms that the package replaced with faster ones:
   End(E) (the catalog reads dim End(E_i) = 1 off its Hom table's diagonal);
 - `radical_top_generators`: the top read off a built `radical` submodule and
   its inclusion (`modules._top_generators` stacks the incoming arrow maps);
-- `all_rigid_cliques`: a DFS over lists of catalog indices that asks
-  `Catalog.compatible` for every candidate;
+- `all_rigid_cliques`: a DFS over lists of catalog indices that tests one
+  bit of `Catalog.compat_mask` for every candidate;
 - `reference_arrows`: buckets keyed by frozensets of tokens, and a torsion
-  test (`generates`) that reads `Catalog.hom_tau_zero` and the dimension
-  vectors entry by entry;
+  test (`generates`) that reads one bit of `Catalog.tors_mask` and the
+  dimension vectors entry by entry;
 - `ext1_tilting_test`: a tilting test that computes syzygies and Ext^1
   (`is_tilting` reads the catalog's pd <= 1 table).
 They share no code with the fast forms, so the tests can compare the two
@@ -31,8 +37,9 @@ from tautilt.algebra import opposite_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.linalg import Q, QMatrix, hstack, rank, rref
-from tautilt.modules import (_top_generators, ext1, hom_basis, hom_dim, iso, pd_at_most_one,
-                             projective, radical, simple, syzygy, tau_inverse)
+from tautilt.modules import (_top_generators, compose, ext1, hom_basis, hom_dim, iso, kernel_of,
+                             pd_at_most_one, projective, projective_cover, radical, simple,
+                             syzygy, tau_inverse)
 from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
 
 
@@ -106,6 +113,41 @@ def assert_catalog_matches_tau_inverse_closure(cat):
     assert cat.simple_index == simple_index
 
 
+def composed_presentation(rep):
+    """(p0_vertices, p1_vertices, entries, pd <= 1) of `rep`, read off d1 = incl ∘ cover1.
+
+    Column offs1[j][u] of d1 at vertex u is the image of the generator e_u of
+    the j-th summand P(u) of P1; its rows in the i-th summand P(v) of P0 are the
+    basis paths v -> u.  pd <= 1 iff dim P1 = dim P0 - dim rep.
+    """
+    q = rep.algebra.quiver
+    P0, cover, verts0, offs0 = projective_cover(rep)
+    omega, incl = kernel_of(cover)
+    if omega.total_dim == 0:
+        return verts0, (), (), P0.total_dim == rep.total_dim
+    P1, cover1, verts1, offs1 = projective_cover(omega)
+    d1 = compose(incl, cover1)
+    entries = []
+    for i, v in enumerate(verts0):
+        row = []
+        for j, u in enumerate(verts1):
+            upos = q.vertex_pos[u]
+            combo = {}
+            for k, p in enumerate(rep.algebra.paths_between(v, u)):
+                c = d1.blocks[upos].entry(offs0[i][upos] + k, offs1[j][upos])
+                if c != 0:
+                    combo[p] = c
+            row.append(combo)
+        entries.append(tuple(row))
+    return verts0, verts1, tuple(entries), P1.total_dim == P0.total_dim - rep.total_dim
+
+
+def assert_presentations_match_oracle(cat):
+    """Every entry's presentation and pd <= 1 equal the composed-map route exactly."""
+    for e, pres, pd in zip(cat.entries, cat.presentations, cat.pd_le_one):
+        assert (pres.p0_vertices, pres.p1_vertices, pres.entries, pd) == composed_presentation(e)
+
+
 def tau_hom_table(cat):
     """Hom(E_i, tau E_j) = 0 at row i, column j, with tau E_j = 0 for a projective E_j."""
     return [[t is None or hom_dim(e, cat.entries[t]) == 0 for t in cat.tau_index]
@@ -118,8 +160,12 @@ def hom_dim_table(cat):
 
 
 def assert_hom_tables_match_oracle(cat):
-    """`hom_tau_zero` and `hom_dims` equal the Hom-space route exactly."""
-    assert cat.hom_tau_zero == tau_hom_table(cat)
+    """`tors_mask`, `compat_mask` and `hom_dims` equal the Hom-space route exactly."""
+    table = tau_hom_table(cat)
+    for i in range(cat.size):
+        for j in range(cat.size):
+            assert bool(cat.tors_mask[i] >> j & 1) == table[i][j]
+            assert bool(cat.compat_mask[i] >> j & 1) == (table[i][j] and table[j][i])
     assert cat.hom_dims == QMatrix.from_rows(hom_dim_table(cat), cols=cat.size)
 
 
@@ -171,14 +217,14 @@ def all_rigid_cliques(cat):
     One clique per DFS node, so the length of the list is the number of
     nodes `enumerate_stau` visits.
     """
-    singles = [i for i in range(cat.size) if cat.self_rigid(i)]
+    singles = [i for i in range(cat.size) if cat.tors_mask[i] >> i & 1]
     found = []
 
     def extend(clique, candidates):
         found.append(tuple(clique))
         for k, i in enumerate(candidates):
             clique.append(i)
-            extend(clique, [j for j in candidates[k + 1:] if cat.compatible(i, j)])
+            extend(clique, [j for j in candidates[k + 1:] if cat.compat_mask[i] >> j & 1])
             clique.pop()
 
     extend([], singles)
@@ -207,7 +253,7 @@ def generates(cat, lower, upper):
     """True iff the module part of `lower` lies in the torsion class of `upper`."""
     for x in lower.modules:
         for y in upper.modules:
-            if not cat.hom_tau_zero[x][y]:
+            if not cat.tors_mask[x] >> y & 1:
                 return False
     pos = cat.algebra.quiver.vertex_pos
     for v in upper.proj_part:

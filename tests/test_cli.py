@@ -154,6 +154,23 @@ def test_verify_unknown_claim(runner, tmp_path, a2):
     assert result.exit_code == 5
 
 
+def test_verify_unknown_source_is_one_error_line(runner, tmp_path):
+    f = write_algebra(tmp_path / "a2_3.json", type_a_square(3))
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f, "--source", "9"])
+    assert result.exit_code == 5
+    assert result.stderr == "error: unknown vertex '9'\n"
+
+
+@pytest.mark.parametrize("claims", ["", ","])
+def test_verify_with_no_claims_selected_fails(runner, tmp_path, a2, claims):
+    f = write_algebra(tmp_path / "a2.json", a2)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f,
+                                  "--source", "2", "--claims", claims])
+    assert result.exit_code == 5
+    assert result.stderr == "error: no claims selected\n"
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_tables_truncated(runner):
     result = runner.invoke(main, ["tables", "--nA", "3", "--nD", "5"])
     assert result.exit_code == 0

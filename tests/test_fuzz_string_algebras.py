@@ -1,8 +1,9 @@
-"""Invariant fuzzing over random monomial quotients of linear quivers.
+"""Invariant fuzzing over random monomial quotients of linear and fork quivers.
 
 Every such quotient is a representation-finite string algebra, so the
 catalog closure terminates and all structural invariants must hold, not
-just on the curated families.
+just on the curated families.  The paper's claims hold for any algebra and
+any source, so `oriented_quotients` also turns the arrows of the tree.
 """
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +13,11 @@ from tautilt.catalog import build_catalog
 from tautilt.modules import direct_sum, ext1, hom_dim, iso, pd_at_most_one, projective, tau
 from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, is_tilting,
                              tau_tilting_modules)
-from tautilt.verify import ExtensionContext, verify_count_equations
+from tautilt.verify import ExtensionContext, run_claims, verify_count_equations
 
 from oracles import (assert_catalog_matches_tau_inverse_closure, assert_hom_tables_match_oracle,
                      assert_matches_oracle, assert_presentation_shortcuts_match_oracle,
-                     ext1_tilting_test)
+                     assert_presentations_match_oracle, ext1_tilting_test)
 
 
 @st.composite
@@ -35,6 +36,36 @@ def monomial_quotients(draw):
                   if x.target == y.source]
     relations = [p for p in composable if draw(st.booleans())]
     return build_algebra(Quiver(vertices, arrows), relations)
+
+
+@st.composite
+def oriented_quotients(draw):
+    """A_n (n <= 5) or D_n (n = 4, 5) with every edge turned at random, and any
+    subset of the composable length-2 relations."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        edges = [(k, k + 1) for k in range(1, n)]
+    else:
+        n = draw(st.integers(4, 5))
+        edges = [(1, 3), (2, 3)] + [(k, k + 1) for k in range(3, n)]
+    arrows = [Arrow(f"e{k}", *(str(x) for x in (edge if draw(st.booleans()) else edge[::-1])))
+              for k, edge in enumerate(edges)]
+    composable = [(x.name, y.name) for x in arrows for y in arrows
+                  if x.target == y.source]
+    relations = [p for p in composable if draw(st.booleans())]
+    return build_algebra(Quiver([str(k) for k in range(1, n + 1)], arrows), relations)
+
+
+@given(oriented_quotients())
+@settings(max_examples=25, deadline=None)
+def test_every_claim_holds_at_every_source(algebra):
+    q = algebra.quiver
+    for source in (v for v in q.vertices if q.is_source(v)):
+        ctx = ExtensionContext(algebra, source)
+        for report in run_claims(ctx):
+            skipped = report.claim == "tilting-transfer" and q.is_sink(source)
+            assert report.status == ("skipped" if skipped else "pass"), (source, report)
+        assert_presentations_match_oracle(ctx.enum("extended").catalog)
 
 
 @given(monomial_quotients())
@@ -104,6 +135,7 @@ def test_catalog_tables_match_the_homological_route(algebra):
     cat = build_catalog(algebra)
     assert_catalog_matches_tau_inverse_closure(cat)
     assert_hom_tables_match_oracle(cat)
+    assert_presentations_match_oracle(cat)
     for i in range(cat.size):
         k = (i + 1) % cat.size
         summed, _ = direct_sum(algebra, [cat.entries[i], cat.entries[k]])
