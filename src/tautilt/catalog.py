@@ -164,10 +164,10 @@ def _check_acyclic(algebra: Algebra) -> None:
 def _check_euler_form(algebra: Algebra, entries: Sequence[Representation]) -> None:
     """chi(dim E) = x^T C^-1 x = 1 for every entry; C[i][j] counts the paths i -> j.
 
-    Directing modules have End = k and no higher self-extensions (Ringel,
-    LNM 1099, 2.4), so the Euler form is 1 on each of them.  Over an acyclic
-    quiver C is unitriangular in a topological order, hence invertible, and a
-    value other than 1 is the catalog's fault.
+    Over an acyclic quiver C is invertible, the global dimension is finite and
+    chi(dim X) = sum over t of (-1)^t dim Ext^t(X, X).  Entries have End = k, so
+    another value is a self-extension: X is not directing, and the algebra is
+    not representation-directed (Ringel, LNM 1099, 2.4).
     """
     _check_acyclic(algebra)
     q = algebra.quiver
@@ -178,8 +178,8 @@ def _check_euler_form(algebra: Algebra, entries: Sequence[Representation]) -> No
         support = [k for k, d in enumerate(x) if d]
         chi = sum(x[a] * inverse[a][b] * x[b] for a in support for b in support)
         if chi != 1:
-            raise InvariantViolation(f"the Euler form is {chi} on the dimension vector "
-                                     f"{list(x)} of a catalog entry, not 1")
+            raise NotDirectedError(f"the Euler form is {chi} on the dimension vector "
+                                   f"{list(x)} of a catalog entry, not 1; {NOT_DIRECTED}")
 
 
 def tau_of_entry(rep: Representation, pres: MinPresentation) -> Representation:

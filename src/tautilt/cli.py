@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
 3 infinite-dimensional algebra, 4 not representation-directed,
-5 precondition violated, 70 internal error (any exception that is not a
-TautiltError).
+5 precondition violated, 70 internal error (a failed internal check, or any
+exception that is not a TautiltError).
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ ERROR_EXITS = {
     InfiniteDimensionalError: ("error", EXIT_INFINITE),
     NotDirectedError: ("error", EXIT_NOT_DIRECTED),
     PreconditionError: ("error", EXIT_PRECONDITION),
-    InvariantViolation: ("internal check failed", EXIT_VERIFY),
+    InvariantViolation: ("internal check failed", EXIT_INTERNAL),
 }
 
 

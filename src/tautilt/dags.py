@@ -1,11 +1,10 @@
-"""Labeled acyclic quivers: doubling surgery, isomorphism testing, DOT export."""
+"""Labeled acyclic quivers: doubling surgery, checking a vertex map, DOT export."""
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import PreconditionError
 from .tilting import HasseQuiver, pair_label
 from .util import topological_order
 
@@ -64,116 +63,32 @@ def glue(dag: LabeledDag, subset: Iterable[int]) -> LabeledDag:
     return LabeledDag(tuple(labels), tuple(sorted(arrows)))
 
 
-def _adjacency(n: int, arrows: Sequence[tuple[int, int]]):
-    succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
-    for a, b in arrows:
-        succ[a].append(b)
-        pred[b].append(a)
-    return succ, pred
+def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | None:
+    """None if `vertex_map` (vertex i of x to vertex_map[i] of y) is an isomorphism,
+    otherwise the first reason it is not, naming vertices and arrows by label.
 
-
-def _levels(n: int, arrows: Sequence[tuple[int, int]], succ) -> list[int]:
-    level = [0] * n
-    order = topological_order(n, arrows)
-    assert order is not None
-    for i in order:
-        for j in succ[i]:
-            level[j] = max(level[j], level[i] + 1)
-    return level
-
-
-def _joint_colors(x: LabeledDag, y: LabeledDag) -> tuple[list[int], list[int]]:
-    """Degree/level refinement on both graphs with a shared palette.
-
-    The returned colorings are isomorphism invariants that correspond
-    between the two graphs, so color classes bound the matching candidates.
+    The map must be a bijection that sends every arrow of x to an arrow of y.
+    Arrows are distinct, so with equal arrow counts it is then onto the arrows
+    of y too.  O(V + E).
     """
-    n = len(x.labels)
-    sx, px = _adjacency(n, x.arrows)
-    sy, py = _adjacency(n, y.arrows)
-    base: dict[tuple, int] = {}
-    cx = [base.setdefault(k, len(base))
-          for k in ((len(sx[i]), len(px[i]), lv) for i, lv in enumerate(_levels(n, x.arrows, sx)))]
-    cy = [base.setdefault(k, len(base))
-          for k in ((len(sy[i]), len(py[i]), lv) for i, lv in enumerate(_levels(n, y.arrows, sy)))]
-    for _ in range(n):
-        palette: dict[tuple, int] = {}
-        nx = [palette.setdefault((cx[i], tuple(sorted(cx[j] for j in sx[i])),
-                                  tuple(sorted(cx[j] for j in px[i]))), len(palette))
-              for i in range(n)]
-        ny = [palette.setdefault((cy[i], tuple(sorted(cy[j] for j in sy[i])),
-                                  tuple(sorted(cy[j] for j in py[i]))), len(palette))
-              for i in range(n)]
-        stable = len(set(nx) | set(ny)) == len(set(cx) | set(cy))
-        cx, cy = nx, ny
-        if stable:
-            break
-    return cx, cy
-
-
-def dag_iso(x: LabeledDag, y: LabeledDag) -> bool:
-    """Arrow-preserving bijection test (labels are ignored).
-
-    Backtracking over color classes on an explicit stack, so the depth is not
-    bounded by the interpreter's recursion limit.  A vertex map found by the
-    search is re-checked before True is returned.
-    """
-    n = len(x.labels)
-    if n != len(y.labels) or len(x.arrows) != len(y.arrows):
-        return False
-    if n == 0:
-        return True
-    cx, cy = _joint_colors(x, y)
-    if Counter(cx) != Counter(cy):
-        return False
-    xs = [set() for _ in range(n)]
-    ys = [set() for _ in range(n)]
-    xp = [set() for _ in range(n)]
-    yp = [set() for _ in range(n)]
+    n = len(y.labels)
+    if len(x.labels) != n or len(vertex_map) != n:
+        return f"the vertex map sends {len(vertex_map)} of {len(x.labels)} vertices onto {n}"
+    preimage = [-1] * n
+    for i, j in enumerate(vertex_map):
+        if not 0 <= j < n:
+            return f"{x.labels[i]} maps to no vertex"
+        if preimage[j] != -1:
+            return f"{x.labels[preimage[j]]} and {x.labels[i]} both map to {y.labels[j]}"
+        preimage[j] = i
+    if len(x.arrows) != len(y.arrows):
+        return f"{len(x.arrows)} arrows cannot map onto {len(y.arrows)}"
+    targets = set(y.arrows)
     for a, b in x.arrows:
-        xs[a].add(b)
-        xp[b].add(a)
-    for a, b in y.arrows:
-        ys[a].add(b)
-        yp[b].add(a)
-    by_color: dict[int, list[int]] = {}
-    for j in range(n):
-        by_color.setdefault(cy[j], []).append(j)
-    # match scarce colors first
-    vertex_order = sorted(range(n), key=lambda i: (len(by_color[cx[i]]), -len(xs[i]) - len(xp[i])))
-    mapping = [-1] * n
-    used = [False] * n
-    # cursor[k]: position in its color class of the next candidate for vertex_order[k]
-    cursor = [0] * n
-    k = 0
-    while 0 <= k < n:
-        i = vertex_order[k]
-        if mapping[i] != -1:  # back from depth k + 1: undo this choice
-            used[mapping[i]] = False
-            mapping[i] = -1
-        cands = by_color[cx[i]]
-        c = cursor[k]
-        while c < len(cands):
-            j = cands[c]
-            c += 1
-            if (not used[j]
-                    and all(mapping[t] == -1 or mapping[t] in ys[j] for t in xs[i])
-                    and all(mapping[t] == -1 or mapping[t] in yp[j] for t in xp[i])):
-                cursor[k] = c
-                mapping[i] = j
-                used[j] = True
-                k += 1
-                break
-        else:
-            cursor[k] = 0
-            k -= 1
-    if k < 0:
-        return False
-    if sorted(mapping) != list(range(n)) or any(mapping[b] not in ys[mapping[a]]
-                                                 for a, b in x.arrows):
-        raise InvariantViolation("dag_iso found a vertex map that is not an isomorphism")
-    return True
+        if (vertex_map[a], vertex_map[b]) not in targets:
+            return (f"arrow {x.labels[a]} -> {x.labels[b]} maps to {y.labels[vertex_map[a]]} "
+                    f"-> {y.labels[vertex_map[b]]}, which is not an arrow")
+    return None
 
 
 def to_dot(dag: LabeledDag) -> str:

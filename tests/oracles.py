@@ -1,6 +1,6 @@
 """Reference forms of the row reduction, the catalog closure, the minimal
-presentation, the catalog's Hom tables, the clique search, the Hasse bucketing
-and the tilting test.
+presentation, the catalog's Hom tables, the clique search, the Hasse bucketing,
+the tilting test and the Hasse gluing.
 
 These are the direct algorithms that the package replaced with faster ones:
 - `rref_fraction`: Gauss–Jordan on `Fraction` rows (`tautilt.linalg.rref`
@@ -27,20 +27,28 @@ These are the direct algorithms that the package replaced with faster ones:
   test (`generates`) that reads one bit of `Catalog.tors_mask` and the
   dimension vectors entry by entry;
 - `ext1_tilting_test`: a tilting test that computes syzygies and Ext^1
-  (`is_tilting` reads the catalog's pd <= 1 table).
+  (`is_tilting` reads the catalog's pd <= 1 table);
+- `dag_iso_search`: a backtracking isomorphism search over degree and level
+  color classes (`verify_hasse_gluing` checks the one vertex map that the
+  classification names, read off the g-vectors).
 They share no code with the fast forms, so the tests can compare the two
 exactly.
 """
+from collections import Counter
 from functools import cache
+from typing import Sequence
 
 from tautilt.algebra import opposite_algebra
 from tautilt.catalog import build_catalog
+from tautilt.dags import LabeledDag, glue, hasse_to_dag
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.linalg import Q, QMatrix, hstack, rank, rref
 from tautilt.modules import (_top_generators, compose, ext1, hom_basis, hom_dim, iso, kernel_of,
                              pd_at_most_one, projective, projective_cover, radical, simple,
                              syzygy, tau_inverse)
 from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
+from tautilt.util import topological_order
+from tautilt.verify import select_doubled_subset
 
 
 def rref_fraction(m):
@@ -312,3 +320,124 @@ def ext1_tilting_test(cat):
         return all(ext(i, j) == 0 for i in ref for j in ref)
 
     return is_tilting
+
+
+def _adjacency(n: int, arrows: Sequence[tuple[int, int]]):
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for a, b in arrows:
+        succ[a].append(b)
+        pred[b].append(a)
+    return succ, pred
+
+
+def _levels(n: int, arrows: Sequence[tuple[int, int]], succ) -> list[int]:
+    level = [0] * n
+    order = topological_order(n, arrows)
+    assert order is not None
+    for i in order:
+        for j in succ[i]:
+            level[j] = max(level[j], level[i] + 1)
+    return level
+
+
+def _joint_colors(x: LabeledDag, y: LabeledDag) -> tuple[list[int], list[int]]:
+    """Degree/level refinement on both graphs with a shared palette.
+
+    The returned colorings are isomorphism invariants that correspond
+    between the two graphs, so color classes bound the matching candidates.
+    """
+    n = len(x.labels)
+    sx, px = _adjacency(n, x.arrows)
+    sy, py = _adjacency(n, y.arrows)
+    base: dict[tuple, int] = {}
+    cx = [base.setdefault(k, len(base))
+          for k in ((len(sx[i]), len(px[i]), lv) for i, lv in enumerate(_levels(n, x.arrows, sx)))]
+    cy = [base.setdefault(k, len(base))
+          for k in ((len(sy[i]), len(py[i]), lv) for i, lv in enumerate(_levels(n, y.arrows, sy)))]
+    for _ in range(n):
+        palette: dict[tuple, int] = {}
+        nx = [palette.setdefault((cx[i], tuple(sorted(cx[j] for j in sx[i])),
+                                  tuple(sorted(cx[j] for j in px[i]))), len(palette))
+              for i in range(n)]
+        ny = [palette.setdefault((cy[i], tuple(sorted(cy[j] for j in sy[i])),
+                                  tuple(sorted(cy[j] for j in py[i]))), len(palette))
+              for i in range(n)]
+        stable = len(set(nx) | set(ny)) == len(set(cx) | set(cy))
+        cx, cy = nx, ny
+        if stable:
+            break
+    return cx, cy
+
+
+def dag_iso_search(x: LabeledDag, y: LabeledDag) -> bool:
+    """Arrow-preserving bijection test (labels are ignored).
+
+    Backtracking over color classes on an explicit stack, so the depth is not
+    bounded by the interpreter's recursion limit.  A vertex map found by the
+    search is re-checked before True is returned.
+    """
+    n = len(x.labels)
+    if n != len(y.labels) or len(x.arrows) != len(y.arrows):
+        return False
+    if n == 0:
+        return True
+    cx, cy = _joint_colors(x, y)
+    if Counter(cx) != Counter(cy):
+        return False
+    xs = [set() for _ in range(n)]
+    ys = [set() for _ in range(n)]
+    xp = [set() for _ in range(n)]
+    yp = [set() for _ in range(n)]
+    for a, b in x.arrows:
+        xs[a].add(b)
+        xp[b].add(a)
+    for a, b in y.arrows:
+        ys[a].add(b)
+        yp[b].add(a)
+    by_color: dict[int, list[int]] = {}
+    for j in range(n):
+        by_color.setdefault(cy[j], []).append(j)
+    # match scarce colors first
+    vertex_order = sorted(range(n), key=lambda i: (len(by_color[cx[i]]), -len(xs[i]) - len(xp[i])))
+    mapping = [-1] * n
+    used = [False] * n
+    # cursor[k]: position in its color class of the next candidate for vertex_order[k]
+    cursor = [0] * n
+    k = 0
+    while 0 <= k < n:
+        i = vertex_order[k]
+        if mapping[i] != -1:  # back from depth k + 1: undo this choice
+            used[mapping[i]] = False
+            mapping[i] = -1
+        cands = by_color[cx[i]]
+        c = cursor[k]
+        while c < len(cands):
+            j = cands[c]
+            c += 1
+            if (not used[j]
+                    and all(mapping[t] == -1 or mapping[t] in ys[j] for t in xs[i])
+                    and all(mapping[t] == -1 or mapping[t] in yp[j] for t in xp[i])):
+                cursor[k] = c
+                mapping[i] = j
+                used[j] = True
+                k += 1
+                break
+        else:
+            cursor[k] = 0
+            k -= 1
+    if k < 0:
+        return False
+    if sorted(mapping) != list(range(n)) or any(mapping[b] not in ys[mapping[a]]
+                                                 for a, b in x.arrows):
+        raise InvariantViolation("dag_iso_search found a vertex map that is not an isomorphism")
+    return True
+
+
+def gluing_search_agrees(ctx):
+    """`dag_iso_search` on the extension's Hasse quiver and the doubled one glued
+    along `select_doubled_subset`: the check `verify_hasse_gluing` makes with
+    the g-vector map, made without any map."""
+    h_dbl = ctx.enum("doubled").hasse()
+    glued = glue(hasse_to_dag(h_dbl), select_doubled_subset(ctx, h_dbl))
+    return dag_iso_search(hasse_to_dag(ctx.enum("extended").hasse()), glued)

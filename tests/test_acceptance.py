@@ -21,7 +21,7 @@ from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, tau_tilting_mo
 from tautilt.verify import (ExtensionContext, reproduce_tables, verify_classification,
                             verify_count_equations, verify_hasse_gluing)
 
-from oracles import all_rigid_cliques
+from oracles import all_rigid_cliques, gluing_search_agrees
 
 
 @contextmanager
@@ -167,8 +167,10 @@ def test_criterion_6_gluing_isomorphisms():
     for algebra, v in bases:
         label = f"6 hasse-gluing-{algebra.n_vertices}v-{v}"
         with criterion(label, budget_seconds=60):
-            rep = verify_hasse_gluing(ExtensionContext(algebra, v))
+            ctx = ExtensionContext(algebra, v)
+            rep = verify_hasse_gluing(ctx)
             assert rep.status == "pass", rep.detail
+            assert gluing_search_agrees(ctx)
 
 
 def test_criterion_7a_extension_projective_rigidity():

@@ -66,12 +66,23 @@ def test_catalog_matches_the_tau_inverse_closure(hereditary_d, kind, n):
     assert_catalog_matches_tau_inverse_closure(build_catalog(algebra))
 
 
+def d4_into_the_branch(n):
+    """Hereditary D4 with every arrow into the branch vertex: 1 -> 3, 2 -> 3, 4 -> 3.
+    The entry of dimension vector (1, 1, 1, 1) has P1 = P(3) + P(3), two summands
+    of the second cover generated at one vertex."""
+    assert n == 4
+    return build_algebra(Quiver(["1", "2", "3", "4"], [
+        Arrow("b1", "1", "3"), Arrow("b2", "2", "3"), Arrow("b4", "4", "3")]))
+
+
 @pytest.mark.parametrize("kind, n", [("A2", n) for n in range(1, 8)]
-                         + [("D2", n) for n in range(4, 8)] + [("D", 6), ("D", 8)])
+                         + [("D2", n) for n in range(4, 8)] + [("D", 6), ("D", 8)]
+                         + [("D-in", 4)])
 def test_presentations_match_the_composed_map(hereditary_d, kind, n):
     """Each entry's path combinations and pd <= 1 equal those read off the
     composite of the kernel inclusion and the second projective cover."""
-    algebra = {"A2": type_a_square, "D2": type_d_square, "D": hereditary_d}[kind](n)
+    algebra = {"A2": type_a_square, "D2": type_d_square, "D": hereditary_d,
+               "D-in": d4_into_the_branch}[kind](n)
     assert_presentations_match_oracle(build_catalog(algebra))
 
 
@@ -205,7 +216,8 @@ def test_entry_off_the_euler_form_is_rejected(monkeypatch):
     """Over the Kronecker algebra (C = [[1, 0], [2, 1]]) the regular module of
     dims (1, 1) has a local endomorphism ring but Euler form 1 + 1 - 2 = 0.
     Stand-in tau steps I_1 -> (1, 1) -> P_1 and S_2 -> P_2 reach every standard
-    module, so every other check passes."""
+    module, so every other check passes; Euler form 0 means Ext^1 = k, so the
+    algebra is not representation-directed."""
     kronecker = build_algebra(
         Quiver(["1", "2"], [Arrow("a", "2", "1"), Arrow("b", "2", "1")]))
     one = QMatrix.identity(1)
@@ -213,7 +225,7 @@ def test_entry_off_the_euler_form_is_rejected(monkeypatch):
     steps = {(1, 2): regular, (1, 1): simple(kronecker, "1"),
              (0, 1): projective(kronecker, "2")}
     monkeypatch.setattr(catalog, "tau_of_entry", lambda rep, pres: steps[rep.dims])
-    with pytest.raises(InvariantViolation, match=r"Euler form is 0 on the dimension vector \[1, 1\]"):
+    with pytest.raises(NotDirectedError, match=r"Euler form is 0 on the dimension vector \[1, 1\]"):
         build_catalog(kronecker)
 
 

@@ -11,6 +11,7 @@ import tautilt
 from tautilt.algebra import (Arrow, Quiver, algebra_equal_upto_relabel, build_algebra,
                              load_algebra, serialize_algebra)
 from tautilt.cli import main
+from tautilt.errors import InvariantViolation
 from tautilt.families import type_a_square, type_d_square
 
 
@@ -206,6 +207,13 @@ NOT_DIRECTED = {
             Arrow("c0", "1", "2"), Arrow("c1", "2", "3"), Arrow("c2", "4", "3"),
             Arrow("c3", "5", "4"), Arrow("c4", "6", "5"), Arrow("c5", "6", "1")]),
         [("c0", "c1"), ("c5", "c0")]),
+    # gentle and acyclic, but the module on the arrow 1 -> 5 has Ext^3(X, X) = k:
+    # 0 -> P5 -> P4 -> P2 + P3 -> P1 -> X -> 0; the Euler form is 0 on it
+    "gentle-ext3": build_algebra(
+        Quiver([str(k) for k in range(1, 6)], [
+            Arrow("d0", "4", "5"), Arrow("d1", "1", "2"), Arrow("d2", "1", "5"),
+            Arrow("d3", "2", "4"), Arrow("d4", "1", "3")]),
+        [("d1", "d3"), ("d3", "d0")]),
 }
 
 
@@ -249,6 +257,18 @@ def test_unexpected_exception_is_one_line_exit_70(runner, tmp_path, monkeypatch,
     assert result.exit_code == 70
     assert result.stderr == "internal error: RuntimeError: simulated failure\n"
     assert "Traceback" not in result.output
+
+
+def test_failed_internal_check_is_one_line_exit_70(runner, tmp_path, monkeypatch, a2):
+    def broken(path):
+        raise InvariantViolation("simulated")
+
+    monkeypatch.setattr("tautilt.cli.load_algebra", broken)
+    f = write_algebra(tmp_path / "a2.json", a2)
+    result = runner.invoke(main, ["catalog", f])
+    assert result.exit_code == 70
+    assert result.stderr == "internal check failed: simulated\n"
+    assert result.stdout == ""
 
 
 @pytest.mark.slow

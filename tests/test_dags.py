@@ -8,6 +8,8 @@ from tautilt.dags import LabeledDag, dag_iso, glue, hasse_to_dag, to_dot
 from tautilt.errors import PreconditionError
 from tautilt.tilting import hasse
 
+from oracles import dag_iso_search
+
 
 def test_dag_validation():
     with pytest.raises(PreconditionError):
@@ -79,36 +81,62 @@ def test_dag_iso_under_relabeling(d, rng):
     rng.shuffle(perm)
     relabeled = LabeledDag(tuple(f"w{i}" for i in range(n)),
                            tuple(sorted((perm[a], perm[b]) for a, b in d.arrows)))
-    assert dag_iso(d, relabeled)
+    assert dag_iso(d, relabeled, perm) is None
+    assert dag_iso_search(d, relabeled)
 
 
-def test_dag_iso_trivial_cases():
+def test_dag_iso_rejects_a_vertex_map_that_is_not_a_bijection():
+    chain = LabeledDag(("a", "b", "c"), ((0, 1), (1, 2)))
+    assert dag_iso(chain, chain, [0, 1, 1]) == "b and c both map to b"
+    assert dag_iso(chain, chain, [0, 1]) == "the vertex map sends 2 of 3 vertices onto 3"
+    assert dag_iso(chain, chain, [0, 1, 3]) == "c maps to no vertex"
+
+
+def test_dag_iso_names_the_arrow_that_maps_to_no_arrow():
+    x = LabeledDag(("a", "b", "c"), ((0, 1), (1, 2)))
+    y = LabeledDag(("p", "q", "r"), ((0, 1), (0, 2)))
+    assert dag_iso(x, y, [0, 1, 2]) == "arrow b -> c maps to q -> r, which is not an arrow"
+    assert dag_iso(x, LabeledDag(y.labels, ((0, 1),)), [0, 1, 2]) == (
+        "2 arrows cannot map onto 1")
+
+
+def test_dag_iso_accepts_a_relabelled_copy():
+    x = LabeledDag(("a", "b", "c", "d"), ((0, 1), (0, 2), (1, 3), (2, 3)))
+    # a -> 3, b -> 1, c -> 0, d -> 2
+    y = LabeledDag(("w", "x", "y", "z"), ((0, 2), (1, 2), (3, 0), (3, 1)))
+    assert dag_iso(x, y, [3, 1, 0, 2]) is None
+    assert dag_iso(x, y, [3, 0, 1, 2]) is None
+    assert dag_iso(x, y, [0, 1, 3, 2]) == "arrow a -> b maps to w -> x, which is not an arrow"
+    assert dag_iso(LabeledDag((), ()), LabeledDag((), ()), []) is None
+
+
+def test_dag_iso_search_trivial_cases():
     chain = LabeledDag(("a", "b"), ((0, 1),))
     antichain = LabeledDag(("a", "b"), ())
-    assert dag_iso(chain, chain)
-    assert not dag_iso(chain, antichain)
-    assert dag_iso(LabeledDag((), ()), LabeledDag((), ()))
+    assert dag_iso_search(chain, chain)
+    assert not dag_iso_search(chain, antichain)
+    assert dag_iso_search(LabeledDag((), ()), LabeledDag((), ()))
 
 
-def test_dag_iso_same_degrees_different_shape():
+def test_dag_iso_search_same_degrees_different_shape():
     # two graphs with equal degree sequences but different reachability
     x = LabeledDag(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3)))
     y = LabeledDag(("a", "b", "c", "d"), ((0, 1), (2, 1), (2, 3)))
-    assert not dag_iso(x, y)
+    assert not dag_iso_search(x, y)
 
 
-def test_dag_iso_deeper_than_the_recursion_limit():
+def test_dag_iso_search_deeper_than_the_recursion_limit():
     # more matched vertices than the interpreter allows nested calls
     n = sys.getrecursionlimit() + 500
     chain = LabeledDag(tuple(f"c{i}" for i in range(n)), tuple((i, i + 1) for i in range(n - 1)))
     reversed_names = LabeledDag(chain.labels,
                                 tuple(sorted((n - 1 - b, n - 1 - a) for a, b in chain.arrows)))
-    assert dag_iso(chain, reversed_names)
+    assert dag_iso_search(chain, reversed_names)
     # n/2 disjoint arrows: two color classes of n/2 vertices each
     m = n // 2
     pairs = LabeledDag(tuple(f"p{i}" for i in range(2 * m)), tuple((2 * i, 2 * i + 1) for i in range(m)))
     split = LabeledDag(pairs.labels, tuple((i, 2 * m - 1 - i) for i in range(m)))
-    assert dag_iso(pairs, split)
+    assert dag_iso_search(pairs, split)
 
 
 def test_to_dot_empty():

@@ -17,7 +17,8 @@ from tautilt.verify import ExtensionContext, run_claims, verify_count_equations
 
 from oracles import (assert_catalog_matches_tau_inverse_closure, assert_hom_tables_match_oracle,
                      assert_matches_oracle, assert_presentation_shortcuts_match_oracle,
-                     assert_presentations_match_oracle, ext1_tilting_test)
+                     assert_presentations_match_oracle, ext1_tilting_test,
+                     gluing_search_agrees)
 
 
 @st.composite
@@ -65,6 +66,7 @@ def test_every_claim_holds_at_every_source(algebra):
         for report in run_claims(ctx):
             skipped = report.claim == "tilting-transfer" and q.is_sink(source)
             assert report.status == ("skipped" if skipped else "pass"), (source, report)
+        assert gluing_search_agrees(ctx)
         assert_presentations_match_oracle(ctx.enum("extended").catalog)
 
 

@@ -1,6 +1,8 @@
+from math import comb
+
 import pytest
 
-from tautilt.algebra import Quiver, build_algebra
+from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.families import type_a_square
 from tautilt.tilting import (complete_to_pair, enumerate_stau, g_vector_of_module,
@@ -176,25 +178,29 @@ def test_hasse_regularity_and_boundary(cat_example_b, example_b):
     assert h.pairs[sinks[0]].modules == ()
 
 
+def assert_catalan_counts(n):
+    """Hereditary linear A_n (n -> n-1 -> ... -> 1) has C(n+1) support tau-tilting
+    pairs and C(n) tau-tilting modules, all of them tilting (Ingalls-Thomas,
+    Compositio 2009); the counts do not depend on the orientation."""
+    alg = build_algebra(Quiver([str(i) for i in range(1, n + 1)],
+                               [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(1, n)]))
+    cat = build_catalog(alg)
+    assert cat.size == n * (n + 1) // 2
+    pairs = enumerate_stau(cat)
+    assert len(pairs) == comb(2 * n + 2, n + 1) // (n + 2)
+    tau_tilt = tau_tilting_modules(pairs)
+    assert len(tau_tilt) == comb(2 * n, n) // (n + 1)
+    assert tilting_modules(cat, pairs) == tau_tilt
+
+
 def test_hereditary_linear_counts_are_catalan():
-    # orientation-independent classical counts: C(n+1) pairs, C(n) tilting
-    from math import comb
+    for n in range(1, 9):
+        assert_catalan_counts(n)
 
-    from tautilt.algebra import Arrow, Quiver
 
-    def catalan(k):
-        return comb(2 * k, k) // (k + 1)
-
-    for n in (2, 3, 4):
-        alg = build_algebra(
-            Quiver([str(i) for i in range(1, n + 1)],
-                   [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(1, n)]))
-        cat = build_catalog(alg)
-        assert cat.size == n * (n + 1) // 2
-        pairs = enumerate_stau(cat)
-        assert len(pairs) == catalan(n + 1)
-        assert len(tau_tilting_modules(pairs)) == catalan(n)
-        assert len(tilting_modules(cat, pairs)) == catalan(n)
+@pytest.mark.slow
+def test_hereditary_linear_a10_counts_are_catalan():
+    assert_catalan_counts(10)  # 58,786 pairs
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
@@ -202,8 +208,6 @@ def test_hereditary_d_counts_are_cluster_counts(hereditary_d, n):
     """Fomin-Zelevinsky: type D_n has (3n-2)/n C(2n-2, n-1) clusters, the support
     tau-tilting pairs, and (3n-4)/n C(2n-3, n-1) positive clusters, the tilting
     modules; both are orientation-independent."""
-    from math import comb
-
     pairs_num = (3 * n - 2) * comb(2 * n - 2, n - 1)
     tilt_num = (3 * n - 4) * comb(2 * n - 3, n - 1)
     assert pairs_num % n == 0 and tilt_num % n == 0

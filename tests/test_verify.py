@@ -5,10 +5,13 @@ import pytest
 from tautilt.counting import REPORTED_D
 from tautilt.errors import PreconditionError
 from tautilt.families import type_a_square, type_d_square
-from tautilt.verify import (ExtensionContext, recurrence_check, reports_to_json,
+from tautilt.tilting import HasseQuiver, STauPair, pair_label
+from tautilt.verify import (Enumeration, ExtensionContext, recurrence_check, reports_to_json,
                             reproduce_tables, run_claims, select_doubled_subset,
                             verify_classification, verify_count_equations,
                             verify_hasse_gluing, verify_tilting_transfer)
+
+from oracles import gluing_search_agrees
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,50 @@ def test_hasse_gluing_small(fork_ctx, single_ctx, a2_ctx):
         rep = verify_hasse_gluing(ctx)
         assert rep.status == "pass"
         assert rep.counts["glued"] == rep.counts["hasse_extended"]
+        assert gluing_search_agrees(ctx)
+
+
+def test_hasse_gluing_names_a_reversed_arrow(monkeypatch, tmp_path, a2):
+    """One arrow of the extension's Hasse quiver turned round: the map check
+    names it by both labels, and the search finds no isomorphism either."""
+    ctx = ExtensionContext(a2, "2")
+    true_hasse = Enumeration.hasse
+
+    def hasse_with_one_arrow_reversed(self):
+        h = true_hasse(self)
+        if self.algebra is not ctx.extended:
+            return h
+        (a, b), *rest = h.arrows
+        return HasseQuiver(h.pairs, tuple(sorted([(b, a)] + rest)), h.n)
+
+    monkeypatch.setattr(Enumeration, "hasse", hasse_with_one_arrow_reversed)
+    a, b = true_hasse(ctx.enum("extended")).arrows[0]
+    pairs = ctx.enum("extended").pairs
+    rep = verify_hasse_gluing(ctx, dot_dir=tmp_path)
+    assert rep.status == "fail"
+    assert rep.detail.startswith(f"arrow {pair_label(pairs[b])} -> {pair_label(pairs[a])} maps to ")
+    assert rep.detail.endswith(", which is not an arrow")
+    assert (tmp_path / "hasse_extended.dot").exists() and (tmp_path / "hasse_glued.dot").exists()
+    assert not gluing_search_agrees(ctx)
+
+
+def test_hasse_gluing_names_a_pair_without_an_image(monkeypatch, a2):
+    """A pair whose g-vector names no doubled pair fails the claim by its label."""
+    ctx = ExtensionContext(a2, "2")
+    true_hasse = Enumeration.hasse
+
+    def hasse_with_one_g_vector_moved(self):
+        h = true_hasse(self)
+        if self.algebra is not ctx.extended:
+            return h
+        first, *rest = h.pairs
+        moved = STauPair(first.modules, first.proj_part, (99,) * len(first.g))
+        return HasseQuiver((moved, *rest), h.arrows, h.n)
+
+    monkeypatch.setattr(Enumeration, "hasse", hasse_with_one_g_vector_moved)
+    rep = verify_hasse_gluing(ctx)
+    assert rep.status == "fail"
+    assert rep.detail == f"{pair_label(ctx.enum('extended').pairs[0])} maps to no vertex"
 
 
 def test_run_claims_skips_tilting_at_sink(single_ctx):
