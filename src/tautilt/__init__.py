@@ -1,6 +1,6 @@
 """Exact support tau-tilting computations for monomial bound quiver algebras."""
 
-from .algebra import (Algebra, Arrow, Path, Quiver, VertexRole, add_isolated_vertex,
+from .algebra import (Algebra, Arrow, Path, Quiver, add_isolated_vertex,
                       algebra_equal_upto_relabel, build_algebra, delete_vertex,
                       load_algebra, one_point_extension, opposite_algebra,
                       parse_algebra, serialize_algebra)

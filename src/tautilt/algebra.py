@@ -33,13 +33,6 @@ class Path:
         return len(self.arrows)
 
 
-@dataclass(frozen=True)
-class VertexRole:
-    vertex: str
-    is_source: bool
-    is_sink: bool
-
-
 class Quiver:
     """A finite directed multigraph with named vertices and arrows."""
 
@@ -111,11 +104,6 @@ class Algebra:
     def path_position(self, v: str, w: str, arrows: tuple[str, ...]) -> int | None:
         """Index of the path in paths_between(v, w), or None if not in the basis."""
         return self._path_pos.get((v, w), {}).get(arrows)
-
-    def vertex_role(self, v: str) -> VertexRole:
-        if v not in self.quiver.vertex_pos:
-            raise PreconditionError(f"unknown vertex {v!r}")
-        return VertexRole(v, self.quiver.is_source(v), self.quiver.is_sink(v))
 
     @property
     def n_vertices(self) -> int:

@@ -7,6 +7,7 @@ exception that is not a TautiltError).
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -40,18 +41,22 @@ ERROR_EXITS = {
 }
 
 
-def _run(body):
-    try:
-        return body()
-    except TautiltError as exc:
-        prefix, code = next((v for cls, v in ERROR_EXITS.items() if isinstance(exc, cls)),
-                            ("internal error", EXIT_INTERNAL))
-        click.echo(f"{prefix}: {exc}", err=True)
-        sys.exit(code)
-    except Exception as exc:
-        message = str(exc).replace("\n", " ")
-        click.echo(f"internal error: {type(exc).__name__}: {message}", err=True)
-        sys.exit(EXIT_INTERNAL)
+def _guarded(command):
+    """Turn any exception of `command` into one stderr line and its exit code."""
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except TautiltError as exc:
+            prefix, code = next((v for cls, v in ERROR_EXITS.items() if isinstance(exc, cls)),
+                                ("internal error", EXIT_INTERNAL))
+            click.echo(f"{prefix}: {exc}", err=True)
+            sys.exit(code)
+        except Exception as exc:
+            message = str(exc).replace("\n", " ")
+            click.echo(f"internal error: {type(exc).__name__}: {message}", err=True)
+            sys.exit(EXIT_INTERNAL)
+    return guarded
 
 
 @click.group()
@@ -65,64 +70,60 @@ def main(ctx, out_dir):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
+@_guarded
 def validate(file):
     """Parse, normalize and size-check an algebra file."""
-    def body():
-        algebra = load_algebra(file)
-        click.echo(f"dim {algebra.dimension}")
-        click.echo(f"paths {len(algebra.path_basis)}")
-    _run(body)
+    algebra = load_algebra(file)
+    click.echo(f"dim {algebra.dimension}")
+    click.echo(f"paths {len(algebra.path_basis)}")
 
 
 @main.command(name="enumerate")
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
 @click.option("--kind", type=click.Choice(["stau", "tau", "tilt"]), default="stau",
               show_default=True)
+@_guarded
 def enumerate_cmd(file, kind):
     """List modules of the requested kind; the final line carries the count."""
-    def body():
-        algebra = load_algebra(file)
-        enum = Enumeration(algebra)
-        if kind == "stau":
-            items = [pair_to_dict(p) for p in enum.pairs]
-        elif kind == "tau":
-            items = [{"summands": list(m)} for m in enum.tau_tilt()]
-        else:
-            items = [{"summands": list(m)} for m in enum.tilt()]
-        for item in items:
-            click.echo(json.dumps(item, sort_keys=True))
-        click.echo(f"count {len(items)}")
-    _run(body)
+    algebra = load_algebra(file)
+    enum = Enumeration(algebra)
+    if kind == "stau":
+        items = [pair_to_dict(p) for p in enum.pairs]
+    elif kind == "tau":
+        items = [{"summands": list(m)} for m in enum.tau_tilt()]
+    else:
+        items = [{"summands": list(m)} for m in enum.tilt()]
+    for item in items:
+        click.echo(json.dumps(item, sort_keys=True))
+    click.echo(f"count {len(items)}")
 
 
 @main.command(name="hasse")
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
 @click.option("--dot", "dot_path", type=click.Path(path_type=Path), default=None,
               help="Write the quiver as DOT to this path.")
+@_guarded
 def hasse_cmd(file, dot_path):
     """Build the left-mutation quiver and report its size."""
-    def body():
-        algebra = load_algebra(file)
-        enum = Enumeration(algebra)
-        h = enum.hasse()
-        if dot_path is not None:
-            write_text_atomic(dot_path, to_dot(hasse_to_dag(h)))
-        click.echo(f"vertices {len(h.pairs)} arrows {len(h.arrows)}")
-    _run(body)
+    algebra = load_algebra(file)
+    enum = Enumeration(algebra)
+    h = enum.hasse()
+    if dot_path is not None:
+        write_text_atomic(dot_path, to_dot(hasse_to_dag(h)))
+    click.echo(f"vertices {len(h.pairs)} arrows {len(h.arrows)}")
 
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
 @click.option("--source", "source_vertex", required=True, help="Source vertex to extend at.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
+@_guarded
 def extend(file, source_vertex, out_path):
     """Write the one-point extension at a source vertex to a new algebra file."""
-    def body():
-        algebra = load_algebra(file)
-        extended, new_vertex = one_point_extension(algebra, source_vertex)
-        write_text_atomic(out_path, serialize_algebra(extended))
-        click.echo(f"new vertex {new_vertex}")
-    _run(body)
+    algebra = load_algebra(file)
+    extended, new_vertex = one_point_extension(algebra, source_vertex)
+    write_text_atomic(out_path, serialize_algebra(extended))
+    click.echo(f"new vertex {new_vertex}")
 
 
 @main.command()
@@ -133,59 +134,56 @@ def extend(file, source_vertex, out_path):
 @click.option("--report", "report_path", type=click.Path(path_type=Path), default=None,
               help="Report file (default: out-dir/verify_report.json).")
 @click.pass_obj
+@_guarded
 def verify(out_dir, file, source_vertex, claims, report_path):
     """Run the selected claim verifiers on the extension context of FILE."""
-    def body():
-        algebra = load_algebra(file)
-        wanted = tuple(c.strip() for c in claims.split(",") if c.strip())
-        unknown = [c for c in wanted if c not in CLAIMS]
-        if unknown:
-            raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
-        if not wanted:
-            raise PreconditionError("no claims selected")
-        ctx = ExtensionContext(algebra, source_vertex)
-        reports = run_claims(ctx, wanted, dot_dir=out_dir)
-        for rep in reports:
-            line = f"{rep.claim}: {rep.status}"
-            if rep.counts:
-                line += " " + json.dumps(rep.counts, sort_keys=True)
-            click.echo(line)
-            if rep.detail:
-                click.echo(f"  {rep.detail}")
-        path = report_path or (out_dir / "verify_report.json")
-        write_text_atomic(path, reports_to_json(reports))
-        if any(r.status == "fail" for r in reports):
-            sys.exit(EXIT_VERIFY)
-    _run(body)
+    algebra = load_algebra(file)
+    wanted = tuple(c.strip() for c in claims.split(",") if c.strip())
+    unknown = [c for c in wanted if c not in CLAIMS]
+    if unknown:
+        raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
+    if not wanted:
+        raise PreconditionError("no claims selected")
+    ctx = ExtensionContext(algebra, source_vertex)
+    reports = run_claims(ctx, wanted, dot_dir=out_dir)
+    for rep in reports:
+        line = f"{rep.claim}: {rep.status}"
+        if rep.counts:
+            line += " " + json.dumps(rep.counts, sort_keys=True)
+        click.echo(line)
+        if rep.detail:
+            click.echo(f"  {rep.detail}")
+    path = report_path or (out_dir / "verify_report.json")
+    write_text_atomic(path, reports_to_json(reports))
+    if any(r.status == "fail" for r in reports):
+        sys.exit(EXIT_VERIFY)
 
 
 @main.command()
 @click.option("--nA", "n_a", type=int, default=10, show_default=True)
 @click.option("--nD", "n_d", type=int, default=10, show_default=True)
+@_guarded
 def tables(n_a, n_d):
     """Reproduce both family tables and diff them against the reported values."""
-    def body():
-        result = reproduce_tables(n_a, n_d)
-        click.echo(result.render(), nl=False)
-        warnings = sum(1 for d in result.discrepancies if d.corroborated)
-        click.echo(f"warnings {warnings}")
-        if result.hard_failures:
-            click.echo(f"hard failures {result.hard_failures}", err=True)
-            sys.exit(EXIT_VERIFY)
-    _run(body)
+    result = reproduce_tables(n_a, n_d)
+    click.echo(result.render(), nl=False)
+    warnings = sum(1 for d in result.discrepancies if d.corroborated)
+    click.echo(f"warnings {warnings}")
+    if result.hard_failures:
+        click.echo(f"hard failures {result.hard_failures}", err=True)
+        sys.exit(EXIT_VERIFY)
 
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
+@_guarded
 def catalog(file):
     """Dump the indecomposable catalog with dimension vectors."""
-    def body():
-        algebra = load_algebra(file)
-        cat = build_catalog(algebra)
-        for line in cat.dump_lines():
-            click.echo(line)
-        click.echo(f"count {cat.size}")
-    _run(body)
+    algebra = load_algebra(file)
+    cat = build_catalog(algebra)
+    for line in cat.dump_lines():
+        click.echo(line)
+    click.echo(f"count {cat.size}")
 
 
 if __name__ == "__main__":

@@ -6,61 +6,41 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError
 from .tilting import HasseQuiver, pair_label
-from .util import topological_order
 
 
 @dataclass(frozen=True)
 class LabeledDag:
+    """Labels and arrows (i, j) by position; `tilting.hasse` checks each quiver it builds."""
     labels: tuple[str, ...]
     arrows: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise PreconditionError("duplicate vertex labels")
-        seen = set()
-        for a, b in self.arrows:
-            if not (0 <= a < n and 0 <= b < n):
-                raise PreconditionError("arrow endpoint out of range")
-            if a == b:
-                raise PreconditionError("self-loop")
-            if (a, b) in seen:
-                raise PreconditionError("parallel arrow")
-            seen.add((a, b))
-        if topological_order(n, self.arrows) is None:
-            raise PreconditionError("quiver has a cycle")
 
 
 def hasse_to_dag(h: HasseQuiver) -> LabeledDag:
     return LabeledDag(tuple(pair_label(p) for p in h.pairs), tuple(h.arrows))
 
 
-def glue(dag: LabeledDag, subset: Iterable[int]) -> LabeledDag:
-    """Duplicate the subset into fresh plus-copies and reroute arrows.
+def glue(dag: LabeledDag, subset: Iterable[int]) -> tuple[LabeledDag, dict[int, int]]:
+    """Duplicate the subset into fresh plus-copies and reroute arrows; return the
+    glued quiver and the vertex of each subset member's copy.
 
     Arrows inside the subset are copied onto the copies, arrows from the
     complement into the subset are redirected to the copies, arrows out of
     the subset survive unchanged, and every copy points at its original.
+    Distinct arrows go to distinct arrows, and an acyclic quiver stays acyclic.
     """
     sub = frozenset(subset)
     n = len(dag.labels)
     if any(not (0 <= i < n) for i in sub):
         raise PreconditionError("subset member out of range")
     plus = {v: n + k for k, v in enumerate(sorted(sub))}
-    labels = list(dag.labels) + [dag.labels[v] + "+" for v in sorted(sub)]
+    labels = list(dag.labels) + [dag.labels[v] + "+" for v in plus]
     arrows: list[tuple[int, int]] = []
     for a, b in dag.arrows:
         if a in sub and b in sub:
-            arrows.append((a, b))
             arrows.append((plus[a], plus[b]))
-        elif a in sub:
-            arrows.append((a, b))
-        elif b in sub:
-            arrows.append((a, plus[b]))
-        else:
-            arrows.append((a, b))
-    arrows.extend((plus[v], v) for v in sorted(sub))
-    return LabeledDag(tuple(labels), tuple(sorted(arrows)))
+        arrows.append((a, plus[b]) if b in sub and a not in sub else (a, b))
+    arrows.extend((copy, v) for v, copy in plus.items())
+    return LabeledDag(tuple(labels), tuple(sorted(arrows))), plus
 
 
 def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | None:
@@ -68,8 +48,9 @@ def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | No
     otherwise the first reason it is not, naming vertices and arrows by label.
 
     The map must be a bijection that sends every arrow of x to an arrow of y.
-    Arrows are distinct, so with equal arrow counts it is then onto the arrows
-    of y too.  O(V + E).
+    Both arrow lists must be free of repeats (`hasse` guarantees it for a
+    mutation quiver, and `glue` keeps it), so with equal arrow counts the map is
+    then onto the arrows of y too.  O(V + E).
     """
     n = len(y.labels)
     if len(x.labels) != n or len(vertex_map) != n:

@@ -91,13 +91,6 @@ class QMatrix:
         self._same_shape(other)
         return QMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._same_shape(other)
-        return QMatrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [-a for a in self.entries])
-
     def scale(self, c: Fraction | int) -> "QMatrix":
         c = Q(c)
         return QMatrix(self.rows, self.cols, [c * a for a in self.entries])
@@ -228,28 +221,6 @@ def row_space_basis(m: QMatrix) -> QMatrix:
     """Canonical (echelonized) basis of the row space, one basis vector per row."""
     red, pivots = rref(m)
     return QMatrix.from_rows([list(red.row(i)) for i in range(len(pivots))], cols=m.cols)
-
-
-def det(m: QMatrix) -> Fraction:
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    rows = m.to_rows()
-    result = Q(1)
-    for c in range(n):
-        ir = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if ir is None:
-            return Q(0)
-        if ir != c:
-            rows[c], rows[ir] = rows[ir], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] * inv
-                rows[r] = [e - f * p for e, p in zip(rows[r], rows[c])]
-    return result
 
 
 def invert(m: QMatrix) -> QMatrix:

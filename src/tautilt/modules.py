@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .algebra import Algebra, Path, opposite_algebra
 from .errors import InvariantViolation, PreconditionError
-from .linalg import (QMatrix, Q, det, grid_points, hstack, invert, kernel_basis,
+from .linalg import (QMatrix, Q, grid_points, hstack, invert, kernel_basis,
                      rank, row_space_basis, rref, solve, vstack)
 
 
@@ -620,11 +620,12 @@ def pd_at_most_one(rep: Representation) -> bool:
 # isomorphism
 
 def iso(x: Representation, y: Representation) -> bool:
-    """Exact isomorphism test by scanning the determinant of a generic hom.
+    """Exact isomorphism test by scanning for a generic hom with invertible blocks.
 
     The determinant of sum(c_i f_i) over a hom basis (f_i) is a polynomial
     of degree at most the total dimension in each c_i, so it vanishes
-    identically iff it vanishes on the full integer grid of that size.
+    identically iff it vanishes on the full integer grid of that size.  A
+    block is singular iff its rank falls short of its size.
     """
     if x.algebra != y.algebra:
         raise PreconditionError("iso between representations over different algebras")
@@ -644,7 +645,7 @@ def iso(x: Representation, y: Representation) -> bool:
             for k in range(1, len(fs)):
                 if coeffs[k]:
                     m = m + fs[k].blocks[i].scale(coeffs[k])
-            if det(m) == 0:
+            if rank(m) < m.rows:
                 ok = False
                 break
         if ok:

@@ -203,7 +203,7 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None) -> HasseQuiver:
     if any(c != n for c in neighbor_count):
         raise InvariantViolation("exchange graph is not n-regular")
     _assert_hasse_shape(cat, pairs, arrows)
-    return HasseQuiver(tuple(pairs), tuple(sorted(set(arrows))), n)
+    return HasseQuiver(tuple(pairs), tuple(sorted(arrows)), n)
 
 
 def _assert_hasse_shape(cat: Catalog, pairs: list[STauPair],

@@ -209,7 +209,7 @@ def select_doubled_subset(ctx: ExtensionContext, doubled_hasse: HasseQuiver) -> 
 
 
 def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_dbl: HasseQuiver,
-                      subset: frozenset[int]) -> list[int]:
+                      plus: dict[int, int]) -> list[int]:
     """The vertex of `glue(doubled quiver, subset)` that the classification names
     for each pair of the extension, read off its g-vector; -1 where there is none.
 
@@ -217,7 +217,7 @@ def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_dbl: HasseQui
     g-vectors of both algebras compare coordinate by coordinate.  With
     g(S_new) = e_new - e_i, a pair without S_new goes to the doubled pair of the
     same g-vector, S_new without P_new to that of g + e_i (a selected original),
-    and P_new + S_new to the plus-copy of that of g - e_new.
+    and P_new + S_new to the plus-copy (`plus`, from `glue`) of that of g - e_new.
     """
     cat = ctx.enum("extended").catalog
     if ctx.doubled.quiver.vertices != cat.algebra.quiver.vertices:
@@ -226,8 +226,6 @@ def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_dbl: HasseQui
     pos = cat.algebra.quiver.vertex_pos
     i, new = pos[ctx.source_vertex], pos[ctx.new_vertex]
     by_g = {p.g: k for k, p in enumerate(h_dbl.pairs)}
-    # `glue` numbers the plus-copy of the k-th selected vertex n + k.
-    plus = {v: len(h_dbl.pairs) + k for k, v in enumerate(sorted(subset))}
     images = []
     for pair in h_ext.pairs:
         g = list(pair.g)
@@ -253,7 +251,7 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
     h_dbl = dbl.hasse()
     dag_dbl = hasse_to_dag(h_dbl)
     subset = select_doubled_subset(ctx, h_dbl)
-    glued = glue(dag_dbl, subset)
+    glued, plus = glue(dag_dbl, subset)
     counts = {
         "hasse_extended": len(dag_ext.labels),
         "hasse_doubled": len(dag_dbl.labels),
@@ -269,7 +267,7 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
     if len(glued.labels) != 2 * base.stau_count + quot.stau_count:
         return ClaimReport("hasse-gluing", "fail", counts,
                            "glued vertex count violates the cardinality identity")
-    reason = dag_iso(dag_ext, glued, _glued_vertex_map(ctx, h_ext, h_dbl, subset))
+    reason = dag_iso(dag_ext, glued, _glued_vertex_map(ctx, h_ext, h_dbl, plus))
     if reason is not None:
         if dot_dir is not None:
             write_text_atomic(Path(dot_dir) / "hasse_extended.dot", to_dot(dag_ext))

@@ -439,5 +439,5 @@ def gluing_search_agrees(ctx):
     along `select_doubled_subset`: the check `verify_hasse_gluing` makes with
     the g-vector map, made without any map."""
     h_dbl = ctx.enum("doubled").hasse()
-    glued = glue(hasse_to_dag(h_dbl), select_doubled_subset(ctx, h_dbl))
+    glued, _ = glue(hasse_to_dag(h_dbl), select_doubled_subset(ctx, h_dbl))
     return dag_iso_search(hasse_to_dag(ctx.enum("extended").hasse()), glued)

@@ -174,11 +174,11 @@ def test_family_extension_chain():
 
 
 def test_vertex_roles(lambda3):
-    assert lambda3.vertex_role("3").is_source
-    assert not lambda3.vertex_role("3").is_sink
-    assert lambda3.vertex_role("1").is_sink
-    mid = lambda3.vertex_role("2")
-    assert not mid.is_source and not mid.is_sink
+    q = lambda3.quiver
+    assert q.is_source("3")
+    assert not q.is_sink("3")
+    assert q.is_sink("1")
+    assert not q.is_source("2") and not q.is_sink("2")
 
 
 def test_opposite_is_involutive(lambda3):

@@ -1,13 +1,11 @@
-import itertools
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import rref_fraction
-from tautilt.linalg import (QMatrix, det, hstack, invert, kernel_basis, rank,
+from tautilt.linalg import (QMatrix, hstack, invert, kernel_basis, rank,
                             row_space_basis, rref, solve, vstack)
 
 
@@ -73,11 +71,6 @@ def test_solve_dimension_mismatch():
 def test_invert_round_trip():
     m = mat([[1, 2], [3, 5]])
     assert m * invert(m) == QMatrix.identity(2)
-
-
-def test_det_and_power():
-    m = mat([[2, 0], [1, 3]])
-    assert det(m) == 6
 
 
 small_fraction = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -173,7 +166,7 @@ def test_rref_matches_fraction_oracle(m):
 @st.composite
 def invertible_matrices(draw, max_dim=4):
     """P * L * U with P a permutation, L unit lower and U upper triangular with nonzero
-    diagonal, returned with its determinant sign(P) * prod(diag U)."""
+    diagonal."""
     n = draw(st.integers(1, max_dim))
     perm = draw(st.permutations(range(n)))
     diag = draw(st.lists(wide_fraction.filter(bool), min_size=n, max_size=n))
@@ -183,16 +176,16 @@ def invertible_matrices(draw, max_dim=4):
     upper = QMatrix(n, n, [diag[i] if i == j else off[i * n + j] if j > i else 0
                            for i in range(n) for j in range(n)])
     p = QMatrix(n, n, [1 if perm[i] == j else 0 for i in range(n) for j in range(n)])
-    inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-    return p * lower * upper, (-1) ** inversions * prod(diag)
+    return p * lower * upper
 
 
 @given(invertible_matrices())
 @settings(max_examples=100, deadline=None)
-def test_det_and_invert_match_fraction_oracle(case):
-    m, expected_det = case
+def test_rank_and_invert_match_fraction_oracle(m):
+    # `iso` calls a square block singular iff its rank falls short of its size
     n = m.rows
-    assert det(m) == expected_det
+    assert rank(m) == n
+    assert rank(QMatrix(n, n, m.entries[:-n] + m.entries[:n])) == max(n - 1, 1)
     red, pivots = rref_fraction(hstack([m, QMatrix.identity(n)]))
     assert pivots == tuple(range(n))
     inv = invert(m)

@@ -15,7 +15,7 @@ from tautilt.catalog import build_catalog
 from tautilt.dags import hasse_to_dag, to_dot
 from tautilt.errors import InvariantViolation
 from tautilt.families import family, type_a_square
-from tautilt.tilting import enumerate_stau, hasse, pair_to_dict
+from tautilt.tilting import _assert_hasse_shape, enumerate_stau, hasse, pair_to_dict
 
 from oracles import assert_matches_oracle
 
@@ -74,6 +74,16 @@ def test_hasse_rejects_a_missing_pair(a2_6):
     cat, pairs = a2_6
     with pytest.raises(InvariantViolation, match="exchange graph is not n-regular"):
         hasse(cat, pairs[:-1])
+
+
+def test_hasse_rejects_a_cycle(a2_6):
+    # `hasse` is the one place a mutation quiver is checked acyclic; the arrows
+    # plus one of them reversed close a 2-cycle.
+    cat, pairs = a2_6
+    arrows = list(hasse(cat, pairs).arrows)
+    a, b = arrows[0]
+    with pytest.raises(InvariantViolation, match="mutation quiver has a cycle"):
+        _assert_hasse_shape(cat, pairs, arrows + [(b, a)])
 
 
 def test_hasse_rejects_a_third_completion(a2_6):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.counting import REPORTED_D
 from tautilt.errors import PreconditionError
 from tautilt.families import type_a_square, type_d_square
@@ -104,6 +105,31 @@ def test_tilting_counts_along_families():
         ctx = ExtensionContext(type_d_square(n), str(n))
         rep = verify_tilting_transfer(ctx)
         assert rep.status == "pass" and rep.counts["tilt_extended"] == 5
+
+
+def radical_square_zero_e(n):
+    """E_n with arrows k -> k+1 along the chain 1 ... n-1 and 3 -> n, every
+    length-2 path zero."""
+    arrows = [Arrow(f"a{k}", str(k), str(k + 1)) for k in range(1, n - 1)]
+    arrows.append(Arrow("b", "3", str(n)))
+    composable = [(x.name, y.name) for x in arrows for y in arrows if x.target == y.source]
+    return build_algebra(Quiver([str(k) for k in range(1, n + 1)], arrows), composable)
+
+
+@pytest.mark.parametrize("n,base,extended", [(6, (16, 185), (25, 446)),
+                                             (7, (27, 448), (42, 1080)),
+                                             (8, (43, 1081), (67, 2606))])
+def test_radical_square_zero_e_claims_at_every_source(n, base, extended):
+    """(tau-tilt, s-tau-tilt) counts of E6, E7 and E8 and of their extension at
+    vertex 1, the only source, where every claim holds."""
+    algebra = radical_square_zero_e(n)
+    q = algebra.quiver
+    assert [v for v in q.vertices if q.is_source(v)] == ["1"]
+    reports = run_claims(ExtensionContext(algebra, "1"))
+    assert [r.status for r in reports] == ["pass"] * 4
+    counts = reports[1].counts
+    assert (counts["tau_tilt_base"], counts["stau_base"]) == base
+    assert (counts["tau_tilt_extended"], counts["stau_extended"]) == extended
 
 
 def test_selected_subset_on_a2(a2_ctx):
