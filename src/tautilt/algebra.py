@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import AlgebraFormatError, InfiniteDimensionalError, PreconditionError
 
@@ -235,28 +235,6 @@ def add_isolated_vertex(algebra: Algebra) -> tuple[Algebra, str]:
     new_vertex = _fresh_vertex(q)
     quiver = Quiver(q.vertices + (new_vertex,), q.arrows)
     return build_algebra(quiver, algebra.relations), new_vertex
-
-
-def algebra_equal_upto_relabel(a: Algebra, b: Algebra,
-                               vertex_map: Mapping[str, str],
-                               arrow_map: Mapping[str, str]) -> bool:
-    """True iff the maps transport quiver and normalized relations of a onto b exactly."""
-    if set(vertex_map.keys()) != set(a.quiver.vertices):
-        raise PreconditionError("vertex map keys must be the vertices of the first algebra")
-    if set(arrow_map.keys()) != {ar.name for ar in a.quiver.arrows}:
-        raise PreconditionError("arrow map keys must be the arrows of the first algebra")
-    if len(set(vertex_map.values())) != len(vertex_map) or len(set(arrow_map.values())) != len(arrow_map):
-        raise PreconditionError("relabeling maps must be injective")
-    if set(vertex_map.values()) != set(b.quiver.vertices):
-        return False
-    b_arrows = {ar.name: (ar.source, ar.target) for ar in b.quiver.arrows}
-    if set(arrow_map.values()) != set(b_arrows):
-        return False
-    for ar in a.quiver.arrows:
-        if b_arrows[arrow_map[ar.name]] != (vertex_map[ar.source], vertex_map[ar.target]):
-            return False
-    mapped_rels = {tuple(arrow_map[x] for x in r) for r in a.relations}
-    return mapped_rels == set(b.relations)
 
 
 @lru_cache(maxsize=None)

@@ -113,17 +113,6 @@ class Catalog:
         i = self.index_by_dims.get(rep.dims)
         return i if i is not None and iso(self.entries[i], rep) else None
 
-    def dims_of_ref(self, ref: ModuleRef) -> tuple[int, ...]:
-        dims = [0] * self.algebra.n_vertices
-        for i in ref:
-            for k, d in enumerate(self.entries[i].dims):
-                dims[k] += d
-        return tuple(dims)
-
-    def support_of_ref(self, ref: ModuleRef) -> frozenset[str]:
-        dims = self.dims_of_ref(ref)
-        return frozenset(v for v, d in zip(self.algebra.quiver.vertices, dims) if d)
-
     @cached_property
     def hom_dims(self) -> QMatrix:
         """dim Hom(E_i, E_k) at row i, column k, read off the pairwise ranks of `__init__`."""

@@ -142,6 +142,9 @@ def verify(out_dir, file, source_vertex, claims, report_path):
     unknown = [c for c in wanted if c not in CLAIMS]
     if unknown:
         raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
+    repeated = [c for c in CLAIMS if wanted.count(c) > 1]
+    if repeated:
+        raise PreconditionError(f"repeated claims: {', '.join(repeated)}")
     if not wanted:
         raise PreconditionError("no claims selected")
     ctx = ExtensionContext(algebra, source_vertex)

@@ -72,10 +72,6 @@ class SurdInt:
 
 def closed_form(kind: str, n: int) -> int:
     """Exact closed-form count for one family row at index n."""
-    if kind == "tilt_a":
-        if n < 2:
-            raise PreconditionError("tilt_a requires n >= 2")
-        return 2
     if kind == "tau_a":
         if n < 1:
             raise PreconditionError("tau_a requires n >= 1")
@@ -88,10 +84,6 @@ def closed_form(kind: str, n: int) -> int:
         root = SurdInt(1, 1, 2)
         num = root ** n - root.conj() ** n
         return num.div_sqrt().div_int(2).as_int()
-    if kind == "tilt_d":
-        if n < 4:
-            raise PreconditionError("tilt_d requires n >= 4")
-        return 5
     if kind == "tau_d":
         if n < 4:
             raise PreconditionError("tau_d requires n >= 4")
@@ -111,28 +103,8 @@ def closed_form(kind: str, n: int) -> int:
 
 # Index alignment of the closed forms against enumeration: the stau_a formula
 # reproduces the enumerated counts only after the shift n -> n + 1; the other
-# five match at their printed index.
+# three match at their printed index.
 STAU_A_INDEX_SHIFT = 1
-
-
-def fibonacci_like(n: int, first: int, second: int) -> int:
-    """x_k = x_{k-1} + x_{k-2} seeded with (first, second) at k = 1, 2."""
-    if n == 1:
-        return first
-    a, b = first, second
-    for _ in range(n - 2):
-        a, b = b, a + b
-    return b
-
-
-def pell_like(n: int, first: int, second: int) -> int:
-    """x_k = 2 x_{k-1} + x_{k-2} seeded with (first, second) at k = 1, 2."""
-    if n == 1:
-        return first
-    a, b = first, second
-    for _ in range(n - 2):
-        a, b = b, a + 2 * b
-    return b
 
 
 # Previously reported counts, used as the cross-check target for table

@@ -136,16 +136,6 @@ def hstack(mats: Sequence[QMatrix]) -> QMatrix:
     return QMatrix.from_rows(rows, cols=sum(m.cols for m in mats))
 
 
-def vstack(mats: Sequence[QMatrix]) -> QMatrix:
-    """Concatenate matrices with equal column counts on top of each other."""
-    if not mats:
-        return QMatrix(0, 0, ())
-    c = mats[0].cols
-    if any(m.cols != c for m in mats):
-        raise ValueError("column count mismatch")
-    return QMatrix(sum(m.rows for m in mats), c, [e for m in mats for e in m.entries])
-
-
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 

@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .algebra import Algebra, Path, opposite_algebra
 from .errors import InvariantViolation, PreconditionError
-from .linalg import (QMatrix, Q, grid_points, hstack, invert, kernel_basis,
-                     rank, row_space_basis, rref, solve, vstack)
+from .linalg import (QMatrix, Q, grid_points, hstack, kernel_basis, rank,
+                     row_space_basis, rref, solve)
 
 
 class Representation:
@@ -47,9 +47,6 @@ class Representation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
-
-    def dim_at(self, v: str) -> int:
-        return self.dims[self.algebra.quiver.vertex_pos[v]]
 
     def map_of(self, arrow_name: str) -> QMatrix:
         return self.arrow_maps[self.algebra.quiver.arrow_pos[arrow_name]]
@@ -130,16 +127,6 @@ def zero_rep(algebra: Algebra) -> Representation:
     q = algebra.quiver
     return Representation(algebra, [0] * len(q.vertices),
                           [QMatrix.zeros(0, 0) for _ in q.arrows])
-
-
-def simple(algebra: Algebra, v: str) -> Representation:
-    q = algebra.quiver
-    if v not in q.vertex_pos:
-        raise PreconditionError(f"unknown vertex {v!r}")
-    dims = [1 if w == v else 0 for w in q.vertices]
-    maps = [QMatrix.zeros(dims[q.vertex_pos[a.target]], dims[q.vertex_pos[a.source]])
-            for a in q.arrows]
-    return Representation(algebra, dims, maps)
 
 
 @lru_cache(maxsize=None)
@@ -251,12 +238,8 @@ def hom_basis(x: Representation, y: Representation) -> list[Morphism]:
     return out
 
 
-def hom_dim(x: Representation, y: Representation) -> int:
-    return len(hom_basis(x, y))
-
-
 # ---------------------------------------------------------------------------
-# subobjects and quotients
+# subobjects and kernels
 
 def sub_representation(rep: Representation, spans: Sequence[Sequence[Sequence[Fraction | int]]]
                        ) -> tuple[Representation, Morphism]:
@@ -298,69 +281,6 @@ def kernel_of(f: Morphism) -> tuple[Representation, Morphism]:
         k = kernel_basis(b)
         spans.append([k.col(j) for j in range(k.cols)])
     return sub_representation(f.source, spans)
-
-
-def quotient_by(rep: Representation, inclusion: Morphism) -> tuple[Representation, Morphism]:
-    """Quotient of rep by the image of an injective inclusion, with the projection."""
-    q = rep.algebra.quiver
-    nv = len(q.vertices)
-    projections = []
-    sections = []
-    dims = []
-    for i in range(nv):
-        C = inclusion.blocks[i]
-        d, k = C.rows, C.cols
-        aug = hstack([C, QMatrix.identity(d)])
-        _, pivots = rref(aug)
-        comp = [p - k for p in pivots if p >= k]
-        dims.append(len(comp))
-        E = QMatrix(d, len(comp),
-                    [1 if r == comp[j] else 0 for r in range(d) for j in range(len(comp))])
-        T = hstack([C, E])
-        Tinv = invert(T) if d else QMatrix.zeros(0, 0)
-        proj = QMatrix.from_rows([list(Tinv.row(r)) for r in range(k, d)], cols=d)
-        projections.append(proj)
-        sections.append(E)
-    maps = []
-    for ai, a in enumerate(q.arrows):
-        s, t = q.vertex_pos[a.source], q.vertex_pos[a.target]
-        maps.append(projections[t] * rep.arrow_maps[ai] * sections[s])
-    quot = Representation(rep.algebra, dims, maps)
-    return quot, Morphism(rep, quot, projections)
-
-
-# ---------------------------------------------------------------------------
-# structural functors
-
-def radical(rep: Representation) -> tuple[Representation, Morphism]:
-    """The arrow-ideal submodule: at each vertex, the sum of incoming images."""
-    q = rep.algebra.quiver
-    spans: list[list] = [[] for _ in q.vertices]
-    for ai, a in enumerate(q.arrows):
-        t = q.vertex_pos[a.target]
-        m = rep.arrow_maps[ai]
-        spans[t].extend(m.col(j) for j in range(m.cols))
-    return sub_representation(rep, spans)
-
-
-def top(rep: Representation) -> tuple[Representation, Morphism]:
-    rad, incl = radical(rep)
-    return quotient_by(rep, incl)
-
-
-def socle(rep: Representation) -> tuple[Representation, Morphism]:
-    """Largest semisimple submodule: vectors killed by every outgoing arrow."""
-    q = rep.algebra.quiver
-    spans = []
-    for i, v in enumerate(q.vertices):
-        outgoing = [rep.map_of(a.name) for a in q.arrows_from[v]]
-        if not outgoing:
-            spans.append([tuple(1 if r == j else 0 for r in range(rep.dims[i]))
-                          for j in range(rep.dims[i])])
-            continue
-        k = kernel_basis(vstack(outgoing))
-        spans.append([k.col(j) for j in range(k.cols)])
-    return sub_representation(rep, spans)
 
 
 def _top_generators(rep: Representation) -> list[tuple[str, int]]:

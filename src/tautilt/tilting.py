@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .catalog import Catalog, ModuleRef
 from .errors import InvariantViolation, PreconditionError
@@ -58,37 +58,6 @@ def is_tau_tilting(cat: Catalog, ref: ModuleRef) -> bool:
     if len(set(ref)) != len(ref):
         raise PreconditionError("module is not basic")
     return len(ref) == cat.algebra.n_vertices and is_tau_rigid(cat, ref)
-
-
-def is_support_tau_tilting(cat: Catalog, ref: ModuleRef) -> bool:
-    if len(set(ref)) != len(ref):
-        raise PreconditionError("module is not basic")
-    return len(ref) == len(cat.support_of_ref(ref)) and is_tau_rigid(cat, ref)
-
-
-def g_vector_of_module(cat: Catalog, ref: ModuleRef) -> tuple[int, ...]:
-    g = [0] * cat.algebra.n_vertices
-    for i in ref:
-        for k, c in enumerate(cat.g_vectors[i]):
-            g[k] += c
-    return tuple(g)
-
-
-def g_vector_of_pair(cat: Catalog, modules: ModuleRef, proj_part: Iterable[str]) -> tuple[int, ...]:
-    g = list(g_vector_of_module(cat, modules))
-    pos = cat.algebra.quiver.vertex_pos
-    for v in proj_part:
-        g[pos[v]] -= 1
-    return tuple(g)
-
-
-def complete_to_pair(cat: Catalog, ref: ModuleRef) -> STauPair:
-    """Attach the projectives on the unsupported vertices; requires a valid module part."""
-    if not is_support_tau_tilting(cat, ref):
-        raise PreconditionError("module part is not support tau-tilting")
-    support = cat.support_of_ref(ref)
-    proj = tuple(v for v in cat.algebra.quiver.vertices if v not in support)
-    return STauPair(tuple(sorted(ref)), proj, g_vector_of_pair(cat, ref, proj))
 
 
 def is_tilting(cat: Catalog, ref: ModuleRef) -> bool:

@@ -317,39 +317,6 @@ def _recurrence(row: str, prev1: int, prev2: int) -> int:
     return prev1 + prev2 if row == "tau" else 2 * prev1 + prev2
 
 
-def recurrence_check(kind: str, n_max: int) -> ClaimReport:
-    """Enumerated counts satisfy the two-step recurrences along the family."""
-    kind = kind.upper()
-    n_min = 1 if kind == "A2" else 4
-    if n_max < n_min + 2:
-        raise PreconditionError("n_max leaves no recurrence instance to check")
-    counts = {n: family_counts(kind, n) for n in range(n_min, n_max + 1)}
-    failures = []
-    for n in range(n_min + 2, n_max + 1):
-        t2, s2 = counts[n - 2]
-        t1, s1 = counts[n - 1]
-        t0, s0 = counts[n]
-        if t0 != _recurrence("tau", t1, t2):
-            failures.append(f"full-support recurrence fails at n={n}: {t0} != {t1}+{t2}")
-        if s0 != _recurrence("stau", s1, s2):
-            failures.append(f"pair recurrence fails at n={n}: {s0} != 2*{s1}+{s2}")
-    if kind == "D2" and n_max >= 5:
-        # the first fork index has no two predecessors; check it through its
-        # actual extension context instead
-        ctx = ExtensionContext(family("D2", 4), "4")
-        rep = verify_count_equations(ctx)
-        t5, s5 = counts[5]
-        if (rep.status != "pass"
-                or rep.counts["tau_tilt_extended"] != t5
-                or rep.counts["stau_extended"] != s5):
-            failures.append("base case n=5 disagrees with the extension context")
-    flat = {f"{kind}_{n}_{row}": v for n, (t, s) in counts.items()
-            for row, v in (("tau", t), ("stau", s))}
-    if failures:
-        return ClaimReport("recurrences", "fail", flat, "; ".join(failures))
-    return ClaimReport("recurrences", "pass", flat)
-
-
 @dataclass
 class TableRow:
     n: int
@@ -417,6 +384,11 @@ def _closed_values(kind: str, n: int) -> tuple[int, int]:
 
 
 def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
+    """Both family tables, the linear one for n = 1 .. n_max_a and the fork one
+    for n = 4 .. n_max_d, diffed against the reported values."""
+    if n_max_a < 1 or n_max_d < 4:
+        raise PreconditionError(f"the linear table starts at n = 1 and the fork table at "
+                                f"n = 4; got the last columns {n_max_a} and {n_max_d}")
     discrepancies: list[TableDiscrepancy] = []
     notes = [
         "pair-count closed form for the linear family is evaluated at n+1; "

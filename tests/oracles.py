@@ -33,6 +33,11 @@ These are the direct algorithms that the package replaced with faster ones:
   classification names, read off the g-vectors).
 They share no code with the fast forms, so the tests can compare the two
 exactly.
+
+It also keeps the builders and references that only tests use: `simple`,
+`hom_dim` (the length of an intertwiner basis), `radical`, `dims_of_ref`,
+`support_of_ref`, `g_vector_of_pair` (summed entry g-vectors, minus e_v per
+unsupported vertex) and `algebra_equal_upto_relabel`.
 """
 from collections import Counter
 from functools import cache
@@ -43,12 +48,84 @@ from tautilt.catalog import build_catalog
 from tautilt.dags import LabeledDag, glue, hasse_to_dag
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.linalg import Q, QMatrix, hstack, rank, rref
-from tautilt.modules import (_top_generators, compose, ext1, hom_basis, hom_dim, iso, kernel_of,
-                             pd_at_most_one, projective, projective_cover, radical, simple,
-                             syzygy, tau_inverse)
-from tautilt.tilting import STauPair, enumerate_stau, g_vector_of_pair, hasse
+from tautilt.modules import (Representation, _top_generators, compose, ext1, hom_basis, iso,
+                             kernel_of, pd_at_most_one, projective, projective_cover,
+                             sub_representation, syzygy, tau_inverse)
+from tautilt.tilting import STauPair, enumerate_stau, hasse
 from tautilt.util import topological_order
 from tautilt.verify import select_doubled_subset
+
+
+def simple(algebra, v):
+    """The simple module at vertex v."""
+    q = algebra.quiver
+    if v not in q.vertex_pos:
+        raise PreconditionError(f"unknown vertex {v!r}")
+    dims = [1 if w == v else 0 for w in q.vertices]
+    maps = [QMatrix.zeros(dims[q.vertex_pos[a.target]], dims[q.vertex_pos[a.source]])
+            for a in q.arrows]
+    return Representation(algebra, dims, maps)
+
+
+def hom_dim(x, y):
+    return len(hom_basis(x, y))
+
+
+def radical(rep):
+    """The arrow-ideal submodule, the sum of the incoming images at each vertex,
+    with its inclusion."""
+    q = rep.algebra.quiver
+    spans = [[] for _ in q.vertices]
+    for ai, a in enumerate(q.arrows):
+        m = rep.arrow_maps[ai]
+        spans[q.vertex_pos[a.target]].extend(m.col(j) for j in range(m.cols))
+    return sub_representation(rep, spans)
+
+
+def dims_of_ref(cat, ref):
+    """Dimension vector of the direct sum of the entries in `ref`."""
+    dims = [0] * cat.algebra.n_vertices
+    for i in ref:
+        for k, d in enumerate(cat.entries[i].dims):
+            dims[k] += d
+    return tuple(dims)
+
+
+def support_of_ref(cat, ref):
+    return frozenset(v for v, d in zip(cat.algebra.quiver.vertices, dims_of_ref(cat, ref)) if d)
+
+
+def g_vector_of_pair(cat, modules, proj_part):
+    """Sum of the entries' g-vectors, minus e_v for each unsupported vertex v."""
+    g = [0] * cat.algebra.n_vertices
+    for i in modules:
+        for k, c in enumerate(cat.g_vectors[i]):
+            g[k] += c
+    pos = cat.algebra.quiver.vertex_pos
+    for v in proj_part:
+        g[pos[v]] -= 1
+    return tuple(g)
+
+
+def algebra_equal_upto_relabel(a, b, vertex_map, arrow_map):
+    """True iff the maps transport quiver and normalized relations of a onto b exactly."""
+    if set(vertex_map.keys()) != set(a.quiver.vertices):
+        raise PreconditionError("vertex map keys must be the vertices of the first algebra")
+    if set(arrow_map.keys()) != {ar.name for ar in a.quiver.arrows}:
+        raise PreconditionError("arrow map keys must be the arrows of the first algebra")
+    if (len(set(vertex_map.values())) != len(vertex_map)
+            or len(set(arrow_map.values())) != len(arrow_map)):
+        raise PreconditionError("relabeling maps must be injective")
+    if set(vertex_map.values()) != set(b.quiver.vertices):
+        return False
+    b_arrows = {ar.name: (ar.source, ar.target) for ar in b.quiver.arrows}
+    if set(arrow_map.values()) != set(b_arrows):
+        return False
+    for ar in a.quiver.arrows:
+        if b_arrows[arrow_map[ar.name]] != (vertex_map[ar.source], vertex_map[ar.target]):
+            return False
+    mapped_rels = {tuple(arrow_map[x] for x in r) for r in a.relations}
+    return mapped_rels == set(b.relations)
 
 
 def rref_fraction(m):
@@ -244,7 +321,7 @@ def reference_pairs(cat):
     vertices = cat.algebra.quiver.vertices
     pairs = []
     for ref in all_rigid_cliques(cat):
-        support = cat.support_of_ref(ref)
+        support = support_of_ref(cat, ref)
         if len(ref) != len(support):
             continue
         proj = tuple(v for v in vertices if v not in support)

@@ -5,15 +5,15 @@ import pytest
 from oracles import (assert_catalog_matches_tau_inverse_closure,
                      assert_hom_tables_match_oracle,
                      assert_presentation_shortcuts_match_oracle,
-                     assert_presentations_match_oracle, end_reduced_dim, rref_fraction)
+                     assert_presentations_match_oracle, dims_of_ref, end_reduced_dim,
+                     rref_fraction, simple, support_of_ref)
 from tautilt import catalog, linalg, modules
 from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation, NotDirectedError
 from tautilt.families import type_a_square, type_d_square
 from tautilt.linalg import QMatrix
-from tautilt.modules import (Representation, direct_sum, iso, projective, simple, tau,
-                             tau_inverse)
+from tautilt.modules import Representation, direct_sum, iso, projective, tau, tau_inverse
 
 
 def test_a2_catalog(cat_a2, a2):
@@ -254,9 +254,9 @@ def test_dims_and_support_of_refs(cat_lambda3):
     p2 = cat_lambda3.projective_index["2"]
     s3 = cat_lambda3.simple_index["3"]
     ref = tuple(sorted((p2, s3)))
-    assert cat_lambda3.dims_of_ref(ref) == (1, 1, 1)
-    assert cat_lambda3.support_of_ref(ref) == {"1", "2", "3"}
-    assert cat_lambda3.dims_of_ref(()) == (0, 0, 0)
+    assert dims_of_ref(cat_lambda3, ref) == (1, 1, 1)
+    assert support_of_ref(cat_lambda3, ref) == {"1", "2", "3"}
+    assert dims_of_ref(cat_lambda3, ()) == (0, 0, 0)
 
 
 def test_g_vectors_of_entries(cat_a2):

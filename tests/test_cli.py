@@ -8,11 +8,12 @@ import pytest
 from click.testing import CliRunner
 
 import tautilt
-from tautilt.algebra import (Arrow, Quiver, algebra_equal_upto_relabel, build_algebra,
-                             load_algebra, serialize_algebra)
+from tautilt.algebra import Arrow, Quiver, build_algebra, load_algebra, serialize_algebra
 from tautilt.cli import main
 from tautilt.errors import InvariantViolation
 from tautilt.families import type_a_square, type_d_square
+
+from oracles import algebra_equal_upto_relabel
 
 
 @pytest.fixture()
@@ -155,6 +156,16 @@ def test_verify_unknown_claim(runner, tmp_path, a2):
     assert result.exit_code == 5
 
 
+def test_verify_repeated_claim_is_one_error_line(runner, tmp_path, a2):
+    f = write_algebra(tmp_path / "a2.json", a2)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f, "--source", "2",
+                                  "--claims", "classification,count-equations,classification"])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr == "error: repeated claims: classification\n"
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_verify_unknown_source_is_one_error_line(runner, tmp_path):
     f = write_algebra(tmp_path / "a2_3.json", type_a_square(3))
     result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f, "--source", "9"])
@@ -178,6 +189,15 @@ def test_tables_truncated(runner):
     assert "1       2       3" in result.output
     assert "2       5      12" in result.output
     assert "warnings 0" in result.output
+
+
+@pytest.mark.parametrize("n_a, n_d", [(0, 3), (0, 10), (10, 3)])
+def test_tables_reject_an_empty_column_range(runner, n_a, n_d):
+    result = runner.invoke(main, ["tables", "--nA", str(n_a), "--nD", str(n_d)])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr == ("error: the linear table starts at n = 1 and the fork table at "
+                             f"n = 4; got the last columns {n_a} and {n_d}\n")
 
 
 def test_tables_flags_one_reported_entry(runner):

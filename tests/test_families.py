@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautilt.counting import (REPORTED_A, REPORTED_D, STAU_A_INDEX_SHIFT, SurdInt,
-                              closed_form, fibonacci_like, pell_like)
+from tautilt.counting import REPORTED_A, REPORTED_D, STAU_A_INDEX_SHIFT, SurdInt, closed_form
 from tautilt.errors import PreconditionError
 from tautilt.families import family
 
@@ -63,6 +62,26 @@ def test_surd_division_errors():
         SurdInt(0, 1, 2).as_int()
 
 
+def fibonacci_like(n, first, second):
+    """x_k = x_{k-1} + x_{k-2} seeded with (first, second) at k = 1, 2."""
+    if n == 1:
+        return first
+    a, b = first, second
+    for _ in range(n - 2):
+        a, b = b, a + b
+    return b
+
+
+def pell_like(n, first, second):
+    """x_k = 2 x_{k-1} + x_{k-2} seeded with (first, second) at k = 1, 2."""
+    if n == 1:
+        return first
+    a, b = first, second
+    for _ in range(n - 2):
+        a, b = b, a + 2 * b
+    return b
+
+
 # Independent oracles: the two-step recurrences with the hand-checked seeds.
 FIB_A = {n: fibonacci_like(n, 1, 2) for n in range(1, 13)}        # 1,2,3,5,8,...
 PELL_A = {n: pell_like(n, 1, 2) for n in range(1, 13)}            # 1,2,5,12,29,...
@@ -84,20 +103,17 @@ def test_closed_form_spot_values():
     assert closed_form("tau_d", 4) == 6
     assert closed_form("stau_d", 5) == 78
     assert closed_form("stau_a", 2) == 2  # the printed index lags the table by one
+    with pytest.raises(PreconditionError):
+        closed_form("tau_a", 0)
+    with pytest.raises(PreconditionError):
+        closed_form("stau_d", 3)
+    with pytest.raises(PreconditionError):
+        closed_form("nonsense", 3)
 
 
 def test_stau_a_shift_matches_reported_table():
     for n, (_, stau) in REPORTED_A.items():
         assert closed_form("stau_a", n + STAU_A_INDEX_SHIFT) == stau
-
-
-def test_constant_closed_forms():
-    assert closed_form("tilt_a", 5) == 2
-    assert closed_form("tilt_d", 7) == 5
-    with pytest.raises(PreconditionError):
-        closed_form("tilt_a", 1)
-    with pytest.raises(PreconditionError):
-        closed_form("nonsense", 3)
 
 
 def test_closed_forms_satisfy_their_recurrences_symbolically():

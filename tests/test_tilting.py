@@ -5,9 +5,8 @@ import pytest
 from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.families import type_a_square
-from tautilt.tilting import (complete_to_pair, enumerate_stau, g_vector_of_module,
-                             g_vector_of_pair, hasse, is_support_tau_tilting, is_tau_rigid,
-                             is_tau_tilting, is_tilting, tau_tilting_modules, tilting_modules)
+from tautilt.tilting import (STauPair, enumerate_stau, hasse, is_tau_rigid, is_tau_tilting,
+                             is_tilting, tau_tilting_modules, tilting_modules)
 
 
 def ref_of(cat, *dim_vectors):
@@ -38,10 +37,8 @@ def test_every_entry_of_linear_family_is_rigid():
 
 
 def test_zero_module_pair(cat_lambda3):
-    assert is_support_tau_tilting(cat_lambda3, ())
-    pair = complete_to_pair(cat_lambda3, ())
-    assert pair.proj_part == ("1", "2", "3")
-    assert pair.g == (-1, -1, -1)
+    zero = [p for p in enumerate_stau(cat_lambda3) if not p.modules]
+    assert zero == [STauPair((), ("1", "2", "3"), (-1, -1, -1))]
 
 
 def test_example_tau_tilting_membership(cat_example_b):
@@ -98,10 +95,10 @@ def test_tilting_counts_linear_family():
 
 def test_g_vector_examples(cat_a2, a2):
     s2 = cat_a2.simple_index["2"]
-    assert g_vector_of_module(cat_a2, (s2,)) == (-1, 1)
-    assert g_vector_of_pair(cat_a2, (s2,), ("1",)) == (-2, 1)
+    by_g = {p.g: p for p in enumerate_stau(cat_a2)}
+    assert by_g[(-2, 1)] == STauPair((s2,), ("1",), (-2, 1))
     regular = tuple(sorted(cat_a2.projective_index.values()))
-    assert g_vector_of_pair(cat_a2, regular, ()) == (1, 1)
+    assert by_g[(1, 1)] == STauPair(regular, (), (1, 1))
 
 
 def test_g_vectors_injective_and_pairs_sorted(cat_example_b):

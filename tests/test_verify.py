@@ -7,7 +7,7 @@ from tautilt.counting import REPORTED_D
 from tautilt.errors import PreconditionError
 from tautilt.families import type_a_square, type_d_square
 from tautilt.tilting import HasseQuiver, STauPair, pair_label
-from tautilt.verify import (Enumeration, ExtensionContext, recurrence_check, reports_to_json,
+from tautilt.verify import (Enumeration, ExtensionContext, family_counts, reports_to_json,
                             reproduce_tables, run_claims, select_doubled_subset,
                             verify_classification, verify_count_equations,
                             verify_hasse_gluing, verify_tilting_transfer)
@@ -209,21 +209,26 @@ def test_reports_serialize(fork_ctx):
     assert doc[0]["status"] == "pass"
 
 
+def assert_two_step_recurrences(counts):
+    """t_n = t_{n-1} + t_{n-2} and s_n = 2 s_{n-1} + s_{n-2} along a list of (t, s)."""
+    for (t2, s2), (t1, s1), (t0, s0) in zip(counts, counts[1:], counts[2:]):
+        assert (t0, s0) == (t1 + t2, 2 * s1 + s2)
+
+
 def test_recurrences_linear():
-    rep = recurrence_check("A2", 6)
-    assert rep.status == "pass"
-    assert rep.counts["A2_6_stau"] == 169
+    counts = [family_counts("A2", n) for n in range(1, 7)]
+    assert_two_step_recurrences(counts)
+    assert counts[-1][1] == 169
 
 
 def test_recurrences_fork():
-    rep = recurrence_check("D2", 7)
+    counts = [family_counts("D2", n) for n in range(4, 8)]
+    assert_two_step_recurrences(counts)
+    # n = 5 has no two predecessors: it is the extension of n = 4 at its source
+    rep = verify_count_equations(ExtensionContext(type_d_square(4), "4"))
     assert rep.status == "pass"
-    assert rep.counts["D2_5_tau"] == 11  # base case checked through its context
-
-
-def test_recurrence_needs_room():
-    with pytest.raises(PreconditionError):
-        recurrence_check("A2", 2)
+    assert (rep.counts["tau_tilt_extended"], rep.counts["stau_extended"]) == counts[1]
+    assert counts[1] == (11, 78)
 
 
 def test_reproduce_tables_small():
