@@ -1,11 +1,13 @@
 """Exact dense linear algebra over the rationals.
 
 Everything downstream (Hom spaces, kernels, the AR translate) reduces to
-row reduction of small dense matrices with `fractions.Fraction` entries.
-`rref` eliminates on integer rows and builds the Fractions once at the end;
-the reduced row echelon form is unique, so the route taken does not change it.
-Matrices are immutable; zero-row and zero-column shapes are legal and show
-up constantly as fibers over vertices of dimension zero.
+row reduction of small dense matrices.  An entry is an `int` or a
+`fractions.Fraction`, which compare and hash alike; a float or a bool is
+refused.  `rref` eliminates on integer rows and builds a Fraction only where
+dividing by a pivot leaves a remainder; the reduced row echelon form is
+unique, so the route taken does not change it.  Matrices are immutable;
+zero-row and zero-column shapes are legal and show up constantly as fibers
+over vertices of dimension zero.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Q = Fraction
-_ZERO = Fraction(0)
+_EXACT = frozenset((int, Fraction))
 
 
 class QMatrix:
@@ -24,7 +25,9 @@ class QMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Fraction | int]):
-        ent = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+        ent = tuple(entries)
+        if not _EXACT.issuperset(map(type, ent)):
+            raise TypeError("matrix entries must be ints or Fractions")
         if rows < 0 or cols < 0:
             raise ValueError("negative shape")
         if len(ent) != rows * cols:
@@ -53,10 +56,6 @@ class QMatrix:
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def column(cls, vec: Sequence[Fraction | int]) -> "QMatrix":
-        return cls(len(vec), 1, vec)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -88,17 +87,17 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, {self.to_rows()!r})"
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._same_shape(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return QMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def scale(self, c: Fraction | int) -> "QMatrix":
-        c = Q(c)
         return QMatrix(self.rows, self.cols, [c * a for a in self.entries])
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        out = [Q(0)] * (self.rows * other.cols)
+        out = [0] * (self.rows * other.cols)
         for i in range(self.rows):
             base = i * self.cols
             for k in range(self.cols):
@@ -117,12 +116,8 @@ class QMatrix:
         """Matrix-vector product."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((self.entry(i, j) * Q(vec[j]) for j in range(self.cols)), Q(0))
+        return tuple(sum(self.entry(i, j) * vec[j] for j in range(self.cols))
                      for i in range(self.rows))
-
-    def _same_shape(self, other: "QMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
 
 def hstack(mats: Sequence[QMatrix]) -> QMatrix:
@@ -140,9 +135,11 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
     Each row is cleared of denominators and eliminated as `a*row - b*pivot_row`
-    (a, b coprime), then divided by the gcd of its entries; Fractions are built
-    only at the end, by dividing each pivot row by its pivot.
+    (a, b coprime), then divided by the gcd of its entries; each pivot row is
+    divided by its pivot only at the end, into a Fraction where that leaves a remainder.
     """
+    if not m.entries:
+        return m, ()
     rows = []
     for i in range(m.rows):
         row = m.row(i)
@@ -169,8 +166,9 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
         pr += 1
         if pr == m.rows:
             break
-    out = [Fraction(e, row[pc]) if e else _ZERO for row, pc in zip(rows, pivots) for e in row]
-    out.extend([_ZERO] * ((m.rows - pr) * m.cols))
+    out = [Fraction(e, p) if e % p else e // p
+           for row, pc in zip(rows, pivots) for p in [row[pc]] for e in row]
+    out.extend([0] * ((m.rows - pr) * m.cols))
     return QMatrix(m.rows, m.cols, out), tuple(pivots)
 
 
@@ -185,8 +183,8 @@ def kernel_basis(m: QMatrix) -> QMatrix:
     free = [j for j in range(m.cols) if j not in pivot_set]
     cols = []
     for f in free:
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
+        v = [0] * m.cols
+        v[f] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red.entry(r, f)
         cols.append(v)
@@ -197,11 +195,11 @@ def solve(m: QMatrix, b: Sequence[Fraction | int]) -> tuple[Fraction, ...] | Non
     """One particular solution of m x = b, or None if inconsistent."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = hstack([m, QMatrix.column(b)])
+    aug = hstack([m, QMatrix(len(b), 1, b)])
     red, pivots = rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
-    x = [Q(0)] * m.cols
+    x = [0] * m.cols
     for r, pc in enumerate(pivots):
         x[pc] = red.entry(r, m.cols)
     return tuple(x)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .algebra import Algebra, Path, opposite_algebra
 from .errors import InvariantViolation, PreconditionError
-from .linalg import (QMatrix, Q, grid_points, hstack, kernel_basis, rank,
+from .linalg import (QMatrix, grid_points, hstack, kernel_basis, rank,
                      row_space_basis, rref, solve)
 
 
@@ -65,9 +65,10 @@ def _check_relations(rep: Representation) -> None:
 
 def path_matrix(rep: Representation, path: Path) -> QMatrix:
     """Action of a path: the composite M_{a_k} ... M_{a_1}."""
-    q = rep.algebra.quiver
-    m = QMatrix.identity(rep.dims[q.vertex_pos[path.source]])
-    for name in path.arrows:
+    if not path.arrows:
+        return QMatrix.identity(rep.dims[rep.algebra.quiver.vertex_pos[path.source]])
+    m = rep.map_of(path.arrows[0])
+    for name in path.arrows[1:]:
         m = rep.map_of(name) * m
     return m
 
@@ -140,11 +141,11 @@ def projective(algebra: Algebra, v: str) -> Representation:
     for a in q.arrows:
         src_paths = algebra.paths_between(v, a.source)
         tgt_rows = dims[q.vertex_pos[a.target]]
-        m = [[Q(0)] * len(src_paths) for _ in range(tgt_rows)]
+        m = [[0] * len(src_paths) for _ in range(tgt_rows)]
         for c, p in enumerate(src_paths):
             pos = algebra.path_position(v, a.target, p.arrows + (a.name,))
             if pos is not None:
-                m[pos][c] = Q(1)
+                m[pos][c] = 1
         maps.append(QMatrix.from_rows(m, cols=len(src_paths)))
     return Representation(algebra, dims, maps)
 
@@ -160,12 +161,12 @@ def injective(algebra: Algebra, v: str) -> Representation:
     for a in q.arrows:
         src_paths = algebra.paths_between(a.source, v)
         tgt_paths = algebra.paths_between(a.target, v)
-        m = [[Q(0)] * len(src_paths) for _ in range(len(tgt_paths))]
+        m = [[0] * len(src_paths) for _ in range(len(tgt_paths))]
         for c, p in enumerate(src_paths):
             if p.arrows[:1] == (a.name,):
                 pos = algebra.path_position(a.target, v, p.arrows[1:])
                 if pos is not None:
-                    m[pos][c] = Q(1)
+                    m[pos][c] = 1
         maps.append(QMatrix.from_rows(m, cols=len(src_paths)))
     return Representation(algebra, dims, maps)
 
@@ -181,7 +182,7 @@ def direct_sum(algebra: Algebra, reps: Sequence[Representation]) -> tuple[Repres
     maps = []
     for ai, a in enumerate(q.arrows):
         s, t = q.vertex_pos[a.source], q.vertex_pos[a.target]
-        rows = [[Q(0)] * dims[s] for _ in range(dims[t])]
+        rows = [[0] * dims[s] for _ in range(dims[t])]
         for k, r in enumerate(reps):
             blk = r.arrow_maps[ai]
             ro, co = offsets[k][t], offsets[k][s]
@@ -213,7 +214,7 @@ def hom_basis(x: Representation, y: Representation) -> list[Morphism]:
         X, Y = x.arrow_maps[ai], y.arrow_maps[ai]
         for i in range(y.dims[t]):
             for j in range(x.dims[s]):
-                row = [Q(0)] * total
+                row = [0] * total
                 # (Y f_s - f_t X)[i, j] = 0
                 for c in range(y.dims[s]):
                     if Y.entry(i, c) != 0:
@@ -406,7 +407,7 @@ def presentation_hom(pres: MinPresentation, y: PathActions) -> tuple[int, bool]:
     n_cols, n_rows = col_offs[-1], row_offs[-1]
     if n_rows == 0 or n_cols == 0:
         return n_cols, n_rows == 0
-    flat = [Q(0)] * (n_rows * n_cols)
+    flat = [0] * (n_rows * n_cols)
     for i, row in enumerate(pres.entries):
         for j, combo in enumerate(row):
             for path, c in combo.items():
@@ -437,7 +438,7 @@ def nakayama_of_presentation(pres: MinPresentation, algebra: Algebra) -> Morphis
     I0, offs0 = injective_sum(algebra, pres.p0_vertices)
     blocks = []
     for widx, w in enumerate(q.vertices):
-        rows = [[Q(0)] * I1.dims[widx] for _ in range(I0.dims[widx])]
+        rows = [[0] * I1.dims[widx] for _ in range(I0.dims[widx])]
         for i, v in enumerate(pres.p0_vertices):
             for j, u in enumerate(pres.p1_vertices):
                 combo = pres.entries[i][j]

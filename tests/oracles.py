@@ -40,6 +40,7 @@ It also keeps the builders and references that only tests use: `simple`,
 unsupported vertex) and `algebra_equal_upto_relabel`.
 """
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
@@ -47,7 +48,7 @@ from tautilt.algebra import opposite_algebra
 from tautilt.catalog import build_catalog
 from tautilt.dags import LabeledDag, glue, hasse_to_dag
 from tautilt.errors import InvariantViolation, PreconditionError
-from tautilt.linalg import Q, QMatrix, hstack, rank, rref
+from tautilt.linalg import QMatrix, hstack, rank, rref
 from tautilt.modules import (Representation, _top_generators, compose, ext1, hom_basis, iso,
                              kernel_of, pd_at_most_one, projective, projective_cover,
                              sub_representation, syzygy, tau_inverse)
@@ -138,7 +139,7 @@ def rref_fraction(m):
         if ir is None:
             continue
         rows[pr], rows[ir] = rows[ir], rows[pr]
-        inv = 1 / rows[pr][pc]
+        inv = Fraction(1) / rows[pr][pc]
         rows[pr] = [e * inv for e in rows[pr]]
         for r in range(m.rows):
             if r != pr and rows[r][pc] != 0:
@@ -263,10 +264,10 @@ def end_reduced_dim(rep):
     for f in E:
         row = []
         for g in E:
-            tr = Q(0)
+            tr = Fraction(0)
             for bf, bg in zip(f.blocks, g.blocks):
                 prod = bf * bg
-                tr += sum((prod.entry(i, i) for i in range(prod.rows)), Q(0))
+                tr += sum((prod.entry(i, i) for i in range(prod.rows)), Fraction(0))
             row.append(tr)
         gram.append(row)
     return rank(QMatrix.from_rows(gram, cols=len(E)))

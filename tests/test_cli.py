@@ -130,11 +130,13 @@ def test_verify_selected_claims(runner, tmp_path):
 @pytest.mark.parametrize("claims, code", [
     (None, 0),
     ("classification, count-equations, tilting-transfer, hasse-gluing", 0),
+    ("hasse-gluing,classification,count-equations,tilting-transfer", 0),
     ("tilting-transfer", 5),
 ])
 def test_verify_at_a_sink_skips_tilting_unless_asked_alone(runner, tmp_path, claims, code):
-    """At a sink the tilting claim does not apply: the default claim list skips it,
-    however it is spelled, and naming it on its own is a precondition error."""
+    """At a sink the tilting claim does not apply: the full claim list skips it,
+    however it is spelled and in any order, and naming it on its own is a
+    precondition error."""
     f = write_algebra(tmp_path / "a1.json", type_a_square(1))
     args = ["--out-dir", str(tmp_path), "verify", f, "--source", "1"]
     result = runner.invoke(main, args + (["--claims", claims] if claims else []))

@@ -13,6 +13,22 @@ def mat(rows):
     return QMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
 
 
+def canonical(e):
+    """An integral value is an int; a Fraction only where it is not integral."""
+    return type(e) is int or (type(e) is Fraction and e.denominator != 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None])
+def test_matrix_rejects_inexact_entries(bad):
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        QMatrix(2, 1, [Fraction(1, 2), bad])
+
+
+def test_a_float_cannot_enter_through_arithmetic():
+    with pytest.raises(TypeError):
+        QMatrix.identity(2).scale(0.5)
+
+
 def test_rref_identity():
     m = QMatrix.identity(2)
     red, pivots = rref(m)
@@ -159,7 +175,27 @@ def oracle_matrices(draw, max_dim=5):
 def test_rref_matches_fraction_oracle(m):
     red, pivots = rref(m)
     assert (red, pivots) == rref_fraction(m)
-    assert all(type(e) is Fraction for e in red.entries)
+    assert all(canonical(e) for e in red.entries)
+
+
+@st.composite
+def integer_matrices(draw, max_dim=5):
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    return draw(st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+                         min_size=r, max_size=r)), c
+
+
+@given(integer_matrices())
+@settings(max_examples=200, deadline=None)
+@example(([[2, 4, 1], [4, 8, 3]], 3))
+@example(([[0, 3], [6, 0]], 2))
+def test_rref_on_integers_matches_the_fraction_oracle(drawn):
+    rows, c = drawn
+    red, pivots = rref(QMatrix.from_rows(rows, cols=c))
+    assert (red, pivots) == rref_fraction(
+        QMatrix.from_rows([[Fraction(e) for e in row] for row in rows], cols=c))
+    assert all(canonical(e) for e in red.entries)
 
 
 @st.composite
