@@ -4,7 +4,7 @@ from .algebra import (Algebra, Arrow, Path, Quiver, add_isolated_vertex, build_a
                       delete_vertex, load_algebra, one_point_extension, opposite_algebra,
                       parse_algebra, serialize_algebra)
 from .catalog import Catalog, ModuleRef, build_catalog
-from .counting import SurdInt, closed_form
+from .counting import closed_form
 from .dags import LabeledDag, dag_iso, glue, hasse_to_dag, to_dot
 from .errors import (AlgebraFormatError, InfiniteDimensionalError, InvariantViolation,
                      NotDirectedError, PreconditionError, TautiltError)

@@ -62,15 +62,6 @@ class Quiver:
     def is_sink(self, v: str) -> bool:
         return not self.arrows_from[v]
 
-    def _key(self):
-        return (self.vertices, self.arrows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Quiver) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return f"Quiver({list(self.vertices)}, {len(self.arrows)} arrows)"
 
@@ -177,7 +168,7 @@ def build_algebra(quiver: Quiver, relations: Sequence[Sequence[str]] = ()) -> Al
 
 
 def _fresh_vertex(quiver: Quiver) -> str:
-    if all(v.lstrip("-").isdigit() for v in quiver.vertices) and quiver.vertices:
+    if all(v.removeprefix("-").isdecimal() for v in quiver.vertices) and quiver.vertices:
         return str(max(int(v) for v in quiver.vertices) + 1)
     base = "a"
     k = 0
@@ -265,7 +256,7 @@ def serialize_algebra(algebra: Algebra) -> str:
 def parse_algebra(text: str) -> Algebra:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise AlgebraFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise AlgebraFormatError("top-level document must be an object")
@@ -292,5 +283,9 @@ def parse_algebra(text: str) -> Algebra:
 
 
 def load_algebra(path) -> Algebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise AlgebraFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_algebra(text)

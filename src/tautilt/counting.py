@@ -1,104 +1,38 @@
-"""Exact quadratic-surd arithmetic, closed counting formulas, reference tables.
+"""Closed counting formulas and the reported tables.
 
-Closed forms are evaluated in Z[sqrt(d)] without any floating point; every
-division by sqrt(d) or by a power of two must be exact, and a remainder
-raises instead of rounding.
+Each closed form is (z - conj(z)) / (sqrt(d) * 2^m) with z = c * (1 + sqrt(d))^k
+in Z[sqrt(d)]; for the fork family the printed second term is -conj(z), e.g.
+1 + 2 sqrt(5) = -conj(-1 + 2 sqrt(5)).  Writing z = a + b sqrt(d), the
+numerator is 2b sqrt(d), so the count is the integer 2b / 2^m: k exact
+integer steps, no floating point, and a remainder raises instead of rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 
-
-@dataclass(frozen=True)
-class SurdInt:
-    """The value a + b*sqrt(d) with integer a, b and a fixed radicand d."""
-    a: int
-    b: int
-    d: int
-
-    def _same(self, other: "SurdInt") -> None:
-        if self.d != other.d:
-            raise ValueError("mixed radicands")
-
-    def __add__(self, other: "SurdInt") -> "SurdInt":
-        self._same(other)
-        return SurdInt(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other: "SurdInt") -> "SurdInt":
-        self._same(other)
-        return SurdInt(self.a - other.a, self.b - other.b, self.d)
-
-    def __mul__(self, other: "SurdInt") -> "SurdInt":
-        self._same(other)
-        return SurdInt(self.a * other.a + self.d * self.b * other.b,
-                       self.a * other.b + self.b * other.a, self.d)
-
-    def __neg__(self) -> "SurdInt":
-        return SurdInt(-self.a, -self.b, self.d)
-
-    def __pow__(self, k: int) -> "SurdInt":
-        if k < 0:
-            raise ValueError("negative power")
-        result = SurdInt(1, 0, self.d)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def conj(self) -> "SurdInt":
-        return SurdInt(self.a, -self.b, self.d)
-
-    def div_sqrt(self) -> "SurdInt":
-        """Exact division by sqrt(d)."""
-        if self.a % self.d:
-            raise ValueError("division by the surd is not exact")
-        return SurdInt(self.b, self.a // self.d, self.d)
-
-    def div_int(self, k: int) -> "SurdInt":
-        if self.a % k or self.b % k:
-            raise ValueError(f"division by {k} is not exact")
-        return SurdInt(self.a // k, self.b // k, self.d)
-
-    def as_int(self) -> int:
-        if self.b:
-            raise ValueError("value is irrational")
-        return self.a
+# kind -> (first n, d, c as (a, b), n -> (k, m))
+_FORMS = {
+    "tau_a": (1, 5, (1, 0), lambda n: (n + 1, n + 1)),
+    "stau_a": (1, 2, (1, 0), lambda n: (n, 1)),
+    "tau_d": (4, 5, (-1, 2), lambda n: (n - 1, n - 1)),
+    "stau_d": (4, 2, (-1, 3), lambda n: (n - 1, 0)),
+}
 
 
 def closed_form(kind: str, n: int) -> int:
     """Exact closed-form count for one family row at index n."""
-    if kind == "tau_a":
-        if n < 1:
-            raise PreconditionError("tau_a requires n >= 1")
-        root = SurdInt(1, 1, 5)
-        num = root ** (n + 1) - root.conj() ** (n + 1)
-        return num.div_sqrt().div_int(2 ** (n + 1)).as_int()
-    if kind == "stau_a":
-        if n < 1:
-            raise PreconditionError("stau_a requires n >= 1")
-        root = SurdInt(1, 1, 2)
-        num = root ** n - root.conj() ** n
-        return num.div_sqrt().div_int(2).as_int()
-    if kind == "tau_d":
-        if n < 4:
-            raise PreconditionError("tau_d requires n >= 4")
-        root = SurdInt(1, 1, 5)
-        num = (SurdInt(-1, 2, 5) * root ** (n - 1)
-               + SurdInt(1, 2, 5) * root.conj() ** (n - 1))
-        return num.div_sqrt().div_int(2 ** (n - 1)).as_int()
-    if kind == "stau_d":
-        if n < 4:
-            raise PreconditionError("stau_d requires n >= 4")
-        root = SurdInt(1, 1, 2)
-        num = (SurdInt(-1, 3, 2) * root ** (n - 1)
-               + SurdInt(1, 3, 2) * root.conj() ** (n - 1))
-        return num.div_sqrt().as_int()
-    raise PreconditionError(f"unknown closed form kind {kind!r}")
+    if kind not in _FORMS:
+        raise PreconditionError(f"unknown closed form kind {kind!r}")
+    first, d, (a, b), exponents = _FORMS[kind]
+    if n < first:
+        raise PreconditionError(f"{kind} requires n >= {first}")
+    k, m = exponents(n)
+    for _ in range(k):  # (a + b sqrt(d)) * (1 + sqrt(d))
+        a, b = a + d * b, a + b
+    count, remainder = divmod(2 * b, 2 ** m)
+    if remainder:
+        raise ValueError(f"division by 2**{m} is not exact")
+    return count
 
 
 # Index alignment of the closed forms against enumeration: the stau_a formula

@@ -47,7 +47,6 @@ class HasseQuiver:
     """Left-mutation quiver on the enumerated pairs (vertices sorted by g-vector)."""
     pairs: tuple[STauPair, ...]
     arrows: tuple[tuple[int, int], ...]
-    n: int
 
 
 def is_tau_rigid(cat: Catalog, ref: ModuleRef) -> bool:
@@ -172,7 +171,7 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None) -> HasseQuiver:
     if any(c != n for c in neighbor_count):
         raise InvariantViolation("exchange graph is not n-regular")
     _assert_hasse_shape(cat, pairs, arrows)
-    return HasseQuiver(tuple(pairs), tuple(sorted(arrows)), n)
+    return HasseQuiver(tuple(pairs), tuple(sorted(arrows)))
 
 
 def _assert_hasse_shape(cat: Catalog, pairs: list[STauPair],

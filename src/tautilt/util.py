@@ -3,17 +3,28 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import suppress
 from pathlib import Path
 from typing import Iterable
 
+from .errors import PreconditionError
+
 
 def write_text_atomic(path: Path | str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    """Write via a sibling temp file and rename, so readers never see a torn file.
+    On any failure the temp file is removed; an OS error becomes a
+    PreconditionError that names `path`."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        with suppress(OSError):
+            tmp.unlink()
 
 
 def topological_order(n: int, arrows: Iterable[tuple[int, int]]) -> list[int] | None:

@@ -311,12 +311,6 @@ def family_counts(kind: str, n: int) -> tuple[int, int]:
     return len(enum.tau_tilt()), enum.stau_count
 
 
-def _recurrence(row: str, prev1: int, prev2: int) -> int:
-    """The count at n that the family recurrence predicts from n - 1 and n - 2:
-    t_n = t_{n-1} + t_{n-2} for the "tau" row, s_n = 2 s_{n-1} + s_{n-2} for "stau"."""
-    return prev1 + prev2 if row == "tau" else 2 * prev1 + prev2
-
-
 @dataclass
 class TableRow:
     n: int
@@ -424,11 +418,12 @@ def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
 
 
 def _recurrence_agrees(row: str, n: int, computed: dict[int, tuple[int, int]]) -> bool:
-    """The computed (tau-tilting, pair) counts at n - 2, n - 1, n satisfy `row`'s recurrence."""
+    """The computed (tau-tilting, pair) counts at n - 2, n - 1, n satisfy `row`'s recurrence:
+    t_n = t_{n-1} + t_{n-2} for the "tau" row, s_n = 2 s_{n-1} + s_{n-2} for "stau"."""
     if n - 2 not in computed:
         return False
-    k = 0 if row == "tau" else 1
-    return computed[n][k] == _recurrence(row, computed[n - 1][k], computed[n - 2][k])
+    k, weight = (0, 1) if row == "tau" else (1, 2)
+    return computed[n][k] == weight * computed[n - 1][k] + computed[n - 2][k]
 
 
 def reports_to_json(reports: list[ClaimReport]) -> str:

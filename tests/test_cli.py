@@ -34,10 +34,17 @@ def test_validate(runner, tmp_path, lambda3):
 
 
 def test_validate_parse_error(runner, tmp_path):
+    """An unknown arrow id, a file that is not UTF-8, and JSON nested past the
+    recursion limit: each exits 2 with one `error:` line."""
     f = tmp_path / "bad.json"
-    f.write_text('{"vertices": ["1"], "arrows": [], "relations": [["x"]]}')
-    result = runner.invoke(main, ["validate", str(f)])
-    assert result.exit_code == 2
+    for content in (b'{"vertices": ["1"], "arrows": [], "relations": [["x"]]}',
+                    b"\xff\xfe{}", b"[" * 100000):
+        f.write_bytes(content)
+        result = runner.invoke(main, ["validate", str(f)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
 
 
 def test_validate_infinite(runner, tmp_path):
@@ -98,6 +105,37 @@ def test_extend_round_trip(runner, tmp_path, a2, lambda3):
     vmap = {v: v for v in extended.quiver.vertices}
     amap = {"a1": "a1", "3to2": "a2"}
     assert algebra_equal_upto_relabel(extended, lambda3, vmap, amap)
+
+
+@pytest.mark.parametrize("name", ["\u00b2", "--1"], ids=["superscript-two", "double-minus"])
+def test_extend_names_a_new_vertex_beside_a_digit_like_one(runner, tmp_path, name):
+    """"\u00b2" passes `str.isdigit` and "--1" passes it once its minus signs are
+    stripped, but `int` rejects both: the new vertex is `a`."""
+    f = write_algebra(tmp_path / "q.json", build_algebra(Quiver(["1", name], [
+        Arrow("x", "1", name)])))
+    result = runner.invoke(main, ["extend", f, "--source", "1",
+                                  "--out", str(tmp_path / "b.json")])
+    assert result.exit_code == 0, result.output
+    assert result.output == "new vertex a\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["hasse", "--dot", "{dir}"],
+    ["extend", "--source", "2", "--out", "{dir}"],
+    ["--out-dir", "{file}", "verify", "--source", "2"],
+], ids=["hasse-dot-to-a-directory", "extend-out-to-a-directory", "out-dir-is-a-file"])
+def test_unwritable_output_is_one_error_line_and_leaves_no_temp_file(runner, tmp_path, a2,
+                                                                    args):
+    f = write_algebra(tmp_path / "a2.json", a2)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    args = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in args]
+    result = runner.invoke(main, args + [f])
+    assert result.exit_code == 5
+    assert result.stderr.startswith("error: cannot write ")
+    assert ".tmp" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp*"))
 
 
 def test_extend_at_sink_fails(runner, tmp_path, a2):

@@ -1,8 +1,7 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tautilt.counting import REPORTED_A, REPORTED_D, STAU_A_INDEX_SHIFT, SurdInt, closed_form
+from tautilt import counting
+from tautilt.counting import REPORTED_A, REPORTED_D, STAU_A_INDEX_SHIFT, closed_form
 from tautilt.errors import PreconditionError
 from tautilt.families import family
 
@@ -31,37 +30,6 @@ def test_family_range_checks():
         family("E8", 8)
 
 
-surd_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
-
-
-@given(surd_pairs, surd_pairs, surd_pairs, st.sampled_from([2, 5]))
-@settings(max_examples=80, deadline=None)
-def test_surd_ring_axioms(p, q, r, d):
-    x, y, z = (SurdInt(a, b, d) for a, b in (p, q, r))
-    assert (x + y) * z == x * z + y * z
-    assert x * y == y * x
-    assert (x * y) * z == x * (y * z)
-    assert x + (-x) == SurdInt(0, 0, d)
-
-
-@given(surd_pairs, st.sampled_from([2, 5]))
-@settings(max_examples=80, deadline=None)
-def test_conjugate_norm_is_rational(p, d):
-    x = SurdInt(p[0], p[1], d)
-    norm = x * x.conj()
-    assert norm.b == 0
-    assert norm.a == p[0] ** 2 - d * p[1] ** 2
-
-
-def test_surd_division_errors():
-    with pytest.raises(ValueError):
-        SurdInt(1, 1, 2).div_sqrt()
-    with pytest.raises(ValueError):
-        SurdInt(3, 0, 2).div_int(2)
-    with pytest.raises(ValueError):
-        SurdInt(0, 1, 2).as_int()
-
-
 def fibonacci_like(n, first, second):
     """x_k = x_{k-1} + x_{k-2} seeded with (first, second) at k = 1, 2."""
     if n == 1:
@@ -83,19 +51,30 @@ def pell_like(n, first, second):
 
 
 # Independent oracles: the two-step recurrences with the hand-checked seeds.
-FIB_A = {n: fibonacci_like(n, 1, 2) for n in range(1, 13)}        # 1,2,3,5,8,...
-PELL_A = {n: pell_like(n, 1, 2) for n in range(1, 13)}            # 1,2,5,12,29,...
-FIB_D = {n: fibonacci_like(n - 3, 6, 11) for n in range(4, 13)}   # 6,11,17,28,...
-PELL_D = {n: pell_like(n - 3, 32, 78) for n in range(4, 13)}      # 32,78,188,...
+FIB_A = {n: fibonacci_like(n, 1, 2) for n in range(1, 41)}        # 1,2,3,5,8,...
+PELL_A = {n: pell_like(n, 1, 2) for n in range(1, 41)}            # 1,2,5,12,29,...
+FIB_D = {n: fibonacci_like(n - 3, 6, 11) for n in range(4, 41)}   # 6,11,17,28,...
+PELL_D = {n: pell_like(n - 3, 32, 78) for n in range(4, 41)}      # 32,78,188,...
 
 
 def test_closed_form_against_recurrence_oracles():
-    for n in range(1, 12):
+    """Far past the depth of the tables (n = 10), up to n = 40."""
+    for n in range(1, 41):
         assert closed_form("tau_a", n) == FIB_A[n]
         assert closed_form("stau_a", n) == PELL_A[n]
-    for n in range(4, 12):
+    for n in range(4, 41):
         assert closed_form("tau_d", n) == FIB_D[n]
         assert closed_form("stau_d", n) == PELL_D[n]
+
+
+def test_closed_form_raises_on_a_remainder(monkeypatch):
+    """One power of two too many leaves a remainder on an odd count (tau_a at
+    n = 1 is 1): the division raises instead of rounding."""
+    first, d, c, exponents = counting._FORMS["tau_a"]
+    monkeypatch.setitem(counting._FORMS, "tau_a",
+                        (first, d, c, lambda n: (exponents(n)[0], exponents(n)[1] + 1)))
+    with pytest.raises(ValueError, match="not exact"):
+        closed_form("tau_a", 1)
 
 
 def test_closed_form_spot_values():

@@ -163,7 +163,7 @@ def test_hasse_gluing_names_a_reversed_arrow(monkeypatch, tmp_path, a2):
         if self.algebra is not ctx.extended:
             return h
         (a, b), *rest = h.arrows
-        return HasseQuiver(h.pairs, tuple(sorted([(b, a)] + rest)), h.n)
+        return HasseQuiver(h.pairs, tuple(sorted([(b, a)] + rest)))
 
     monkeypatch.setattr(Enumeration, "hasse", hasse_with_one_arrow_reversed)
     a, b = true_hasse(ctx.enum("extended")).arrows[0]
@@ -187,7 +187,7 @@ def test_hasse_gluing_names_a_pair_without_an_image(monkeypatch, a2):
             return h
         first, *rest = h.pairs
         moved = STauPair(first.modules, first.proj_part, (99,) * len(first.g))
-        return HasseQuiver((moved, *rest), h.arrows, h.n)
+        return HasseQuiver((moved, *rest), h.arrows)
 
     monkeypatch.setattr(Enumeration, "hasse", hasse_with_one_g_vector_moved)
     rep = verify_hasse_gluing(ctx)
