@@ -22,7 +22,7 @@ from .errors import (AlgebraFormatError, InfiniteDimensionalError, InvariantViol
 from .tilting import pair_to_dict
 from .verify import (CLAIMS, Enumeration, ExtensionContext, reports_to_json,
                      reproduce_tables, run_claims)
-from .util import write_text_atomic
+from .util import check_writable, write_text_atomic
 
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
@@ -105,6 +105,8 @@ def enumerate_cmd(file, kind):
 @_guarded
 def hasse_cmd(file, dot_path):
     """Build the left-mutation quiver and report its size."""
+    if dot_path is not None:
+        check_writable(dot_path)
     algebra = load_algebra(file)
     enum = Enumeration(algebra)
     h = enum.hasse()
@@ -137,6 +139,8 @@ def extend(file, source_vertex, out_path):
 @_guarded
 def verify(out_dir, file, source_vertex, claims, report_path):
     """Run the selected claim verifiers on the extension context of FILE."""
+    path = report_path or (out_dir / "verify_report.json")
+    check_writable(path)
     algebra = load_algebra(file)
     wanted = tuple(c.strip() for c in claims.split(",") if c.strip())
     unknown = [c for c in wanted if c not in CLAIMS]
@@ -156,7 +160,6 @@ def verify(out_dir, file, source_vertex, claims, report_path):
         click.echo(line)
         if rep.detail:
             click.echo(f"  {rep.detail}")
-    path = report_path or (out_dir / "verify_report.json")
     write_text_atomic(path, reports_to_json(reports))
     if any(r.status == "fail" for r in reports):
         sys.exit(EXIT_VERIFY)

@@ -14,19 +14,31 @@ adds entry i carries its candidates `cand & compat_mask[i]`, the OR of the
 support masks and the running g-vector of its modules, so keeping a clique
 costs one `bit_count`.
 
+The running g-vector is one int of n lanes, coordinate 0 in the most
+significant lane, each lane a signed `width`-byte value offset by half its
+range.  A child adds its entry's packed row: one int addition.  A kept pair
+has at most n summands, so a lane never leaves its range, and the packed
+ints sort as the g-vectors do.  Only a kept pair is decoded, by one
+`struct` unpack of its bytes, and pairs of one unsupported-vertex set share
+one projective-part tuple.
+
 `hasse` codes a pair as one int: the module bits first (bits 0 to
 cat.size - 1), then the bits of the unsupported vertices (bit cat.size + k
 for the k-th vertex).  Clearing one set bit of a code gives an almost
-complete pair, the key of its bucket.  The module part of `lower` lies in
-the torsion class of `upper` iff `upper.mods & ~tors[lower] == 0` and
-`supp[lower] & upper.proj == 0`, where `tors` is the AND of `tors_mask` and
-`supp` the OR of `support_mask` over the summands: the direction of each
-arrow is decided in O(1).
+complete pair, the key of one dict slot.  The slot holds the first
+completion; the second decides the arrow at once and leaves -1, so a third
+raises.  The module part of `lower` lies in the torsion class of `upper`
+iff `upper.mods & ~tors[lower] == 0` and `supp[lower] & upper.proj == 0`,
+where `tors` is the AND of `tors_mask` and `supp` the OR of `support_mask`
+over the summands (Adachi-Iyama-Reiten, Thm 2.18).  Both tests are one AND
+of `upper`'s code with `lower`'s `outside` mask, so the direction of each
+arrow is decided in O(1).  An arrow (a, b) is coded a * |pairs| + b, and the
+codes are sorted once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from struct import Struct
 from typing import Sequence
 
 from .catalog import Catalog, ModuleRef
@@ -75,41 +87,57 @@ def is_tilting(cat: Catalog, ref: ModuleRef) -> bool:
 def enumerate_stau(cat: Catalog) -> list[STauPair]:
     """All support tau-tilting pairs, canonically ordered by g-vector.
 
-    The DFS visits cliques in lexicographic preorder.  The catalog is finite,
-    so the search is too.  It runs on an explicit stack of
-    (candidates, support, module g-vector, clique) nodes: a recursive inner
-    function refers to itself, and that reference cycle keeps a finished
-    search's pairs alive until the cyclic garbage collector runs.
+    The DFS grows each clique by catalog indices above its last one, so it
+    meets every clique once, and the catalog is finite, so the search ends.
+    It runs on an explicit stack of (candidates, support, packed module
+    g-vector, clique) nodes: a recursive inner function refers to itself,
+    and that reference cycle keeps a finished search's pairs alive until the
+    cyclic garbage collector runs.
     """
     vertices = cat.algebra.quiver.vertices
-    all_vertices = (1 << len(vertices)) - 1
-    compat, support_mask, g_rows = cat.compat_mask, cat.support_mask, cat.g_vectors
-    pairs: list[STauPair] = []
-    seen_g: dict[tuple[int, ...], tuple[int, ...]] = {}
+    n = len(vertices)
+    all_vertices = (1 << n) - 1
+    compat, support_mask = cat.compat_mask, cat.support_mask
+    # A kept pair has at most n summands, so |g_k| <= n * max|g entry| + 1 < bound:
+    # signed lanes of `width` bytes hold it, and no lane carries into the next.
+    bound = n * (max((abs(c) for g in cat.g_vectors for c in g), default=0) + 1) + 1
+    width, lane_format = next((w, f) for w, f in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
+                              if bound < 1 << 8 * w - 1)
+    lane = [1 << 8 * width * (n - 1 - k) for k in range(n)]
+    bias = sum(lane) << 8 * width - 1
+    packed = [sum(c * u for c, u in zip(g, lane)) for g in cat.g_vectors]
+    decode = Struct(f">{n}{lane_format}").unpack
+    # Unsupported-vertex mask -> (projective part, its packed g-vector).
+    proj_of: dict[int, tuple[tuple[str, ...], int]] = {}
+    kept: list[tuple[int, tuple[int, ...], tuple[str, ...]]] = []
     rigid = sum(1 << i for i, m in enumerate(cat.tors_mask) if m >> i & 1)
-    stack = [(rigid, 0, (0,) * len(vertices), ())]
+    stack = [(rigid, 0, bias, ())]
     while stack:
         candidates, support, g_modules, clique = stack.pop()
         if len(clique) == support.bit_count():
             unsupported = all_vertices & ~support
-            g = tuple(c - (unsupported >> k & 1) for k, c in enumerate(g_modules))
-            if g in seen_g:
-                if seen_g[g] != clique:
-                    raise InvariantViolation(f"distinct pairs share the g-vector {g}")
-            else:
-                seen_g[g] = clique
-                proj = tuple(v for k, v in enumerate(vertices) if unsupported >> k & 1)
-                pairs.append(STauPair(clique, proj, g))
-        # Push from the highest candidate down, so the lowest is popped first.
-        # A child's candidates are the candidates above it, ANDed with its row.
-        above = 0
+            proj = proj_of.get(unsupported)
+            if proj is None:
+                proj = proj_of[unsupported] = (
+                    tuple(v for k, v in enumerate(vertices) if unsupported >> k & 1),
+                    sum(u for k, u in enumerate(lane) if unsupported >> k & 1))
+            kept.append((g_modules - proj[1], clique, proj[0]))
+        # A child takes one candidate i; its candidates are those above i, ANDed with its row.
         while candidates:
-            i = candidates.bit_length() - 1
-            candidates ^= 1 << i
-            stack.append((above & compat[i], support | support_mask[i],
-                          tuple(map(add, g_modules, g_rows[i])), clique + (i,)))
-            above |= 1 << i
-    pairs.sort(key=lambda p: p.g)
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            stack.append((candidates & compat[i], support | support_mask[i],
+                          g_modules + packed[i], clique + (i,)))
+    # Biased lanes, coordinate 0 the most significant: int order is g-vector order.
+    kept.sort()
+    pairs: list[STauPair] = []
+    previous = None
+    for key, clique, proj in kept:
+        if key == previous:
+            raise InvariantViolation(f"distinct pairs share the g-vector {pairs[-1].g}")
+        previous = key
+        pairs.append(STauPair(clique, proj, decode((key ^ bias).to_bytes(n * width, "big"))))
     return pairs
 
 
@@ -128,54 +156,53 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None) -> HasseQuiver:
     pairs = list(pairs)
     n = cat.algebra.n_vertices
     pos = cat.algebra.quiver.vertex_pos
-    every_entry = (1 << cat.size) - 1
-    mods: list[int] = []
-    proj: list[int] = []
-    tors: list[int] = []
-    supp: list[int] = []
+    size = cat.size
+    every_entry = (1 << size) - 1
+    tors_mask, support_mask = cat.tors_mask, cat.support_mask
+    codes: list[int] = []
+    outside: list[int] = []
     for p in pairs:
         m, t, s = 0, every_entry, 0
         for i in p.modules:
             m |= 1 << i
-            t &= cat.tors_mask[i]
-            s |= cat.support_mask[i]
-        mods.append(m)
-        tors.append(t)
-        supp.append(s)
-        proj.append(sum(1 << pos[v] for v in p.proj_part))
-    buckets: dict[int, list[int]] = {}
-    for idx, (m, q) in enumerate(zip(mods, proj)):
-        code = rest = m | q << cat.size
+            t &= tors_mask[i]
+            s |= support_mask[i]
+        codes.append(m | sum(1 << pos[v] for v in p.proj_part) << size)
+        outside.append(every_entry ^ t | s << size)
+    # Almost complete pair -> its first completion, then -1 once a second one came.
+    slot: dict[int, int] = {}
+    arrow_codes: list[int] = []
+    count = len(pairs)
+    for b, code in enumerate(codes):
+        rest = code
         while rest:
             low = rest & -rest
             rest ^= low
-            buckets.setdefault(code ^ low, []).append(idx)
-
-    def in_torsion_class(lower: int, upper: int) -> bool:
-        return not (mods[upper] & ~tors[lower] or supp[lower] & proj[upper])
-
-    arrows: list[tuple[int, int]] = []
-    neighbor_count = [0] * len(pairs)
-    for members in buckets.values():
-        if len(members) == 1:
-            continue
-        if len(members) > 2:
-            raise InvariantViolation("more than two completions of an almost complete pair")
-        a, b = members
-        down_ab = in_torsion_class(b, a)
-        if down_ab == in_torsion_class(a, b):
-            raise InvariantViolation("mutation direction is not uniquely determined")
-        arrows.append((a, b) if down_ab else (b, a))
-        neighbor_count[a] += 1
-        neighbor_count[b] += 1
-    if any(c != n for c in neighbor_count):
+            a = slot.setdefault(code ^ low, b)
+            if a == b:
+                continue
+            if a < 0:
+                raise InvariantViolation("more than two completions of an almost complete pair")
+            slot[code ^ low] = -1
+            down_ab = not codes[a] & outside[b]
+            if down_ab == (not code & outside[a]):
+                raise InvariantViolation("mutation direction is not uniquely determined")
+            arrow_codes.append(a * count + b if down_ab else b * count + a)
+    # No pair has more neighbours than summands, so n summands each and
+    # n * count / 2 arrows leave every pair exactly n neighbours.
+    if 2 * len(arrow_codes) != n * count or any(c.bit_count() != n for c in codes):
         raise InvariantViolation("exchange graph is not n-regular")
+    del slot, outside  # freed before the arrow tuples are built: a lower peak
+    arrow_codes.sort()
+    ids = list(range(count))  # one int object per vertex, shared by its arrows
+    arrows = tuple(zip([ids[c // count] for c in arrow_codes],
+                       [ids[c % count] for c in arrow_codes]))
     _assert_hasse_shape(cat, pairs, arrows)
-    return HasseQuiver(tuple(pairs), tuple(sorted(arrows)))
+    return HasseQuiver(tuple(pairs), arrows)
 
 
 def _assert_hasse_shape(cat: Catalog, pairs: list[STauPair],
-                        arrows: list[tuple[int, int]]) -> None:
+                        arrows: Sequence[tuple[int, int]]) -> None:
     if topological_order(len(pairs), arrows) is None:
         raise InvariantViolation("mutation quiver has a cycle")
     indeg = [0] * len(pairs)

@@ -264,9 +264,10 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
     if len(subset) != quot.stau_count:
         return ClaimReport("hasse-gluing", "fail", counts,
                            "selected subset size differs from the quotient enumeration")
-    if len(glued.labels) != 2 * base.stau_count + quot.stau_count:
+    if len(h_ext.pairs) != 2 * base.stau_count + quot.stau_count:
         return ClaimReport("hasse-gluing", "fail", counts,
-                           "glued vertex count violates the cardinality identity")
+                           f"the extension's quiver has {len(h_ext.pairs)} vertices, not "
+                           f"2 * {base.stau_count} + {quot.stau_count}")
     reason = dag_iso(dag_ext, glued, _glued_vertex_map(ctx, h_ext, h_dbl, plus))
     if reason is not None:
         if dot_dir is not None:

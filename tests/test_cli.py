@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 import tautilt
 from tautilt.algebra import Arrow, Quiver, build_algebra, load_algebra, serialize_algebra
+from tautilt import cli, verify
 from tautilt.cli import main
 from tautilt.errors import InvariantViolation
 from tautilt.families import type_a_square, type_d_square
@@ -134,6 +135,32 @@ def test_unwritable_output_is_one_error_line_and_leaves_no_temp_file(runner, tmp
     assert result.exit_code == 5
     assert result.stderr.startswith("error: cannot write ")
     assert ".tmp" not in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert not list(tmp_path.rglob("*.tmp*"))
+
+
+@pytest.mark.parametrize("args", [
+    ["hasse", "--dot", "{dir}"],
+    ["hasse", "--dot", "{file}/h.dot"],
+    ["--out-dir", "{file}", "verify", "--source", "2"],
+    ["verify", "--source", "2", "--report", "{dir}"],
+], ids=["hasse-dot-to-a-directory", "hasse-dot-below-a-file", "out-dir-is-a-file",
+        "verify-report-to-a-directory"])
+def test_unwritable_output_fails_before_the_algebra_is_read(monkeypatch, runner, tmp_path,
+                                                             a2, args):
+    """The output path is checked first: exit 5 with the `cannot write` line,
+    no output, and neither the algebra read nor an `Enumeration` built."""
+    f = write_algebra(tmp_path / "a2.json", a2)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    args = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in args]
+    monkeypatch.setattr(cli, "load_algebra", lambda *a: pytest.fail("the algebra was read"))
+    monkeypatch.setattr(verify.Enumeration, "__init__",
+                        lambda *a: pytest.fail("an Enumeration was built"))
+    result = runner.invoke(main, args + [f])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: cannot write ")
     assert result.stderr.count("\n") == 1
     assert not list(tmp_path.rglob("*.tmp*"))
 

@@ -4,6 +4,7 @@ import pytest
 
 from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
+from tautilt.errors import InvariantViolation
 from tautilt.families import type_a_square
 from tautilt.tilting import (STauPair, enumerate_stau, hasse, is_tau_rigid, is_tau_tilting,
                              is_tilting, tau_tilting_modules, tilting_modules)
@@ -224,3 +225,68 @@ def test_empty_algebra_enumeration():
     assert pairs[0].modules == () and pairs[0].proj_part == ()
     h = hasse(cat, pairs)
     assert len(h.arrows) == 0
+
+
+@pytest.mark.parametrize("scale,width", [(1, 1), (100, 2), (10 ** 6, 4), (10 ** 12, 8)])
+def test_packed_g_vectors_are_exact_at_every_lane_width(monkeypatch, scale, width):
+    """Scaled g-vector rows widen the lanes to `width` bytes; every pair's
+    g-vector is still the sum of its rows minus its unsupported vertices."""
+    cat = build_catalog(type_a_square(4))
+    cliques = {(p.modules, p.proj_part) for p in enumerate_stau(cat)}
+    rows = [tuple(scale * c for c in g) for g in cat.g_vectors]
+    bound = 4 * (max(abs(c) for g in rows for c in g) + 1) + 1
+    # `width` bytes hold the lane bound, and half as many (4 * width bits) do not.
+    assert bound < 1 << 8 * width - 1 and (width == 1 or bound >= 1 << 4 * width - 1)
+    monkeypatch.setattr(cat, "g_vectors", rows)
+    pairs = enumerate_stau(cat)
+    assert {(p.modules, p.proj_part) for p in pairs} == cliques
+    vertices = cat.algebra.quiver.vertices
+    for p in pairs:
+        assert p.g == tuple(sum(rows[i][k] for i in p.modules) - (v in p.proj_part)
+                            for k, v in enumerate(vertices))
+    assert [p.g for p in pairs] == sorted(p.g for p in pairs)
+
+
+def test_shared_g_vector_is_rejected(monkeypatch, cat_a2):
+    """With every g-vector row zero, the two pairs of full support share g = 0."""
+    monkeypatch.setattr(cat_a2, "g_vectors", [(0, 0)] * cat_a2.size)
+    with pytest.raises(InvariantViolation,
+                       match=r"^distinct pairs share the g-vector \(0, 0\)$"):
+        enumerate_stau(cat_a2)
+
+
+def test_third_completion_is_rejected(cat_lambda3):
+    """A repeated pair is a third completion of each of its almost complete pairs."""
+    pairs = enumerate_stau(cat_lambda3)
+    with pytest.raises(InvariantViolation,
+                       match="^more than two completions of an almost complete pair$"):
+        hasse(cat_lambda3, pairs + [pairs[0]])
+
+
+def test_undecided_mutation_direction_is_rejected(monkeypatch, cat_lambda3):
+    """With no tau-Hom vanishing, no torsion class holds another pair's modules."""
+    pairs = enumerate_stau(cat_lambda3)
+    monkeypatch.setattr(cat_lambda3, "tors_mask", [0] * cat_lambda3.size)
+    with pytest.raises(InvariantViolation,
+                       match="^mutation direction is not uniquely determined$"):
+        hasse(cat_lambda3, pairs)
+
+
+def test_missing_pair_breaks_regularity(cat_lambda3):
+    """Without the zero pair, each of its n neighbours has n - 1 neighbours."""
+    pairs = [p for p in enumerate_stau(cat_lambda3) if p.modules]
+    with pytest.raises(InvariantViolation, match="^exchange graph is not n-regular$"):
+        hasse(cat_lambda3, pairs)
+
+
+@pytest.mark.slow
+def test_hasse_of_linear_family_a14_finishes_in_process():
+    """The counts come from s(n) = 2 s(n-1) + s(n-2), s(1) = 2, s(2) = 5, and
+    from n-regularity: n * s(n) / 2 arrows."""
+    s = [2, 5]
+    while len(s) < 14:
+        s.append(2 * s[-1] + s[-2])
+    assert s[-1] == 195_025
+    h = hasse(build_catalog(type_a_square(14)))
+    assert len(h.pairs) == s[-1]
+    assert len(h.arrows) == 14 * s[-1] // 2 == 1_365_175

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tautilt import verify
 from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.counting import REPORTED_D
 from tautilt.errors import PreconditionError
@@ -193,6 +194,28 @@ def test_hasse_gluing_names_a_pair_without_an_image(monkeypatch, a2):
     rep = verify_hasse_gluing(ctx)
     assert rep.status == "fail"
     assert rep.detail == f"{pair_label(ctx.enum('extended').pairs[0])} maps to no vertex"
+
+
+def test_hasse_gluing_checks_the_extension_vertex_count(monkeypatch, a2):
+    """An extension quiver one vertex short fails |stau B| = 2 |stau A| + |stau A/i|
+    with the counts, before any vertex is mapped."""
+    ctx = ExtensionContext(a2, "2")
+    true_hasse = Enumeration.hasse
+
+    def hasse_without_the_last_pair(self):
+        h = true_hasse(self)
+        if self.algebra is not ctx.extended:
+            return h
+        last = len(h.pairs) - 1
+        return HasseQuiver(h.pairs[:last], tuple(a for a in h.arrows if last not in a))
+
+    monkeypatch.setattr(Enumeration, "hasse", hasse_without_the_last_pair)
+    monkeypatch.setattr(verify, "_glued_vertex_map",
+                        lambda *args: pytest.fail("the vertex map was built"))
+    rep = verify_hasse_gluing(ctx)
+    assert rep.status == "fail"
+    assert rep.detail == "the extension's quiver has 11 vertices, not 2 * 5 + 2"
+    assert rep.counts["hasse_extended"] == 11 and rep.counts["glued"] == 12
 
 
 def test_run_claims_skips_tilting_at_sink(single_ctx):
