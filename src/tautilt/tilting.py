@@ -130,10 +130,12 @@ def enumerate_stau(cat: Catalog) -> list[STauPair]:
             stack.append((candidates & compat[i], support | support_mask[i],
                           g_modules + packed[i], clique + (i,)))
     # Biased lanes, coordinate 0 the most significant: int order is g-vector order.
-    kept.sort()
+    # Popped from the end of the reversed list, each kept node is freed as its pair is built.
+    kept.sort(reverse=True)
     pairs: list[STauPair] = []
     previous = None
-    for key, clique, proj in kept:
+    while kept:
+        key, clique, proj = kept.pop()
         if key == previous:
             raise InvariantViolation(f"distinct pairs share the g-vector {pairs[-1].g}")
         previous = key
