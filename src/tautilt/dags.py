@@ -10,7 +10,7 @@ from .tilting import HasseQuiver, pair_label
 
 @dataclass(frozen=True)
 class LabeledDag:
-    """Labels and arrows (i, j) by position; `tilting.hasse` checks each quiver it builds."""
+    """Labels and sorted arrows (i, j) by position; `tilting.hasse` checks each quiver it builds."""
     labels: tuple[str, ...]
     arrows: tuple[tuple[int, int], ...]
 
@@ -73,12 +73,12 @@ def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | No
 
 
 def to_dot(dag: LabeledDag) -> str:
-    """Deterministic DOT text: one node line per vertex, then sorted edges."""
+    """Deterministic DOT text: one node line per vertex, then the arrows in order."""
     lines = ["digraph hasse {"]
     for i, label in enumerate(dag.labels):
         esc = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{esc}"];')
-    for a, b in sorted(dag.arrows):
+    for a, b in dag.arrows:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -345,7 +345,8 @@ class TableReproduction:
     table_a: CountTable
     table_d: CountTable
     discrepancies: list[TableDiscrepancy]
-    notes: list[str]
+    notes = ("pair-count closed form for the linear family is evaluated at n+1; "
+             "at its printed index it gives the previous column",)
 
     @property
     def hard_failures(self) -> int:
@@ -353,7 +354,7 @@ class TableReproduction:
 
     def render(self) -> str:
         out = []
-        for table, reported in ((self.table_a, REPORTED_A), (self.table_d, REPORTED_D)):
+        for table in (self.table_a, self.table_d):
             ns = [r.n for r in table.rows]
             out.append(f"family {table.family}")
             out.append("  n          " + "  ".join(f"{n:>6}" for n in ns))
@@ -372,10 +373,37 @@ class TableReproduction:
         return "\n".join(out) + "\n"
 
 
-def _closed_values(kind: str, n: int) -> tuple[int, int]:
-    if kind == "A2":
-        return closed_form("tau_a", n), closed_form("stau_a", n + STAU_A_INDEX_SHIFT)
-    return closed_form("tau_d", n), closed_form("stau_d", n)
+# family -> (first n, reported (tau-tilting, pair) counts by n,
+#            (closed form, index shift) for the tau-tilting and for the pair column)
+_TABLES = {
+    "A2": (1, REPORTED_A, (("tau_a", 0), ("stau_a", STAU_A_INDEX_SHIFT))),
+    "D2": (4, REPORTED_D, (("tau_d", 0), ("stau_d", 0))),
+}
+
+# row name, `TableRow` field and recurrence weight w of each column: c_n = w c_{n-1} + c_{n-2}
+_COLUMNS = (("tau", "tau_tilt", 1), ("stau", "stau", 2))
+
+
+def _count_table(kind: str, n_max: int, discrepancies: list[TableDiscrepancy]) -> CountTable:
+    """`kind`'s rows up to n_max.  Every column is checked against its closed form;
+    a reported value that differs is corroborated when the closed form and the
+    two-step recurrence both agree with the computation."""
+    first, reported, forms = _TABLES[kind]
+    rows = [TableRow(n, *family_counts(kind, n)) for n in range(first, n_max + 1)]
+    for k, row in enumerate(rows):
+        for (name, attr, weight), (form, shift), rep in zip(_COLUMNS, forms,
+                                                          reported.get(row.n, (None, None))):
+            comp = getattr(row, attr)
+            closed = closed_form(form, row.n + shift)
+            if rep is not None and rep != comp:
+                recur_ok = k >= 2 and comp == (weight * getattr(rows[k - 1], attr)
+                                               + getattr(rows[k - 2], attr))
+                discrepancies.append(TableDiscrepancy(
+                    kind, row.n, name, rep, comp, corroborated=(closed == comp and recur_ok)))
+            if closed != comp:
+                discrepancies.append(TableDiscrepancy(
+                    kind, row.n, name + "-closed-form", closed, comp, corroborated=False))
+    return CountTable(kind, rows)
 
 
 def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
@@ -385,46 +413,9 @@ def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
         raise PreconditionError(f"the linear table starts at n = 1 and the fork table at "
                                 f"n = 4; got the last columns {n_max_a} and {n_max_d}")
     discrepancies: list[TableDiscrepancy] = []
-    notes = [
-        "pair-count closed form for the linear family is evaluated at n+1; "
-        "at its printed index it gives the previous column",
-    ]
-
-    def run(kind: str, n_min: int, n_max: int, reported: dict[int, tuple[int, int]]) -> CountTable:
-        rows = []
-        computed: dict[int, tuple[int, int]] = {}
-        for n in range(n_min, n_max + 1):
-            t, s = family_counts(kind, n)
-            computed[n] = (t, s)
-            rows.append(TableRow(n, t, s))
-            closed_t, closed_s = _closed_values(kind, n)
-            for row_name, comp, closed in (("tau", t, closed_t), ("stau", s, closed_s)):
-                rep = reported.get(n)
-                if rep is None:
-                    continue
-                rep_value = rep[0] if row_name == "tau" else rep[1]
-                if rep_value != comp:
-                    recur_ok = _recurrence_agrees(row_name, n, computed)
-                    discrepancies.append(TableDiscrepancy(
-                        kind, n, row_name, rep_value, comp,
-                        corroborated=(closed == comp and recur_ok)))
-                if closed != comp:
-                    discrepancies.append(TableDiscrepancy(
-                        kind, n, row_name + "-closed-form", closed, comp, corroborated=False))
-        return CountTable(kind, rows)
-
-    table_a = run("A2", 1, n_max_a, REPORTED_A)
-    table_d = run("D2", 4, n_max_d, REPORTED_D)
-    return TableReproduction(table_a, table_d, discrepancies, notes)
-
-
-def _recurrence_agrees(row: str, n: int, computed: dict[int, tuple[int, int]]) -> bool:
-    """The computed (tau-tilting, pair) counts at n - 2, n - 1, n satisfy `row`'s recurrence:
-    t_n = t_{n-1} + t_{n-2} for the "tau" row, s_n = 2 s_{n-1} + s_{n-2} for "stau"."""
-    if n - 2 not in computed:
-        return False
-    k, weight = (0, 1) if row == "tau" else (1, 2)
-    return computed[n][k] == weight * computed[n - 1][k] + computed[n - 2][k]
+    table_a = _count_table("A2", n_max_a, discrepancies)
+    table_d = _count_table("D2", n_max_d, discrepancies)
+    return TableReproduction(table_a, table_d, discrepancies)
 
 
 def reports_to_json(reports: list[ClaimReport]) -> str:

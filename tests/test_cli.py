@@ -8,7 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 import tautilt
-from tautilt.algebra import Arrow, Quiver, build_algebra, load_algebra, serialize_algebra
+from tautilt.algebra import (Arrow, Quiver, build_algebra, load_algebra,
+                             one_point_extension, serialize_algebra)
 from tautilt import cli, verify
 from tautilt.cli import main
 from tautilt.errors import InvariantViolation
@@ -274,6 +275,18 @@ def test_tables_flags_one_reported_entry(runner):
     assert "warnings 1" in result.output
 
 
+
+def test_tables_exit_1_on_an_unexplained_closed_form(runner, monkeypatch):
+    true_form = verify.closed_form
+    monkeypatch.setattr(verify, "closed_form",
+                        lambda kind, n: true_form(kind, n) + (kind == "tau_d" and n == 5))
+    result = runner.invoke(main, ["tables", "--nA", "3", "--nD", "5"])
+    assert result.exit_code == 1
+    assert "D2 n=5 tau-closed-form: reported 12, computed 11 (UNEXPLAINED)" in result.stdout
+    assert result.stdout.endswith("warnings 0\n")
+    assert result.stderr == "hard failures 1\n"
+
+
 def test_catalog_dump(runner, tmp_path, lambda3):
     f = write_algebra(tmp_path / "l3.json", lambda3)
     result = runner.invoke(main, ["catalog", f])
@@ -387,3 +400,28 @@ def test_verify_past_the_recursion_limit(tmp_path, algebra, source):
     assert [line.partition(" {")[0] for line in result.stdout.splitlines()] == [
         f"{claim}: pass" for claim in ("classification", "count-equations",
                                        "tilting-transfer", "hasse-gluing")]
+
+
+def extension_without_its_new_relations(algebra, source_vertex):
+    """`one_point_extension` that forgets the new arrow composed with each arrow
+    out of the source."""
+    extended, new_vertex = one_point_extension(algebra, source_vertex)
+    (new_arrow,) = extended.quiver.arrows_from[new_vertex]
+    kept = [r for r in extended.relations if r[0] != new_arrow.name]
+    return build_algebra(extended.quiver, kept), new_vertex
+
+
+@pytest.mark.parametrize("algebra, source", [(type_a_square(4), "4"), (type_d_square(5), "5")],
+                         ids=["A2-4", "D2-5"])
+def test_verify_exits_1_when_the_extension_forgets_its_relations(runner, tmp_path, monkeypatch,
+                                                                  algebra, source):
+    """Every claim fails, and the report names a counterexample for each."""
+    monkeypatch.setattr(verify, "one_point_extension", extension_without_its_new_relations)
+    f = write_algebra(tmp_path / "base.json", algebra)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f, "--source", source])
+    assert result.exit_code == 1, result.output
+    statuses = [line.split()[1] for line in result.stdout.splitlines() if not line.startswith(" ")]
+    assert statuses == ["fail"] * 4
+    doc = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [r["claim"] for r in doc] == list(verify.CLAIMS)
+    assert all(r["status"] == "fail" and r["counterexample"] for r in doc)

@@ -5,7 +5,7 @@ import pytest
 from tautilt import verify
 from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.counting import REPORTED_D
-from tautilt.errors import PreconditionError
+from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 from tautilt.tilting import HasseQuiver, STauPair, pair_label
 from tautilt.verify import (Enumeration, ExtensionContext, family_counts, reports_to_json,
@@ -279,3 +279,24 @@ def test_reproduce_tables_flags_reported_misprint():
 
 def test_reproduce_tables_is_idempotent():
     assert reproduce_tables(3, 5).render() == reproduce_tables(3, 5).render()
+
+
+def test_reproduce_tables_checks_columns_past_the_reported_tables(monkeypatch):
+    """A closed form off by one from n = 11 on is caught in the columns that have
+    no reported value, and at A2 n = 10, whose pair count reads its form at n + 1."""
+    true_form = verify.closed_form
+    monkeypatch.setattr(verify, "closed_form", lambda kind, n: true_form(kind, n) + (n >= 11))
+    result = reproduce_tables(12, 5)
+    assert [(d.family, d.n, d.row) for d in result.discrepancies] == [
+        ("A2", 10, "stau-closed-form"),
+        ("A2", 11, "tau-closed-form"), ("A2", 11, "stau-closed-form"),
+        ("A2", 12, "tau-closed-form"), ("A2", 12, "stau-closed-form")]
+    assert result.hard_failures == 5
+    assert [r.stau for r in result.table_a.rows[-2:]] == [13860, 33461]
+    assert "A2 n=12 tau-closed-form: reported 234, computed 233 (UNEXPLAINED)" in result.render()
+
+
+def test_reproduce_tables_needs_increasing_family_counts(monkeypatch):
+    monkeypatch.setattr(verify, "family_counts", lambda kind, n: (1, 2))
+    with pytest.raises(InvariantViolation, match="family counts must be positive and increasing"):
+        reproduce_tables(2, 4)
