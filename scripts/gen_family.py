@@ -8,6 +8,7 @@ import argparse
 from pathlib import Path
 
 from tautilt.algebra import serialize_algebra
+from tautilt.errors import PreconditionError
 from tautilt.families import family
 from tautilt.util import write_text_atomic
 
@@ -19,7 +20,10 @@ def main():
     parser.add_argument("--n", type=int, required=True, help="number of vertices")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    algebra = family(args.kind, args.n)
+    try:
+        algebra = family(args.kind, args.n)
+    except PreconditionError as exc:
+        parser.error(f"argument --n: {exc}")
     write_text_atomic(args.out, serialize_algebra(algebra))
     print(f"wrote {args.out} (dim {algebra.dimension})")
 

@@ -205,12 +205,6 @@ def solve(m: QMatrix, b: Sequence[Fraction | int]) -> tuple[Fraction, ...] | Non
     return tuple(x)
 
 
-def row_space_basis(m: QMatrix) -> QMatrix:
-    """Canonical (echelonized) basis of the row space, one basis vector per row."""
-    red, pivots = rref(m)
-    return QMatrix.from_rows([list(red.row(i)) for i in range(len(pivots))], cols=m.cols)
-
-
 def invert(m: QMatrix) -> QMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of non-square matrix")

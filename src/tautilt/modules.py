@@ -17,8 +17,7 @@ from typing import Sequence
 
 from .algebra import Algebra, Path, opposite_algebra
 from .errors import InvariantViolation, PreconditionError
-from .linalg import (QMatrix, grid_points, hstack, kernel_basis, rank,
-                     row_space_basis, rref, solve)
+from .linalg import QMatrix, grid_points, kernel_basis, rank, rref
 
 
 class Representation:
@@ -242,6 +241,34 @@ def hom_basis(x: Representation, y: Representation) -> list[Morphism]:
 # ---------------------------------------------------------------------------
 # subobjects and kernels
 
+def _echelon_basis(vectors: Sequence[Sequence[Fraction | int]], dim: int
+                   ) -> tuple[list[tuple[Fraction, ...]], tuple[int, ...]]:
+    """The echelon basis of the span of `vectors` in k^dim: (rows, pivots)."""
+    if not vectors:
+        return [], ()
+    red, pivots = rref(QMatrix.from_rows(vectors, cols=dim))
+    return [red.row(r) for r in range(len(pivots))], pivots
+
+
+def _coordinates(rows: Sequence[Sequence[Fraction | int]], pivots: Sequence[int],
+                 vec: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """Coordinates of the arrow image `vec` in the echelon basis (rows, pivots).
+
+    Row r is 1 at pivot r and 0 at the other pivots, so a vector in the span has
+    its pivot entries as its coordinates; if they do not recombine to `vec`, it
+    lies outside the span, which is then not closed under the arrow action.
+    """
+    coords = tuple(vec[p] for p in pivots)
+    if any(sum(c * row[k] for c, row in zip(coords, rows)) != e for k, e in enumerate(vec)):
+        raise InvariantViolation("span not closed under arrow action")
+    return coords
+
+
+def _kernel_vectors(m: QMatrix) -> list[tuple[Fraction, ...]]:
+    k = kernel_basis(m)
+    return [k.col(j) for j in range(k.cols)]
+
+
 def sub_representation(rep: Representation, spans: Sequence[Sequence[Sequence[Fraction | int]]]
                        ) -> tuple[Representation, Morphism]:
     """The subrepresentation spanned at each vertex by the given vectors.
@@ -249,57 +276,54 @@ def sub_representation(rep: Representation, spans: Sequence[Sequence[Sequence[Fr
     The spans must already be closed under the arrow action: the image of
     every spanning vector under an arrow lies in the span at its target.  A
     span that is not closed raises `InvariantViolation`; nothing is added to
-    close it.  Returns the subobject with a canonical echelon basis and its
-    inclusion.
+    close it.  Each fiber gets the echelon basis of its span, and an arrow's
+    matrix holds the coordinates of the images of the basis at its source, read
+    off the pivots at its target (`_coordinates`).  Returns the subobject and
+    its inclusion, whose block at each vertex has the echelon rows as columns.
     """
     q = rep.algebra.quiver
-    bases: list[QMatrix] = []
-    for i, vectors in enumerate(spans):
-        vecs = [list(v) for v in vectors]
-        m = QMatrix.from_rows(vecs, cols=rep.dims[i]) if vecs else QMatrix.zeros(0, rep.dims[i])
-        bases.append(row_space_basis(m))
-    dims = [b.rows for b in bases]
-    incl_blocks = [b.transpose() for b in bases]
+    bases = [_echelon_basis(vectors, d) for vectors, d in zip(spans, rep.dims)]
+    dims = [len(rows) for rows, _ in bases]
     maps = []
     for ai, a in enumerate(q.arrows):
         s, t = q.vertex_pos[a.source], q.vertex_pos[a.target]
-        cols = []
-        for k in range(dims[s]):
-            img = rep.arrow_maps[ai].apply(incl_blocks[s].col(k))
-            coords = solve(incl_blocks[t], img)
-            if coords is None:
-                raise InvariantViolation("span not closed under arrow action")
-            cols.append(coords)
-        maps.append(QMatrix(dims[t], dims[s],
-                            [cols[j][i] for i in range(dims[t]) for j in range(dims[s])]))
+        cols = [_coordinates(*bases[t], rep.arrow_maps[ai].apply(row)) for row in bases[s][0]]
+        maps.append(QMatrix(dims[t], dims[s], [c[i] for i in range(dims[t]) for c in cols]))
     sub = Representation(rep.algebra, dims, maps)
+    incl_blocks = [QMatrix(d, len(rows), [row[i] for i in range(d) for row in rows])
+                   for (rows, _), d in zip(bases, rep.dims)]
     return sub, Morphism(sub, rep, incl_blocks)
 
 
 def kernel_of(f: Morphism) -> tuple[Representation, Morphism]:
-    spans = []
-    for i, b in enumerate(f.blocks):
-        k = kernel_basis(b)
-        spans.append([k.col(j) for j in range(k.cols)])
-    return sub_representation(f.source, spans)
+    return sub_representation(f.source, [_kernel_vectors(b) for b in f.blocks])
+
+
+def _top_coordinates(radical: Sequence[Sequence[Fraction | int]], dim: int) -> list[int]:
+    """The coordinates k whose unit vectors e_k extend `radical`, a spanning set of
+    a subspace of k^dim, to a basis: the pivots past C of rref([C | I]), where C
+    has the vectors of `radical` as its columns."""
+    n = len(radical)
+    flat: list[Fraction | int] = []
+    for r in range(dim):
+        flat.extend(v[r] for v in radical)
+        flat.extend(int(r == k) for k in range(dim))
+    _, pivots = rref(QMatrix(dim, n + dim, flat))
+    return [p - n for p in pivots if p >= n]
 
 
 def _top_generators(rep: Representation) -> list[tuple[str, int]]:
     """Standard-basis lifts of a basis of top(rep): pairs (vertex, coordinate).
 
-    At vertex v the radical is the span of the incoming arrow images, so the
-    coordinates that extend the columns C of those maps to a basis give the top.
+    At vertex v the radical is spanned by the columns of the incoming arrow
+    maps, and `_top_coordinates` extends them to a basis.
     """
     q = rep.algebra.quiver
     gens = []
-    for i, v in enumerate(q.vertices):
-        C = hstack([QMatrix.zeros(rep.dims[i], 0)]
-                   + [m for a, m in zip(q.arrows, rep.arrow_maps) if a.target == v])
-        aug = hstack([C, QMatrix.identity(rep.dims[i])])
-        _, pivots = rref(aug)
-        for p in pivots:
-            if p >= C.cols:
-                gens.append((v, p - C.cols))
+    for v, d in zip(q.vertices, rep.dims):
+        radical = [m.col(j) for a, m in zip(q.arrows, rep.arrow_maps) if a.target == v
+                   for j in range(m.cols)]
+        gens.extend((v, k) for k in _top_coordinates(radical, d))
     return gens
 
 
@@ -353,32 +377,41 @@ class MinPresentation:
 
 
 def min_presentation(rep: Representation) -> MinPresentation:
-    """Both projective covers, P0 -> M and P1 -> ker; entries[i][j] is the kernel
-    inclusion applied to the j-th generator e_{u_j} of P1, read in P(v_i)."""
+    """The projective cover P0 -> M, and the generators of its kernel Omega read in P0.
+
+    Neither Omega nor its cover P1 is built.  The fiber of Omega at u is the
+    echelon basis of the kernel of the cover block at u, the basis `kernel_of`
+    gives it.  rad Omega_u is spanned by the images of the basis at s under
+    P0's arrows s -> u, whose coordinates `_coordinates` reads off the pivots at
+    u, checking that each image lies in Omega_u.  `_top_coordinates` then picks
+    the basis rows that `_top_generators` picks on a built Omega.  The j-th
+    pick, at u_j, spans the summand P(u_j) of P1, and its echelon row is its
+    image in P0; entries[i][j] reads that row in the summand P(v_i).
+    """
     if rep.total_dim == 0:
         raise PreconditionError("the zero module has no presentation")
     algebra = rep.algebra
     q = algebra.quiver
-    _, cover, verts0, offs0 = projective_cover(rep)
-    omega, incl = kernel_of(cover)
-    if omega.total_dim == 0:
+    P0, cover, verts0, offs0 = projective_cover(rep)
+    omega = [_echelon_basis(_kernel_vectors(b), b.cols) for b in cover.blocks]
+    gens: list[tuple[str, tuple[Fraction, ...]]] = []
+    for u, (rows, pivots) in zip(q.vertices, omega):
+        radical = [_coordinates(rows, pivots, P0.arrow_maps[ai].apply(row))
+                   for ai, a in enumerate(q.arrows) if a.target == u
+                   for row in omega[q.vertex_pos[a.source]][0]]
+        gens.extend((u, rows[k]) for k in _top_coordinates(radical, len(rows)))
+    if not gens:
         return MinPresentation(verts0, (), ())
-    _, cover1, verts1, offs1 = projective_cover(omega)
-    # e_u is the first basis path u -> u, so generator j sits at column offs1[j][u] of P1.
-    images = []
-    for j, u in enumerate(verts1):
-        upos = q.vertex_pos[u]
-        images.append(incl.blocks[upos].apply(cover1.blocks[upos].col(offs1[j][upos])))
     entries = []
     for i, v in enumerate(verts0):
         row = []
-        for j, u in enumerate(verts1):
+        for u, image in gens:
             start = offs0[i][q.vertex_pos[u]]
-            row.append({p: images[j][start + k]
+            row.append({p: image[start + k]
                         for k, p in enumerate(algebra.paths_between(v, u))
-                        if images[j][start + k] != 0})
+                        if image[start + k] != 0})
         entries.append(tuple(row))
-    return MinPresentation(verts0, verts1, tuple(entries))
+    return MinPresentation(verts0, tuple(u for u, _ in gens), tuple(entries))
 
 
 class PathActions(dict):

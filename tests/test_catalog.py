@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -91,6 +92,28 @@ def test_hereditary_d8_hom_tables_match_the_hom_space_route(hereditary_d):
     cat = build_catalog(hereditary_d(8))
     assert cat.size == 56
     assert_hom_tables_match_oracle(cat)
+
+
+@pytest.mark.parametrize("kind, n", [("D2", 6), ("D", 8)])
+def test_catalog_builds_no_syzygy_and_no_second_cover(monkeypatch, hereditary_d, kind, n):
+    """`projective_cover` runs once per entry, for P0 -> E, and `sub_representation`
+    once per tau step, for the kernel of the Nakayama map: the presentation
+    builds neither the syzygy nor its cover P1."""
+    calls = Counter()
+
+    def count(name):
+        original = getattr(modules, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(modules, name, counted)
+    count("projective_cover")
+    count("sub_representation")
+    cat = build_catalog({"D2": type_d_square, "D": hereditary_d}[kind](n))
+    assert calls["projective_cover"] == cat.size
+    assert calls["sub_representation"] == sum(t is not None for t in cat.tau_index)
+    assert calls["sub_representation"] == sum(bool(p.p1_vertices) for p in cat.presentations)
 
 
 def test_catalog_entries_are_local(cat_example_b):

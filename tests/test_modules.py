@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tautilt import modules
 from tautilt.algebra import one_point_extension
 from tautilt.catalog import Catalog
 from tautilt.errors import InvariantViolation, PreconditionError
@@ -99,6 +100,28 @@ def test_sub_representation_rejects_a_span_that_is_not_closed(lambda3):
         sub_representation(p3, [[], [], [(1,)]])
     sub, _ = sub_representation(p3, [[], [(1,)], [(1,)]])
     assert sub.dims == p3.dims
+
+
+def test_a_cover_that_misses_a_top_generator_is_not_surjective(monkeypatch, lambda3):
+    """S_1 + S_2 has a top of dimension 2; a cover by the first generator alone
+    misses S_2."""
+    semi, _ = direct_sum(lambda3, [simple(lambda3, "1"), simple(lambda3, "2")])
+    top = _top_generators(semi)
+    assert len(top) == 2
+    monkeypatch.setattr(modules, "_top_generators", lambda rep: top[:-1])
+    with pytest.raises(InvariantViolation, match="projective cover is not surjective"):
+        projective_cover(semi)
+
+
+def test_a_morphism_with_a_wrong_block_does_not_intertwine(lambda3):
+    """The identity of P_3 over 3 -> 2 -> 1 with its block at 2 replaced by zero
+    fails on the arrow a2: 3 -> 2."""
+    p3 = projective(lambda3, "3")
+    blocks = [QMatrix.identity(d) for d in p3.dims]
+    assert Morphism(p3, p3, blocks).blocks == tuple(blocks)
+    blocks[lambda3.quiver.vertex_pos["2"]] = QMatrix.zeros(1, 1)
+    with pytest.raises(InvariantViolation, match="blocks do not intertwine arrow 'a2'"):
+        Morphism(p3, p3, blocks)
 
 
 def test_radical_of_extension_projective(a2):
