@@ -11,9 +11,10 @@ These are the direct algorithms that the package replaced with faster ones:
   presentation per entry);
 - `composed_presentation`: the presentation read off the composite
   `incl ∘ cover1`: P1 -> P0 of two projective covers, and pd <= 1 off the
-  dimensions of the built P0 and P1 (`min_presentation` applies the kernel
-  inclusion to each generator of P1 and keeps only the vertex lists and the
-  path combinations);
+  dimensions of the built P0 and P1 (`min_presentation` builds neither the
+  syzygy nor P1: it reads the syzygy's top off the echelon basis of each
+  cover block's kernel, in P0 coordinates, and keeps only the vertex lists
+  and the path combinations);
 - `tau_hom_table` and `hom_dim_table`: one intertwiner kernel (`hom_dim`)
   per pair of entries, against tau E_j from `tau_index` (the catalog reads
   both tables off one rank per pair on each entry's minimal presentation);
