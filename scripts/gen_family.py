@@ -8,12 +8,16 @@ import argparse
 from pathlib import Path
 
 from tautilt.algebra import serialize_algebra
+from tautilt.cli import _guarded
 from tautilt.errors import PreconditionError
 from tautilt.families import family
 from tautilt.util import write_text_atomic
 
 
+@_guarded
 def main():
+    """An out-of-range --n is a usage error (exit 2); any other failure gets the
+    CLI's one stderr line and exit code, such as exit 5 for an unwritable --out."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kind", choices=["A2", "D2"], required=True,
                         help="linear (A2) or fork (D2) radical-square-zero family")

@@ -31,8 +31,8 @@ from .algebra import Algebra
 from .errors import InvariantViolation, NotDirectedError, PreconditionError
 from .linalg import QMatrix, invert, solve
 from .modules import (MinPresentation, PathActions, Representation, direct_sum,
-                      injective, iso, kernel_of, min_presentation,
-                      nakayama_of_presentation, presentation_hom, projective)
+                      injective, iso, min_presentation, presentation_hom, projective,
+                      tau_of_entry)
 from .util import topological_order
 
 ModuleRef = tuple[int, ...]
@@ -169,11 +169,6 @@ def _check_euler_form(algebra: Algebra, entries: Sequence[Representation]) -> No
         if chi != 1:
             raise NotDirectedError(f"the Euler form is {chi} on the dimension vector "
                                    f"{list(x)} of a catalog entry, not 1; {NOT_DIRECTED}")
-
-
-def tau_of_entry(rep: Representation, pres: MinPresentation) -> Representation:
-    """tau E = ker(nu p: nu P1 -> nu P0) for the minimal presentation p of a non-projective E."""
-    return kernel_of(nakayama_of_presentation(pres, rep.algebra))[0]
 
 
 def build_catalog(algebra: Algebra) -> Catalog:

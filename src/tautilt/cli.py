@@ -21,7 +21,7 @@ from .errors import (AlgebraFormatError, InfiniteDimensionalError, InvariantViol
                      NotDirectedError, PreconditionError, TautiltError)
 from .tilting import pair_to_dict
 from .verify import (CLAIMS, Enumeration, ExtensionContext, reports_to_json,
-                     reproduce_tables, run_claims)
+                     reproduce_tables, run_claims, select_claims)
 from .util import check_writable, write_text_atomic
 
 EXIT_VERIFY = 1
@@ -142,15 +142,7 @@ def verify(out_dir, file, source_vertex, claims, report_path):
     path = report_path or (out_dir / "verify_report.json")
     check_writable(path)
     algebra = load_algebra(file)
-    wanted = tuple(c.strip() for c in claims.split(",") if c.strip())
-    unknown = [c for c in wanted if c not in CLAIMS]
-    if unknown:
-        raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
-    repeated = [c for c in CLAIMS if wanted.count(c) > 1]
-    if repeated:
-        raise PreconditionError(f"repeated claims: {', '.join(repeated)}")
-    if not wanted:
-        raise PreconditionError("no claims selected")
+    wanted = select_claims(c.strip() for c in claims.split(",") if c.strip())
     ctx = ExtensionContext(algebra, source_vertex)
     reports = run_claims(ctx, wanted, dot_dir=out_dir)
     for rep in reports:

@@ -40,14 +40,11 @@ class QMatrix:
         raise AttributeError("QMatrix is immutable")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]], cols: int | None = None) -> "QMatrix":
-        r = len(rows)
-        if r == 0:
-            return cls(0, 0 if cols is None else cols, ())
-        c = len(rows[0])
-        if any(len(row) != c for row in rows):
+    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]], cols: int) -> "QMatrix":
+        """`cols` is the row length, and the width of a matrix with no rows."""
+        if any(len(row) != cols for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, [e for row in rows for e in row])
+        return cls(len(rows), cols, [e for row in rows for e in row])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":

@@ -454,11 +454,6 @@ def presentation_hom(pres: MinPresentation, y: PathActions) -> tuple[int, bool]:
     return n_cols - r, r == n_rows
 
 
-def injective_sum(algebra: Algebra, verts: Sequence[str]) -> tuple[Representation, list[list[int]]]:
-    reps = [injective(algebra, v) for v in verts]
-    return direct_sum(algebra, reps)
-
-
 def nakayama_of_presentation(pres: MinPresentation, algebra: Algebra) -> Morphism:
     """Transport a map between projectives to the corresponding injectives.
 
@@ -467,8 +462,8 @@ def nakayama_of_presentation(pres: MinPresentation, algebra: Algebra) -> Morphis
     with p and kills it otherwise.
     """
     q = algebra.quiver
-    I1, offs1 = injective_sum(algebra, pres.p1_vertices)
-    I0, offs0 = injective_sum(algebra, pres.p0_vertices)
+    I1, offs1 = direct_sum(algebra, [injective(algebra, v) for v in pres.p1_vertices])
+    I0, offs0 = direct_sum(algebra, [injective(algebra, v) for v in pres.p0_vertices])
     blocks = []
     for widx, w in enumerate(q.vertices):
         rows = [[0] * I1.dims[widx] for _ in range(I0.dims[widx])]
@@ -495,6 +490,11 @@ def tau(rep: Representation) -> Representation:
     pres = min_presentation(rep)
     if not pres.p1_vertices:
         return zero_rep(rep.algebra)
+    return tau_of_entry(rep, pres)
+
+
+def tau_of_entry(rep: Representation, pres: MinPresentation) -> Representation:
+    """tau E = ker(nu p: nu P1 -> nu P0) for the minimal presentation p of a non-projective E."""
     return kernel_of(nakayama_of_presentation(pres, rep.algebra))[0]
 
 

@@ -78,10 +78,7 @@ def is_tilting(cat: Catalog, ref: ModuleRef) -> bool:
     (Adachi-Iyama-Reiten, tau-tilting theory, 2014): for pd M <= 1,
     Ext^1(M, N) is dual to Hom(N, tau M).
     """
-    if len(set(ref)) != len(ref):
-        raise PreconditionError("module is not basic")
-    return (len(ref) == cat.algebra.n_vertices and all(cat.pd_le_one[i] for i in ref)
-            and is_tau_rigid(cat, ref))
+    return is_tau_tilting(cat, ref) and all(cat.pd_le_one[i] for i in ref)
 
 
 def enumerate_stau(cat: Catalog) -> list[STauPair]:
@@ -151,10 +148,8 @@ def tilting_modules(cat: Catalog, pairs: Sequence[STauPair]) -> list[ModuleRef]:
     return [m for m in tau_tilting_modules(pairs) if is_tilting(cat, m)]
 
 
-def hasse(cat: Catalog, pairs: Sequence[STauPair] | None = None) -> HasseQuiver:
+def hasse(cat: Catalog, pairs: Sequence[STauPair]) -> HasseQuiver:
     """Mutation arrows between pairs whose summand sets differ in one element."""
-    if pairs is None:
-        pairs = enumerate_stau(cat)
     pairs = list(pairs)
     n = cat.algebra.n_vertices
     pos = cat.algebra.quiver.vertex_pos

@@ -193,19 +193,11 @@ def verify_tilting_transfer(ctx: ExtensionContext) -> ClaimReport:
 
 def select_doubled_subset(ctx: ExtensionContext, doubled_hasse: HasseQuiver) -> frozenset[int]:
     """Vertices of the doubled quiver carrying the isolated simple with the
-    remaining summands supported away from the extension source."""
-    enum = ctx.enum("doubled")
-    cat = enum.catalog
-    s_iso = cat.simple_index[ctx.isolated_vertex]
-    i_pos = cat.algebra.quiver.vertex_pos[ctx.source_vertex]
-    selected = set()
-    for idx, pair in enumerate(doubled_hasse.pairs):
-        if s_iso not in pair.modules:
-            continue
-        rest = [m for m in pair.modules if m != s_iso]
-        if all(cat.entries[m].dims[i_pos] == 0 for m in rest):
-            selected.add(idx)
-    return frozenset(selected)
+    remaining summands supported away from the extension source.  The simple
+    vanishes there, so these pairs have the source in their projective part."""
+    s_iso = ctx.enum("doubled").catalog.simple_index[ctx.isolated_vertex]
+    return frozenset(idx for idx, pair in enumerate(doubled_hasse.pairs)
+                     if s_iso in pair.modules and ctx.source_vertex in pair.proj_part)
 
 
 def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_dbl: HasseQuiver,
@@ -277,29 +269,39 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
     return ClaimReport("hasse-gluing", "pass", counts)
 
 
-CLAIMS = ("classification", "count-equations", "tilting-transfer", "hasse-gluing")
+# Claim name -> its verifier, given the context and the directory for failure
+# artifacts, in the default order.  The lambdas look each verifier up by name
+# when it runs, so a `verify_*` rebound on this module is the one called.
+CLAIMS = {
+    "classification": lambda ctx, dot_dir: verify_classification(ctx),
+    "count-equations": lambda ctx, dot_dir: verify_count_equations(ctx),
+    "tilting-transfer": lambda ctx, dot_dir: verify_tilting_transfer(ctx),
+    "hasse-gluing": lambda ctx, dot_dir: verify_hasse_gluing(ctx, dot_dir=dot_dir),
+}
 
 
-def run_claims(ctx: ExtensionContext, claims=CLAIMS,
+def select_claims(claims: Iterable[str]) -> tuple[str, ...]:
+    """`claims` as a tuple, once every name is known, none repeats and there is one."""
+    wanted = tuple(claims)
+    unknown = [c for c in wanted if c not in CLAIMS]
+    if unknown:
+        raise PreconditionError(f"unknown claims: {', '.join(unknown)}")
+    repeated = [c for c in CLAIMS if wanted.count(c) > 1]
+    if repeated:
+        raise PreconditionError(f"repeated claims: {', '.join(repeated)}")
+    if not wanted:
+        raise PreconditionError("no claims selected")
+    return wanted
+
+
+def run_claims(ctx: ExtensionContext, claims: Iterable[str] = tuple(CLAIMS),
                dot_dir: Path | None = None) -> list[ClaimReport]:
     """Run `claims` in order; at a sink the full list, in any order, skips tilting-transfer."""
-    reports = []
-    for claim in claims:
-        if claim == "classification":
-            reports.append(verify_classification(ctx))
-        elif claim == "count-equations":
-            reports.append(verify_count_equations(ctx))
-        elif claim == "tilting-transfer":
-            if ctx.base.quiver.is_sink(ctx.source_vertex) and set(claims) == set(CLAIMS):
-                reports.append(ClaimReport("tilting-transfer", "skipped", {},
-                                           "source vertex is a sink"))
-            else:
-                reports.append(verify_tilting_transfer(ctx))
-        elif claim == "hasse-gluing":
-            reports.append(verify_hasse_gluing(ctx, dot_dir=dot_dir))
-        else:
-            raise PreconditionError(f"unknown claim {claim!r}")
-    return reports
+    claims = select_claims(claims)
+    skip_transfer = ctx.base.quiver.is_sink(ctx.source_vertex) and set(claims) == set(CLAIMS)
+    return [ClaimReport(claim, "skipped", {}, "source vertex is a sink")
+            if skip_transfer and claim == "tilting-transfer" else CLAIMS[claim](ctx, dot_dir)
+            for claim in claims]
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_criterion_4_count_equations():
 def test_criterion_5_hasse_figures():
     with criterion("5 hasse-figures", budget_seconds=60):
         cat2 = build_catalog(type_a_square(2))
-        h2 = hasse(cat2)
+        h2 = hasse(cat2, enumerate_stau(cat2))
         assert len(h2.pairs) == 5 and len(h2.arrows) == 5
         indeg = {i: 0 for i in range(5)}
         outdeg = {i: 0 for i in range(5)}
@@ -157,7 +157,8 @@ def test_criterion_5_hasse_figures():
         regular = tuple(sorted(cat2.projective_index.values()))
         assert h2.pairs[source].modules == regular and h2.pairs[source].proj_part == ()
         assert h2.pairs[sink].modules == () and set(h2.pairs[sink].proj_part) == {"1", "2"}
-        h3 = hasse(build_catalog(type_a_square(3)))
+        cat3 = build_catalog(type_a_square(3))
+        h3 = hasse(cat3, enumerate_stau(cat3))
         assert len(h3.pairs) == 12
 
 
@@ -197,7 +198,7 @@ def test_criterion_7b_exchange_regularity():
         algebras.append(fork_base())
         for algebra in algebras:
             cat = build_catalog(algebra)
-            h = hasse(cat)  # raises on any regularity or shape violation
+            h = hasse(cat, enumerate_stau(cat))  # raises on any regularity or shape violation
             degree = [0] * len(h.pairs)
             for a, b in h.arrows:
                 degree[a] += 1

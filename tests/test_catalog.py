@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -193,6 +194,39 @@ def test_tau_must_be_injective_into_non_injectives(monkeypatch, lambda3, image):
     monkeypatch.setattr(catalog, "tau_of_entry", lambda rep, pres: simple(lambda3, image))
     with pytest.raises(InvariantViolation, match="an injective or the tau of another entry"):
         build_catalog(lambda3)
+
+
+def test_catalog_rejects_an_entry_listed_twice(cat_a2, a2):
+    k = cat_a2.size - 1
+    with pytest.raises(NotDirectedError, match="^two catalog entries share a dimension "
+                                               "vector; the algebra is not representation-"
+                                               "directed$"):
+        catalog.Catalog(a2, [*cat_a2.entries, cat_a2.entries[k]],
+                        [*cat_a2.presentations, cat_a2.presentations[k]],
+                        [*cat_a2.tau_index, cat_a2.tau_index[k]])
+
+
+def test_catalog_without_a_projective_is_rejected(cat_lambda3, lambda3):
+    """Over 3 -> 2 -> 1 the projective P_3, of dims (0, 1, 1), is not simple."""
+    k = cat_lambda3.projective_index["3"]
+    keep = [i for i in range(cat_lambda3.size) if i != k]
+    new = {old: pos for pos, old in enumerate(keep)}
+    with pytest.raises(NotDirectedError, match="^the projective or simple module at vertex 3 "
+                                               "is missing from the catalog; "):
+        catalog.Catalog(lambda3, [cat_lambda3.entries[i] for i in keep],
+                        [cat_lambda3.presentations[i] for i in keep],
+                        [new.get(cat_lambda3.tau_index[i]) for i in keep])
+
+
+def test_decompose_confirms_the_solved_sum_by_iso(monkeypatch, cat_lambda3):
+    """A wrong solution of the Hom system names another entry, which `iso` rejects."""
+    s = cat_lambda3.simple_index["1"]
+    other = cat_lambda3.simple_index["2"]
+    monkeypatch.setattr(catalog, "solve", lambda m, b: tuple(
+        Fraction(int(k == other)) for k in range(cat_lambda3.size)))
+    with pytest.raises(InvariantViolation,
+                       match="^module is not the sum its Hom dimensions name$"):
+        cat_lambda3.decompose(cat_lambda3.entries[s])
 
 
 def test_find_index_confirms_the_dims_key_by_iso(cat_a2, a2):

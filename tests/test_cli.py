@@ -222,6 +222,15 @@ def test_verify_unknown_claim(runner, tmp_path, a2):
     result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f,
                                   "--source", "2", "--claims", "nonsense"])
     assert result.exit_code == 5
+    assert result.stderr == "error: unknown claims: nonsense\n"
+
+
+def test_verify_checks_the_claims_before_the_source(runner, tmp_path, a2):
+    f = write_algebra(tmp_path / "a2.json", a2)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f,
+                                  "--source", "9", "--claims", "nonsense"])
+    assert result.exit_code == 5
+    assert result.stderr == "error: unknown claims: nonsense\n"
 
 
 def test_verify_repeated_claim_is_one_error_line(runner, tmp_path, a2):

@@ -61,8 +61,8 @@ def test_new_projective_is_injective_at_old_source(lambda3):
 def test_relation_violation_is_caught(lambda3):
     q = lambda3.quiver
     dims = [1, 1, 1]
-    maps = [QMatrix.from_rows([[1]]), QMatrix.from_rows([[1]])]
-    with pytest.raises(InvariantViolation):
+    maps = [QMatrix.from_rows([[1]], cols=1), QMatrix.from_rows([[1]], cols=1)]
+    with pytest.raises(InvariantViolation, match=r"^relation \('a2', 'a1'\) not satisfied$"):
         Representation(lambda3, dims, maps)
 
 
@@ -298,7 +298,7 @@ def test_decompose_outside_the_catalog_raises(d4, cat_d4):
     partial = Catalog(d4, [cat_d4.entries[i] for i in keep],
                       [cat_d4.presentations[i] for i in keep],
                       [new.get(cat_d4.tau_index[i]) for i in keep])
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="^Hom dimensions match no sum of catalog entries$"):
         partial.decompose(cat_d4.entries[k])
 
 

@@ -38,3 +38,14 @@ def test_gen_family_rejects_an_out_of_range_n_with_one_error_line(tmp_path, kind
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
     assert not out.exists()
+
+
+def test_gen_family_reports_an_unwritable_out_in_one_line(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x.json"
+    result = run_gen_family(tmp_path, "--kind", "A2", "--n", "3", "--out", str(out))
+    assert result.returncode == 5
+    assert result.stderr.splitlines() == [f"error: cannot write {out}: File exists"]
+    assert result.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]

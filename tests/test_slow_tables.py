@@ -55,6 +55,6 @@ def test_count_equations_at_depth_nine():
 
 def test_exchange_regularity_at_depth_ten():
     cat = build_catalog(type_a_square(10))
-    h = hasse(cat)
+    h = hasse(cat, enumerate_stau(cat))
     assert len(h.pairs) == 5741
     assert 2 * len(h.arrows) == 10 * 5741

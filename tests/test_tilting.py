@@ -6,8 +6,9 @@ from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation
 from tautilt.families import type_a_square
-from tautilt.tilting import (STauPair, enumerate_stau, hasse, is_tau_rigid, is_tau_tilting,
-                             is_tilting, tau_tilting_modules, tilting_modules)
+from tautilt.tilting import (STauPair, _assert_hasse_shape, enumerate_stau, hasse,
+                             is_tau_rigid, is_tau_tilting, is_tilting, tau_tilting_modules,
+                             tilting_modules)
 
 
 def ref_of(cat, *dim_vectors):
@@ -133,7 +134,7 @@ def freeze_pair(cat, pair):
 
 
 def test_hasse_of_a2_matches_figure(cat_a2):
-    h = hasse(cat_a2)
+    h = hasse(cat_a2, enumerate_stau(cat_a2))
     assert len(h.pairs) == 5 and len(h.arrows) == 5
     key = {freeze_pair(cat_a2, p): i for i, p in enumerate(h.pairs)}
     P1, P2, S1, S2 = (1, 0), (1, 1), (1, 0), (0, 1)
@@ -147,18 +148,18 @@ def test_hasse_of_a2_matches_figure(cat_a2):
 
 
 def test_hasse_of_lambda3(cat_lambda3):
-    h = hasse(cat_lambda3)
+    h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
     assert len(h.pairs) == 12
 
 
 def test_hasse_single_vertex(single_vertex):
     cat = build_catalog(single_vertex)
-    h = hasse(cat)
+    h = hasse(cat, enumerate_stau(cat))
     assert len(h.pairs) == 2 and len(h.arrows) == 1
 
 
 def test_hasse_regularity_and_boundary(cat_example_b, example_b):
-    h = hasse(cat_example_b)
+    h = hasse(cat_example_b, enumerate_stau(cat_example_b))
     n = example_b.n_vertices
     degree = {i: 0 for i in range(len(h.pairs))}
     indeg = {i: 0 for i in range(len(h.pairs))}
@@ -279,6 +280,34 @@ def test_missing_pair_breaks_regularity(cat_lambda3):
         hasse(cat_lambda3, pairs)
 
 
+def test_second_source_is_rejected(cat_lambda3):
+    """Without the arrows into one vertex, that vertex is a second source."""
+    h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
+    head = h.arrows[0][1]
+    with pytest.raises(InvariantViolation,
+                       match="^mutation quiver does not have unique source and sink$"):
+        _assert_hasse_shape(cat_lambda3, list(h.pairs), [a for a in h.arrows if a[1] != head])
+
+
+def test_reversed_quiver_is_rejected_at_its_source(cat_lambda3):
+    """Every arrow reversed: the source is the zero pair."""
+    h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
+    with pytest.raises(InvariantViolation,
+                       match="^source of the mutation quiver is not the regular pair$"):
+        _assert_hasse_shape(cat_lambda3, list(h.pairs), [(b, a) for a, b in h.arrows])
+
+
+def test_sink_must_be_the_zero_pair(cat_lambda3):
+    """The sink's pair replaced by one with no summands and no projective part."""
+    h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
+    pairs = list(h.pairs)
+    (sink,) = set(range(len(pairs))) - {a for a, _ in h.arrows}
+    pairs[sink] = STauPair((), (), pairs[sink].g)
+    with pytest.raises(InvariantViolation,
+                       match="^sink of the mutation quiver is not the zero pair$"):
+        _assert_hasse_shape(cat_lambda3, pairs, h.arrows)
+
+
 @pytest.mark.slow
 def test_hasse_of_linear_family_a14_finishes_in_process():
     """The counts come from s(n) = 2 s(n-1) + s(n-2), s(1) = 2, s(2) = 5, and
@@ -287,6 +316,7 @@ def test_hasse_of_linear_family_a14_finishes_in_process():
     while len(s) < 14:
         s.append(2 * s[-1] + s[-2])
     assert s[-1] == 195_025
-    h = hasse(build_catalog(type_a_square(14)))
+    cat = build_catalog(type_a_square(14))
+    h = hasse(cat, enumerate_stau(cat))
     assert len(h.pairs) == s[-1]
     assert len(h.arrows) == 14 * s[-1] // 2 == 1_365_175

@@ -4,12 +4,14 @@ import pytest
 
 from tautilt import verify
 from tautilt.algebra import Arrow, Quiver, build_algebra
+from tautilt.catalog import Catalog, build_catalog
 from tautilt.counting import REPORTED_D
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 from tautilt.tilting import HasseQuiver, STauPair, pair_label
 from tautilt.verify import (Enumeration, ExtensionContext, family_counts, reports_to_json,
-                            reproduce_tables, run_claims, select_doubled_subset,
+                            reproduce_tables, run_claims, select_claims,
+                            select_doubled_subset,
                             verify_classification, verify_count_equations,
                             verify_hasse_gluing, verify_tilting_transfer)
 
@@ -230,6 +232,108 @@ def test_reports_serialize(fork_ctx):
     doc = json.loads(reports_to_json(reports))
     assert doc[0]["claim"] == "count-equations"
     assert doc[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("claims, message", [
+    (("classification", "nonsense", "x"), "unknown claims: nonsense, x"),
+    (("count-equations", "classification", "count-equations"), "repeated claims: count-equations"),
+    ((), "no claims selected")])
+def test_run_claims_validates_through_select_claims(monkeypatch, a2_ctx, claims, message):
+    monkeypatch.setattr(verify, "verify_classification",
+                        lambda ctx: pytest.fail("a claim ran before the list was checked"))
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        select_claims(claims)
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        run_claims(a2_ctx, claims)
+
+
+def test_transport_requires_every_zero_extension_in_the_catalog(monkeypatch, a2):
+    monkeypatch.setattr(Catalog, "find_index", lambda self, rep: None)
+    with pytest.raises(InvariantViolation,
+                       match="^transported module missing from the larger catalog$"):
+        verify_classification(ExtensionContext(a2, "2"))
+
+
+def test_gluing_requires_the_doubled_and_extended_vertex_lists_to_agree(a2):
+    """The doubled pairs are enumerated first; the doubled algebra then lists the
+    base's vertices, one short of the extension's."""
+    ctx = ExtensionContext(a2, "2")
+    ctx.enum("doubled")
+    ctx.doubled = ctx.base
+    with pytest.raises(InvariantViolation,
+                       match="^the doubled and the extended algebra list different vertices$"):
+        verify_hasse_gluing(ctx)
+
+
+FAULT_CASES = pytest.mark.parametrize("base, source", [(type_a_square(4), "4"),
+                                                       (type_d_square(5), "5")],
+                                      ids=["A2-4", "D2-5"])
+
+
+def claim_outcomes(ctx):
+    """Each claim's status, or the message of the internal check it raises."""
+    outcomes = []
+    for claim in verify.CLAIMS:
+        try:
+            outcomes.append(run_claims(ctx, (claim,))[0].status)
+        except InvariantViolation as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+@FAULT_CASES
+def test_shape_images_with_p_new_and_s_new_swapped_fail_two_claims(monkeypatch, base, source):
+    """Shape one becomes S_new + M1 (shape two holds both and stays).  Only the
+    claims that read the shapes see it; the counts and the gluing do not."""
+    true_images = verify._shape_images
+
+    def swapped_images(ctx, base_modules, quotient_modules):
+        cat = ctx.enum("extended").catalog
+        p_new, s_new = cat.projective_index[ctx.new_vertex], cat.simple_index[ctx.new_vertex]
+        swap = {p_new: s_new, s_new: p_new}
+        return tuple({tuple(sorted(swap.get(k, k) for k in ref)) for ref in image}
+                     for image in true_images(ctx, base_modules, quotient_modules))
+
+    monkeypatch.setattr(verify, "_shape_images", swapped_images)
+    ctx = ExtensionContext(base, source)
+    reports = run_claims(ctx)
+    assert [r.status for r in reports] == ["fail", "pass", "fail", "pass"]
+    assert reports[0].detail.startswith("transported module is not tau-tilting: ")
+    assert reports[2].detail.startswith("tilting sets differ at ")
+
+
+def flip_tau_hom_bit(cat, i, j):
+    """Flip "Hom(E_i, tau E_j) = 0" in both bit tables of `cat`."""
+    cat.tors_mask[i] ^= 1 << j
+    t = cat.tors_mask
+    cat.compat_mask = [t[a] & sum(1 << b for b in range(cat.size) if t[b] >> a & 1)
+                       for a in range(cat.size)]
+
+
+@FAULT_CASES
+@pytest.mark.parametrize("bit, outcomes", [
+    # S_new is no longer tau-rigid: every pair holding it is gone.
+    (("S_new", "S_new"), ["fail", "fail", "pass", "exchange graph is not n-regular"]),
+    # S_i and S_new change compatibility: only pairs without full support move.
+    (("S_i", "S_new"), ["pass", "fail", "pass",
+                        "more than two completions of an almost complete pair"]),
+    # The pairs stay; only the torsion order between two of them is lost.
+    (("S_new", "S_i"), ["pass", "pass", "pass", "mutation direction is not uniquely determined"]),
+], ids=["S_new-not-rigid", "compatibility", "torsion-order"])
+def test_one_flipped_tau_hom_bit_is_caught(monkeypatch, base, source, bit, outcomes):
+    """One bit of the extension's tau-Hom table flipped: the claims that catch it
+    fail, and the Hasse quiver's own checks raise."""
+    ctx = ExtensionContext(base, source)
+    vertex = {"S_new": ctx.new_vertex, "S_i": ctx.source_vertex}
+
+    def build_with_one_bit_flipped(algebra):
+        cat = build_catalog(algebra)
+        if algebra is ctx.extended:
+            flip_tau_hom_bit(cat, *(cat.simple_index[vertex[b]] for b in bit))
+        return cat
+
+    monkeypatch.setattr(verify, "build_catalog", build_with_one_bit_flipped)
+    assert claim_outcomes(ctx) == outcomes
 
 
 def assert_two_step_recurrences(counts):
