@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Container, Sequence
 
 from .errors import AlgebraFormatError, InfiniteDimensionalError, PreconditionError
 
@@ -28,9 +28,6 @@ class Path:
     source: str
     arrows: tuple[str, ...]
     target: str
-
-    def __len__(self) -> int:
-        return len(self.arrows)
 
 
 class Quiver:
@@ -167,25 +164,19 @@ def build_algebra(quiver: Quiver, relations: Sequence[Sequence[str]] = ()) -> Al
     return Algebra(quiver, relations)
 
 
+def _fresh_name(taken: Container[str], base: str, sep: str) -> str:
+    """`base`, or the first of base<sep>1, base<sep>2, ... that is not in `taken`."""
+    name, k = base, 0
+    while name in taken:
+        k += 1
+        name = f"{base}{sep}{k}"
+    return name
+
+
 def _fresh_vertex(quiver: Quiver) -> str:
     if all(v.removeprefix("-").isdecimal() for v in quiver.vertices) and quiver.vertices:
         return str(max(int(v) for v in quiver.vertices) + 1)
-    base = "a"
-    k = 0
-    name = base
-    while name in quiver.vertex_pos:
-        k += 1
-        name = f"{base}{k}"
-    return name
-
-
-def _fresh_arrow(quiver: Quiver, base: str) -> str:
-    name = base
-    k = 0
-    while name in quiver.arrow_by_name:
-        k += 1
-        name = f"{base}_{k}"
-    return name
+    return _fresh_name(quiver.vertex_pos, "a", "")
 
 
 def one_point_extension(algebra: Algebra, source_vertex: str) -> tuple[Algebra, str]:
@@ -201,7 +192,7 @@ def one_point_extension(algebra: Algebra, source_vertex: str) -> tuple[Algebra, 
     if not q.is_source(source_vertex):
         raise PreconditionError(f"vertex {source_vertex!r} is not a source")
     new_vertex = _fresh_vertex(q)
-    new_arrow = _fresh_arrow(q, f"{new_vertex}to{source_vertex}")
+    new_arrow = _fresh_name(q.arrow_by_name, f"{new_vertex}to{source_vertex}", "_")
     quiver = Quiver(q.vertices + (new_vertex,),
                     q.arrows + (Arrow(new_arrow, new_vertex, source_vertex),))
     extra = [(new_arrow, a.name) for a in q.arrows_from[source_vertex]]

@@ -138,9 +138,6 @@ class Catalog:
             raise InvariantViolation("module is not the sum its Hom dimensions name")
         return ref
 
-    def dump_lines(self) -> list[str]:
-        return [f"{i}: dims {list(e.dims)}" for i, e in enumerate(self.entries)]
-
 
 def _check_acyclic(algebra: Algebra) -> None:
     """An arrow v -> w is a radical map P(w) -> P(v): a cycle of arrows is one of projectives."""
@@ -156,9 +153,9 @@ def _check_euler_form(algebra: Algebra, entries: Sequence[Representation]) -> No
     Over an acyclic quiver C is invertible, the global dimension is finite and
     chi(dim X) = sum over t of (-1)^t dim Ext^t(X, X).  Entries have End = k, so
     another value is a self-extension: X is not directing, and the algebra is
-    not representation-directed (Ringel, LNM 1099, 2.4).
+    not representation-directed (Ringel, LNM 1099, 2.4).  The caller,
+    `build_catalog`, has checked the quiver with `_check_acyclic`.
     """
-    _check_acyclic(algebra)
     q = algebra.quiver
     inverse = invert(QMatrix.from_rows([[len(algebra.paths_between(v, w)) for w in q.vertices]
                                         for v in q.vertices], cols=len(q.vertices))).to_rows()

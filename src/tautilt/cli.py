@@ -59,7 +59,14 @@ def _guarded(command):
     return guarded
 
 
-@click.group()
+class GuardedGroup(click.Group):
+    """`Group.main` runs under `_guarded`: one error boundary for every command and
+    every entry point (the console script, `python -m` and `CliRunner`)."""
+
+    main = _guarded(click.Group.main)
+
+
+@click.group(cls=GuardedGroup)
 @click.option("--out-dir", type=click.Path(path_type=Path), default=Path("."),
               show_default=True, help="Directory for report and failure artifacts.")
 @click.pass_context
@@ -70,7 +77,6 @@ def main(ctx, out_dir):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
-@_guarded
 def validate(file):
     """Parse, normalize and size-check an algebra file."""
     algebra = load_algebra(file)
@@ -82,7 +88,6 @@ def validate(file):
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
 @click.option("--kind", type=click.Choice(["stau", "tau", "tilt"]), default="stau",
               show_default=True)
-@_guarded
 def enumerate_cmd(file, kind):
     """List modules of the requested kind; the final line carries the count."""
     algebra = load_algebra(file)
@@ -102,7 +107,6 @@ def enumerate_cmd(file, kind):
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
 @click.option("--dot", "dot_path", type=click.Path(path_type=Path), default=None,
               help="Write the quiver as DOT to this path.")
-@_guarded
 def hasse_cmd(file, dot_path):
     """Build the left-mutation quiver and report its size."""
     if dot_path is not None:
@@ -119,7 +123,6 @@ def hasse_cmd(file, dot_path):
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
 @click.option("--source", "source_vertex", required=True, help="Source vertex to extend at.")
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-@_guarded
 def extend(file, source_vertex, out_path):
     """Write the one-point extension at a source vertex to a new algebra file."""
     algebra = load_algebra(file)
@@ -136,7 +139,6 @@ def extend(file, source_vertex, out_path):
 @click.option("--report", "report_path", type=click.Path(path_type=Path), default=None,
               help="Report file (default: out-dir/verify_report.json).")
 @click.pass_obj
-@_guarded
 def verify(out_dir, file, source_vertex, claims, report_path):
     """Run the selected claim verifiers on the extension context of FILE."""
     path = report_path or (out_dir / "verify_report.json")
@@ -144,8 +146,11 @@ def verify(out_dir, file, source_vertex, claims, report_path):
     algebra = load_algebra(file)
     wanted = select_claims(c.strip() for c in claims.split(",") if c.strip())
     ctx = ExtensionContext(algebra, source_vertex)
-    reports = run_claims(ctx, wanted, dot_dir=out_dir)
-    for rep in reports:
+    # Each verdict is printed when it is reached, so an internal error in a later
+    # claim keeps the earlier lines; the report is written after the last claim.
+    reports = []
+    for rep in run_claims(ctx, wanted, dot_dir=out_dir):
+        reports.append(rep)
         line = f"{rep.claim}: {rep.status}"
         if rep.counts:
             line += " " + json.dumps(rep.counts, sort_keys=True)
@@ -160,7 +165,6 @@ def verify(out_dir, file, source_vertex, claims, report_path):
 @main.command()
 @click.option("--nA", "n_a", type=int, default=10, show_default=True)
 @click.option("--nD", "n_d", type=int, default=10, show_default=True)
-@_guarded
 def tables(n_a, n_d):
     """Reproduce both family tables and diff them against the reported values."""
     result = reproduce_tables(n_a, n_d)
@@ -174,13 +178,12 @@ def tables(n_a, n_d):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, path_type=Path))
-@_guarded
 def catalog(file):
     """Dump the indecomposable catalog with dimension vectors."""
     algebra = load_algebra(file)
     cat = build_catalog(algebra)
-    for line in cat.dump_lines():
-        click.echo(line)
+    for i, e in enumerate(cat.entries):
+        click.echo(f"{i}: dims {list(e.dims)}")
     click.echo(f"count {cat.size}")
 
 

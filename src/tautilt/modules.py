@@ -99,9 +99,6 @@ class Morphism:
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
 
-    def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks)
-
     def flat(self) -> tuple[Fraction, ...]:
         return tuple(e for b in self.blocks for e in b.entries)
 

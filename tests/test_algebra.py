@@ -18,7 +18,7 @@ def linear(n, relations=()):
 def test_build_lambda3():
     a = linear(3, [("a2", "a1")])
     assert a.dimension == 5
-    lengths = sorted(len(p) for p in a.path_basis)
+    lengths = sorted(len(p.arrows) for p in a.path_basis)
     assert lengths == [0, 0, 0, 1, 1]
     # idempotents come first, one per vertex
     assert [p.source for p in a.path_basis[:3]] == ["1", "2", "3"]

@@ -11,11 +11,13 @@ import tautilt
 from tautilt.algebra import (Arrow, Quiver, build_algebra, load_algebra,
                              one_point_extension, serialize_algebra)
 from tautilt import cli, verify
+from tautilt.catalog import build_catalog
 from tautilt.cli import main
-from tautilt.errors import InvariantViolation
+from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 
 from oracles import algebra_equal_upto_relabel
+from test_verify import flip_tau_hom_bit
 
 
 @pytest.fixture()
@@ -380,6 +382,35 @@ def test_failed_internal_check_is_one_line_exit_70(runner, tmp_path, monkeypatch
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("exc, code, stderr", [
+    (RuntimeError("boom\nagain"), 70, "internal error: RuntimeError: boom again\n"),
+    (PreconditionError("simulated"), 5, "error: simulated\n"),
+], ids=["unexpected", "precondition"])
+def test_a_command_added_later_is_inside_the_error_boundary(runner, exc, code, stderr):
+    """The boundary sits on the group, so a new command needs no decorator of its own."""
+    @main.command(name="throwaway")
+    def throwaway():
+        raise exc
+
+    try:
+        result = runner.invoke(main, ["throwaway"])
+    finally:
+        del main.commands["throwaway"]
+    assert result.exit_code == code
+    assert result.stderr == stderr
+    assert "Traceback" not in result.output
+
+
+def test_python_dash_m_is_inside_the_error_boundary():
+    env = dict(os.environ, PYTHONPATH=str(Path(tautilt.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "tautilt.cli", "tables", "--nA", "0",
+                             "--nD", "4"], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 5
+    assert result.stdout == ""
+    assert result.stderr == ("error: the linear table starts at n = 1 and the fork table at "
+                             "n = 4; got the last columns 0 and 4\n")
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("kind, count", [("stau", 195025), ("tau", 610)])
 def test_enumerate_a2_14_needs_no_cap(runner, tmp_path, kind, count):
@@ -434,3 +465,63 @@ def test_verify_exits_1_when_the_extension_forgets_its_relations(runner, tmp_pat
     doc = json.loads((tmp_path / "verify_report.json").read_text())
     assert [r["claim"] for r in doc] == list(verify.CLAIMS)
     assert all(r["status"] == "fail" and r["counterexample"] for r in doc)
+
+
+def extension_with_one_new_relation(algebra, source_vertex):
+    """`one_point_extension` of an algebra without relations that keeps only the
+    new relation ending in the arrow b1."""
+    extended, new_vertex = one_point_extension(algebra, source_vertex)
+    kept = [r for r in extended.relations if r[-1] == "b1"]
+    return build_algebra(extended.quiver, kept), new_vertex
+
+
+def test_verify_exits_1_when_the_extension_drops_one_new_relation(runner, tmp_path, monkeypatch):
+    """Over b1: 3 -> 1 and b2: 3 -> 2 extended at 3, only the composite with b2
+    is left nonzero.  Every claim fails, each with its counts and counterexample."""
+    base = build_algebra(Quiver(["1", "2", "3"], [Arrow("b1", "3", "1"), Arrow("b2", "3", "2")]))
+    monkeypatch.setattr(verify, "one_point_extension", extension_with_one_new_relation)
+    f = write_algebra(tmp_path / "base.json", base)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f, "--source", "3"])
+    assert result.exit_code == 1, result.output
+    doc = {r["claim"]: r for r in json.loads((tmp_path / "verify_report.json").read_text())}
+    assert [r["status"] for r in doc.values()] == ["fail"] * 4
+    assert doc["classification"]["counts"] == {"tau_tilt_base": 5, "tau_tilt_quotient": 1,
+                                               "tau_tilt_extended": 9}
+    assert doc["classification"]["counterexample"].startswith(
+        "images do not partition the enumeration: ")
+    counts = doc["count-equations"]["counts"]
+    assert (counts["stau_extended"], counts["stau_base"], counts["stau_quotient"]) == (37, 14, 4)
+    assert doc["count-equations"]["counterexample"] == (
+        "counting identity violated by independent enumeration")
+    assert doc["tilting-transfer"]["counts"] == {"tilt_base": 5, "tilt_extended": 7}
+    assert doc["tilting-transfer"]["counterexample"].startswith("tilting sets differ at ")
+    assert doc["hasse-gluing"]["counterexample"] == (
+        "the extension's quiver has 37 vertices, not 2 * 14 + 4")
+
+
+def test_verify_prints_the_verdicts_reached_before_an_internal_error(runner, tmp_path,
+                                                                     monkeypatch):
+    """S_new made not tau-rigid in the extension's catalog: the first three claims
+    reach a verdict, then the Hasse quiver's own check fires in hasse-gluing."""
+    base = type_a_square(4)
+    extended, new_vertex = one_point_extension(base, "4")
+
+    def build_with_s_new_not_rigid(algebra):
+        cat = build_catalog(algebra)
+        if algebra == extended:
+            s_new = cat.simple_index[new_vertex]
+            flip_tau_hom_bit(cat, s_new, s_new)
+        return cat
+
+    monkeypatch.setattr(verify, "build_catalog", build_with_s_new_not_rigid)
+    f = write_algebra(tmp_path / "base.json", base)
+    result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f, "--source", "4"])
+    assert result.exit_code == 70
+    lines = result.stdout.splitlines()
+    assert len(lines) == 5
+    assert [line.partition(" {")[0] for line in lines[::2]] == [
+        "classification: fail", "count-equations: fail", "tilting-transfer: pass"]
+    assert lines[1].startswith("  transported module is not tau-tilting: ")
+    assert lines[3] == "  counting identity violated by independent enumeration"
+    assert result.stderr == "internal check failed: exchange graph is not n-regular\n"
+    assert not (tmp_path / "verify_report.json").exists()

@@ -128,7 +128,7 @@ def test_radical_square_zero_e_claims_at_every_source(n, base, extended):
     algebra = radical_square_zero_e(n)
     q = algebra.quiver
     assert [v for v in q.vertices if q.is_source(v)] == ["1"]
-    reports = run_claims(ExtensionContext(algebra, "1"))
+    reports = list(run_claims(ExtensionContext(algebra, "1")))
     assert [r.status for r in reports] == ["pass"] * 4
     counts = reports[1].counts
     assert (counts["tau_tilt_base"], counts["stau_base"]) == base
@@ -221,14 +221,14 @@ def test_hasse_gluing_checks_the_extension_vertex_count(monkeypatch, a2):
 
 
 def test_run_claims_skips_tilting_at_sink(single_ctx):
-    reports = run_claims(single_ctx)
+    reports = list(run_claims(single_ctx))
     by_claim = {r.claim: r for r in reports}
     assert by_claim["tilting-transfer"].status == "skipped"
     assert all(r.status == "pass" for r in reports if r.claim != "tilting-transfer")
 
 
 def test_reports_serialize(fork_ctx):
-    reports = run_claims(fork_ctx, claims=("count-equations",))
+    reports = list(run_claims(fork_ctx, claims=("count-equations",)))
     doc = json.loads(reports_to_json(reports))
     assert doc[0]["claim"] == "count-equations"
     assert doc[0]["status"] == "pass"
@@ -275,7 +275,7 @@ def claim_outcomes(ctx):
     outcomes = []
     for claim in verify.CLAIMS:
         try:
-            outcomes.append(run_claims(ctx, (claim,))[0].status)
+            outcomes.append(list(run_claims(ctx, (claim,)))[0].status)
         except InvariantViolation as exc:
             outcomes.append(str(exc))
     return outcomes
@@ -296,7 +296,7 @@ def test_shape_images_with_p_new_and_s_new_swapped_fail_two_claims(monkeypatch, 
 
     monkeypatch.setattr(verify, "_shape_images", swapped_images)
     ctx = ExtensionContext(base, source)
-    reports = run_claims(ctx)
+    reports = list(run_claims(ctx))
     assert [r.status for r in reports] == ["fail", "pass", "fail", "pass"]
     assert reports[0].detail.startswith("transported module is not tau-tilting: ")
     assert reports[2].detail.startswith("tilting sets differ at ")
