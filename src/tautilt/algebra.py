@@ -211,14 +211,6 @@ def delete_vertex(algebra: Algebra, vertex: str) -> Algebra:
     return build_algebra(quiver, rels)
 
 
-def add_isolated_vertex(algebra: Algebra) -> tuple[Algebra, str]:
-    """Adjoin a disconnected vertex; the dimension grows by exactly one."""
-    q = algebra.quiver
-    new_vertex = _fresh_vertex(q)
-    quiver = Quiver(q.vertices + (new_vertex,), q.arrows)
-    return build_algebra(quiver, algebra.relations), new_vertex
-
-
 @lru_cache(maxsize=None)
 def opposite_algebra(algebra: Algebra) -> Algebra:
     """Reverse every arrow and every relation; arrow and vertex names are kept."""

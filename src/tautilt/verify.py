@@ -13,7 +13,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .algebra import Algebra, add_isolated_vertex, delete_vertex, one_point_extension
+from .algebra import Algebra, delete_vertex, one_point_extension
 from .catalog import Catalog, ModuleRef, build_catalog
 from .counting import (REPORTED_A, REPORTED_D, STAU_A_INDEX_SHIFT, closed_form)
 from .dags import dag_iso, glue, hasse_to_dag, to_dot
@@ -58,21 +58,19 @@ class Enumeration:
 
 
 class ExtensionContext:
-    """Base algebra, its extension at a source, the vertex-deletion quotient,
-    and the base with an isolated point adjoined."""
+    """Base algebra, its extension at a source, and the vertex-deletion quotient."""
 
     def __init__(self, base: Algebra, source_vertex: str):
         self.base = base
         self.source_vertex = source_vertex
         self.extended, self.new_vertex = one_point_extension(base, source_vertex)
         self.quotient = delete_vertex(base, source_vertex)
-        self.doubled, self.isolated_vertex = add_isolated_vertex(base)
         self._enums: dict[str, Enumeration] = {}
 
     def enum(self, which: str) -> Enumeration:
         if which not in self._enums:
             algebra = {"base": self.base, "extended": self.extended,
-                       "quotient": self.quotient, "doubled": self.doubled}[which]
+                       "quotient": self.quotient}[which]
             self._enums[which] = Enumeration(algebra)
         return self._enums[which]
 
@@ -187,16 +185,24 @@ def verify_tilting_transfer(ctx: ExtensionContext) -> ClaimReport:
     return ClaimReport("tilting-transfer", "pass", counts)
 
 
-def select_doubled_subset(ctx: ExtensionContext, doubled_hasse: HasseQuiver) -> frozenset[int]:
+def select_doubled_subset(ctx: ExtensionContext) -> frozenset[int]:
     """Vertices of the doubled quiver carrying the isolated simple with the
-    remaining summands supported away from the extension source.  The simple
-    vanishes there, so these pairs have the source in their projective part."""
-    s_iso = ctx.enum("doubled").catalog.simple_index[ctx.isolated_vertex]
-    return frozenset(idx for idx, pair in enumerate(doubled_hasse.pairs)
-                     if s_iso in pair.modules and ctx.source_vertex in pair.proj_part)
+    remaining summands supported away from the extension source.
+
+    The doubled quiver is the Hasse quiver of A x k, the base with an isolated
+    vertex adjoined.  Pairs and mutations over a product are taken factor by
+    factor (Adachi-Iyama-Reiten), so it is Hasse(A) times the arrow
+    (k, 0) -> (0, k): `glue` of Hasse(A) along every vertex.  With N = |stau A|,
+    vertex k is base pair k with the isolated vertex unsupported, g-vector
+    (g, -1), and its plus-copy N + k adds the isolated simple, g-vector (g, +1).
+    The selected vertices are the N + k whose base pair has the source in its
+    projective part."""
+    pairs = ctx.enum("base").pairs
+    return frozenset(len(pairs) + k for k, pair in enumerate(pairs)
+                     if ctx.source_vertex in pair.proj_part)
 
 
-def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_dbl: HasseQuiver,
+def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_base: HasseQuiver,
                       plus: dict[int, int]) -> list[int]:
     """The vertex of `glue(doubled quiver, subset)` that the classification names
     for each pair of the extension, read off its g-vector; -1 where there is none.
@@ -208,12 +214,13 @@ def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_dbl: HasseQui
     and P_new + S_new to the plus-copy (`plus`, from `glue`) of that of g - e_new.
     """
     cat = ctx.enum("extended").catalog
-    if ctx.doubled.quiver.vertices != cat.algebra.quiver.vertices:
-        raise InvariantViolation("the doubled and the extended algebra list different vertices")
+    if cat.algebra.quiver.vertices != ctx.base.quiver.vertices + (ctx.new_vertex,):
+        raise InvariantViolation("the extension does not list the base's vertices first")
     p_new, s_new = cat.projective_index[ctx.new_vertex], cat.simple_index[ctx.new_vertex]
     pos = cat.algebra.quiver.vertex_pos
     i, new = pos[ctx.source_vertex], pos[ctx.new_vertex]
-    by_g = {p.g: k for k, p in enumerate(h_dbl.pairs)}
+    n_base = len(h_base.pairs)
+    by_g = {p.g + (c,): k + n_base * (c > 0) for k, p in enumerate(h_base.pairs) for c in (-1, 1)}
     images = []
     for pair in h_ext.pairs:
         g = list(pair.g)
@@ -233,12 +240,11 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
     selected subset, under the vertex map the classification names."""
     base = ctx.enum("base")
     quot = ctx.enum("quotient")
-    dbl = ctx.enum("doubled")
     h_ext = ctx.enum("extended").hasse()
     dag_ext = hasse_to_dag(h_ext)
-    h_dbl = dbl.hasse()
-    dag_dbl = hasse_to_dag(h_dbl)
-    subset = select_doubled_subset(ctx, h_dbl)
+    h_base = base.hasse()
+    dag_dbl, _ = glue(hasse_to_dag(h_base), range(len(h_base.pairs)))
+    subset = select_doubled_subset(ctx)
     glued, plus = glue(dag_dbl, subset)
     counts = {
         "hasse_extended": len(dag_ext.labels),
@@ -246,9 +252,6 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
         "selected": len(subset),
         "glued": len(glued.labels),
     }
-    if len(dbl.pairs) != 2 * len(base.pairs):
-        return ClaimReport("hasse-gluing", "fail", counts,
-                           "doubling did not double the pair count")
     if len(subset) != len(quot.pairs):
         return ClaimReport("hasse-gluing", "fail", counts,
                            "selected subset size differs from the quotient enumeration")
@@ -256,7 +259,7 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
         return ClaimReport("hasse-gluing", "fail", counts,
                            f"the extension's quiver has {len(h_ext.pairs)} vertices, not "
                            f"2 * {len(base.pairs)} + {len(quot.pairs)}")
-    reason = dag_iso(dag_ext, glued, _glued_vertex_map(ctx, h_ext, h_dbl, plus))
+    reason = dag_iso(dag_ext, glued, _glued_vertex_map(ctx, h_ext, h_base, plus))
     if reason is not None:
         if dot_dir is not None:
             write_text_atomic(Path(dot_dir) / "hasse_extended.dot", to_dot(dag_ext))

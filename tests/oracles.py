@@ -31,21 +31,26 @@ These are the direct algorithms that the package replaced with faster ones:
   (`is_tilting` reads the catalog's pd <= 1 table);
 - `dag_iso_search`: a backtracking isomorphism search over degree and level
   color classes (`verify_hasse_gluing` checks the one vertex map that the
-  classification names, read off the g-vectors).
+  classification names, read off the g-vectors);
+- `searched_doubled_hasse`: the doubled quiver as the Hasse quiver of the
+  base with an isolated vertex adjoined (`add_isolated_vertex`), searched in
+  its own catalog (`verify_hasse_gluing` glues the base's quiver along all of
+  its vertices, the product rule).
 They share no code with the fast forms, so the tests can compare the two
-exactly.
+exactly; the last one runs the package's own search, on another algebra.
 
-It also keeps the builders and references that only tests use: `simple`,
-`hom_dim` (the length of an intertwiner basis), `radical`, `dims_of_ref`,
-`support_of_ref`, `g_vector_of_pair` (summed entry g-vectors, minus e_v per
-unsupported vertex) and `algebra_equal_upto_relabel`.
+It also keeps the builders and references that only tests use:
+`add_isolated_vertex`, `simple`, `hom_dim` (the length of an intertwiner
+basis), `radical`, `dims_of_ref`, `support_of_ref`, `g_vector_of_pair`
+(summed entry g-vectors, minus e_v per unsupported vertex) and
+`algebra_equal_upto_relabel`.
 """
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Sequence
 
-from tautilt.algebra import opposite_algebra
+from tautilt.algebra import Quiver, _fresh_vertex, build_algebra, opposite_algebra
 from tautilt.catalog import build_catalog
 from tautilt.dags import LabeledDag, glue, hasse_to_dag
 from tautilt.errors import InvariantViolation, PreconditionError
@@ -55,7 +60,14 @@ from tautilt.modules import (Representation, _top_generators, compose, ext1, hom
                              sub_representation, syzygy, tau_inverse)
 from tautilt.tilting import STauPair, enumerate_stau, hasse
 from tautilt.util import topological_order
-from tautilt.verify import select_doubled_subset
+
+
+def add_isolated_vertex(algebra):
+    """Adjoin a disconnected vertex, listed last; the dimension grows by exactly one."""
+    q = algebra.quiver
+    new_vertex = _fresh_vertex(q)
+    quiver = Quiver(q.vertices + (new_vertex,), q.arrows)
+    return build_algebra(quiver, algebra.relations), new_vertex
 
 
 def simple(algebra, v):
@@ -513,10 +525,36 @@ def dag_iso_search(x: LabeledDag, y: LabeledDag) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
+def searched_doubled_hasse(base):
+    """The Hasse quiver of the base with an isolated vertex adjoined, from its own
+    catalog, and the catalog index of the isolated simple.  The two checks below
+    run on one base in turn, so the last search is kept."""
+    doubled, isolated = add_isolated_vertex(base)
+    cat = build_catalog(doubled)
+    return hasse(cat, enumerate_stau(cat)), cat.simple_index[isolated]
+
+
+def assert_doubled_quiver_matches_search(ctx):
+    """The doubled quiver `verify_hasse_gluing` glues from the base's quiver is the
+    searched one: base pair k and its plus-copy N + k are the searched pairs 2k
+    and 2k + 1, with g-vectors (g, -1) and (g, +1), and the arrows agree."""
+    h_base = ctx.enum("base").hasse()
+    n = len(h_base.pairs)
+    product, _ = glue(hasse_to_dag(h_base), range(n))
+    searched, _ = searched_doubled_hasse(ctx.base)
+    assert [p.g for p in searched.pairs] == [p.g + (c,) for p in h_base.pairs for c in (-1, 1)]
+    renumber = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
+    assert sorted((renumber[a], renumber[b]) for a, b in product.arrows) == list(searched.arrows)
+
+
 def gluing_search_agrees(ctx):
-    """`dag_iso_search` on the extension's Hasse quiver and the doubled one glued
-    along `select_doubled_subset`: the check `verify_hasse_gluing` makes with
-    the g-vector map, made without any map."""
-    h_dbl = ctx.enum("doubled").hasse()
-    glued, _ = glue(hasse_to_dag(h_dbl), select_doubled_subset(ctx, h_dbl))
+    """`dag_iso_search` on the extension's Hasse quiver and the searched doubled
+    one glued along the pairs that hold the isolated simple and have the source
+    in their projective part: the check `verify_hasse_gluing` makes with the
+    product rule and the g-vector map, made with neither."""
+    h_dbl, s_iso = searched_doubled_hasse(ctx.base)
+    subset = [k for k, p in enumerate(h_dbl.pairs)
+              if s_iso in p.modules and ctx.source_vertex in p.proj_part]
+    glued, _ = glue(hasse_to_dag(h_dbl), subset)
     return dag_iso_search(hasse_to_dag(ctx.enum("extended").hasse()), glued)

@@ -21,7 +21,8 @@ from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, tau_tilting_mo
 from tautilt.verify import (ExtensionContext, reproduce_tables, verify_classification,
                             verify_count_equations, verify_hasse_gluing)
 
-from oracles import all_rigid_cliques, dims_of_ref, gluing_search_agrees, hom_dim
+from oracles import (all_rigid_cliques, assert_doubled_quiver_matches_search, dims_of_ref,
+                     gluing_search_agrees, hom_dim)
 
 
 @contextmanager
@@ -171,6 +172,7 @@ def test_criterion_6_gluing_isomorphisms():
             ctx = ExtensionContext(algebra, v)
             rep = verify_hasse_gluing(ctx)
             assert rep.status == "pass", rep.detail
+            assert_doubled_quiver_matches_search(ctx)
             assert gluing_search_agrees(ctx)
 
 

@@ -1,12 +1,12 @@
 import pytest
 
-from tautilt.algebra import (Arrow, Quiver, add_isolated_vertex, build_algebra, delete_vertex,
-                             load_algebra, one_point_extension, opposite_algebra, parse_algebra,
+from tautilt.algebra import (Arrow, Quiver, build_algebra, delete_vertex, load_algebra,
+                             one_point_extension, opposite_algebra, parse_algebra,
                              serialize_algebra)
 from tautilt.errors import AlgebraFormatError, InfiniteDimensionalError, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 
-from oracles import algebra_equal_upto_relabel
+from oracles import add_isolated_vertex, algebra_equal_upto_relabel
 
 
 def linear(n, relations=()):

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (assert_catalog_matches_tau_inverse_closure,
+from oracles import (add_isolated_vertex, assert_catalog_matches_tau_inverse_closure,
                      assert_hom_tables_match_oracle,
                      assert_presentation_shortcuts_match_oracle,
                      assert_presentations_match_oracle, dims_of_ref, end_reduced_dim,
                      rref_fraction, simple, support_of_ref)
 from tautilt import catalog, linalg, modules
-from tautilt.algebra import Arrow, Quiver, add_isolated_vertex, build_algebra
+from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation, NotDirectedError
 from tautilt.families import type_a_square, type_d_square

@@ -17,7 +17,8 @@ from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, is_tilting,
                              tau_tilting_modules)
 from tautilt.verify import ExtensionContext, run_claims, verify_count_equations
 
-from oracles import (assert_catalog_matches_tau_inverse_closure, assert_hom_tables_match_oracle,
+from oracles import (assert_catalog_matches_tau_inverse_closure,
+                     assert_doubled_quiver_matches_search, assert_hom_tables_match_oracle,
                      assert_matches_oracle, assert_presentation_shortcuts_match_oracle,
                      assert_presentations_match_oracle, ext1_tilting_test,
                      gluing_search_agrees, hom_dim)
@@ -84,6 +85,7 @@ def assert_every_claim_at_every_source(algebra):
         for report in run_claims(ctx):
             skipped = report.claim == "tilting-transfer" and q.is_sink(source)
             assert report.status == ("skipped" if skipped else "pass"), (source, report)
+        assert_doubled_quiver_matches_search(ctx)
         assert gluing_search_agrees(ctx)
         assert_presentations_match_oracle(ctx.enum("extended").catalog)
 

@@ -41,7 +41,7 @@ CASES = {
     "hasse-a2-9": (lambda w: ["hasse", "--dot", str(w / "hasse.dot"), _family_file(w, "A2", 9)],
                    EXPECTED / "hasse-a2-9.txt", {"hasse.dot": EXPECTED / "hasse-a2-9.dot"}),
 }
-for _kind, _n in (("D2", 6), ("A2", 9), ("D2", 10)):
+for _kind, _n in (("D2", 6), ("A2", 9), ("A2", 10), ("D2", 10)):
     _name = f"verify-{_kind.lower()}-{_n}"
     CASES[_name] = (
         lambda w, kind=_kind, n=_n: ["--out-dir", str(w), "verify", "--source", str(n),

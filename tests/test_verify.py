@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tautilt import verify
-from tautilt.algebra import Arrow, Quiver, build_algebra
+from tautilt.algebra import Arrow, Quiver, build_algebra, one_point_extension
 from tautilt.catalog import Catalog, build_catalog
 from tautilt.counting import REPORTED_D
 from tautilt.errors import InvariantViolation, PreconditionError
@@ -15,7 +15,7 @@ from tautilt.verify import (Enumeration, ExtensionContext, family_counts, report
                             verify_classification, verify_count_equations,
                             verify_hasse_gluing, verify_tilting_transfer)
 
-from oracles import gluing_search_agrees
+from oracles import assert_doubled_quiver_matches_search, gluing_search_agrees
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,6 @@ def a2_ctx(a2):
 def test_context_construction(fork_ctx):
     assert fork_ctx.extended.n_vertices == 4
     assert fork_ctx.quotient.n_vertices == 2
-    assert fork_ctx.doubled.n_vertices == 4
     assert fork_ctx.extended.quiver.is_source(fork_ctx.new_vertex)
 
 
@@ -136,15 +135,13 @@ def test_radical_square_zero_e_claims_at_every_source(n, base, extended):
 
 
 def test_selected_subset_on_a2(a2_ctx):
-    h = a2_ctx.enum("doubled").hasse()
-    subset = select_doubled_subset(a2_ctx, h)
-    assert len(subset) == 2
-    cat = a2_ctx.enum("doubled").catalog
-    s_iso = cat.simple_index[a2_ctx.isolated_vertex]
-    picked = {h.pairs[i].modules for i in subset}
-    # the isolated simple alone, and together with the old sink simple
-    s1 = cat.simple_index["1"]
-    assert picked == {(s_iso,), tuple(sorted((s1, s_iso)))}
+    subset = select_doubled_subset(a2_ctx)
+    base = a2_ctx.enum("base")
+    n = len(base.pairs)
+    assert len(subset) == 2 and all(n <= k < 2 * n for k in subset)
+    picked = {base.pairs[k - n].modules for k in subset}
+    # the plus-copies (with the isolated simple) of 0 and of the old sink simple
+    assert picked == {(), (base.catalog.simple_index["1"],)}
 
 
 def test_hasse_gluing_small(fork_ctx, single_ctx, a2_ctx):
@@ -152,6 +149,7 @@ def test_hasse_gluing_small(fork_ctx, single_ctx, a2_ctx):
         rep = verify_hasse_gluing(ctx)
         assert rep.status == "pass"
         assert rep.counts["glued"] == rep.counts["hasse_extended"]
+        assert_doubled_quiver_matches_search(ctx)
         assert gluing_search_agrees(ctx)
 
 
@@ -254,15 +252,36 @@ def test_transport_requires_every_zero_extension_in_the_catalog(monkeypatch, a2)
         verify_classification(ExtensionContext(a2, "2"))
 
 
-def test_gluing_requires_the_doubled_and_extended_vertex_lists_to_agree(a2):
-    """The doubled pairs are enumerated first; the doubled algebra then lists the
-    base's vertices, one short of the extension's."""
+def test_gluing_requires_the_extension_to_list_the_base_vertices_first(monkeypatch, a2):
+    """An extension that lists its new vertex first has the same pairs and the
+    same quiver, but its g-vectors no longer end in the doubled coordinate."""
+    def new_vertex_first(algebra, source_vertex):
+        ext, new = one_point_extension(algebra, source_vertex)
+        q = ext.quiver
+        return build_algebra(Quiver((new,) + q.vertices[:-1], q.arrows), ext.relations), new
+
+    monkeypatch.setattr(verify, "one_point_extension", new_vertex_first)
     ctx = ExtensionContext(a2, "2")
-    ctx.enum("doubled")
-    ctx.doubled = ctx.base
+    assert ctx.extended.quiver.vertices == ("3", "1", "2")
     with pytest.raises(InvariantViolation,
-                       match="^the doubled and the extended algebra list different vertices$"):
+                       match="^the extension does not list the base's vertices first$"):
         verify_hasse_gluing(ctx)
+
+
+def test_run_claims_builds_three_catalogs(monkeypatch):
+    """The base, the extension and the quotient: the doubled quiver is glued
+    from the base's, not searched in a catalog of its own."""
+    built = []
+
+    def counting_build_catalog(algebra):
+        built.append(algebra)
+        return build_catalog(algebra)
+
+    monkeypatch.setattr(verify, "build_catalog", counting_build_catalog)
+    ctx = ExtensionContext(type_a_square(4), "4")
+    assert [r.status for r in run_claims(ctx)] == ["pass"] * 4
+    assert len(built) == 3
+    assert {id(a) for a in built} == {id(ctx.base), id(ctx.extended), id(ctx.quotient)}
 
 
 FAULT_CASES = pytest.mark.parametrize("base, source", [(type_a_square(4), "4"),
