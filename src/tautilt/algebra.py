@@ -136,27 +136,25 @@ def _is_factor(needle: tuple[str, ...], haystack: tuple[str, ...]) -> bool:
 
 
 def _enumerate_paths(quiver: Quiver, relations: tuple[tuple[str, ...], ...]) -> tuple[Path, ...]:
-    # Pumping bound: a factor-avoiding automaton has at most
-    # |V| + sum(len(r) - 1) states, so any longer legal path forces a cycle.
-    max_len = len(quiver.vertices) + sum(len(r) - 1 for r in relations)
-    basis: list[Path] = [Path(v, (), v) for v in quiver.vertices]
-    frontier = list(basis)
-    length = 0
-    while frontier:
-        length += 1
-        if length > max_len:
-            raise InfiniteDimensionalError(
-                "path basis is infinite: the quiver has a cycle not cut by any relation")
-        new: list[Path] = []
-        for p in frontier:
-            for arrow in quiver.arrows_from[p.target]:
-                cand = p.arrows + (arrow.name,)
-                if any(len(r) <= len(cand) and cand[-len(r):] == r for r in relations):
-                    continue
-                new.append(Path(p.source, cand, arrow.target))
-        basis.extend(new)
-        frontier = new
-    return tuple(basis)
+    # A legal path's state is its end vertex and its longest suffix that is a proper
+    # prefix of a relation.  The state alone decides which arrows may follow and the
+    # next state, so a path that meets one of its own states again pumps.  There are
+    # at most |V| + sum(len(r) - 1) states, so no path grows longer than that.
+    prefixes = {r[:k] for r in relations for k in range(len(r))} | {()}
+    queue = [(Path(v, (), v), ((v, ()),)) for v in quiver.vertices]
+    for p, states in queue:  # the queue grows as it is read: shorter paths first
+        for arrow in quiver.arrows_from[p.target]:
+            word = states[-1][1] + (arrow.name,)
+            if any(word[k:] in relations for k in range(len(word) - 1)):
+                continue
+            state = (arrow.target, next(word[k:] for k in range(len(word) + 1)
+                                        if word[k:] in prefixes))
+            if state in states:
+                raise InfiniteDimensionalError(
+                    "path basis is infinite: the quiver has a cycle not cut by any relation")
+            queue.append((Path(p.source, p.arrows + (arrow.name,), arrow.target),
+                          states + (state,)))
+    return tuple(p for p, _ in queue)
 
 
 def build_algebra(quiver: Quiver, relations: Sequence[Sequence[str]] = ()) -> Algebra:

@@ -149,8 +149,10 @@ def verify(out_dir, file, source_vertex, claims, report_path):
     # Each verdict is printed when it is reached, so an internal error in a later
     # claim keeps the earlier lines; the report is written after the last claim.
     reports = []
-    for rep in run_claims(ctx, wanted, dot_dir=out_dir):
+    for rep in run_claims(ctx, wanted):
         reports.append(rep)
+        for name, text in rep.artifacts.items():
+            write_text_atomic(out_dir / name, text)
         line = f"{rep.claim}: {rep.status}"
         if rep.counts:
             line += " " + json.dumps(rep.counts, sort_keys=True)

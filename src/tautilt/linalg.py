@@ -173,19 +173,18 @@ def rank(m: QMatrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: QMatrix) -> QMatrix:
-    """Columns form a basis of the null space; shape cols x (cols - rank)."""
+def kernel_basis(m: QMatrix) -> list[tuple[Fraction, ...]]:
+    """A basis of the null space, one vector per free column: with no rows, the unit vectors."""
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    cols = []
-    for f in free:
+    basis = []
+    for f in (j for j in range(m.cols) if j not in pivot_set):
         v = [0] * m.cols
         v[f] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red.entry(r, f)
-        cols.append(v)
-    return QMatrix(m.cols, len(cols), [v[i] for i in range(m.cols) for v in cols])
+        basis.append(tuple(v))
+    return basis
 
 
 def solve(m: QMatrix, b: Sequence[Fraction | int]) -> tuple[Fraction, ...] | None:

@@ -220,13 +220,8 @@ def hom_basis(x: Representation, y: Representation) -> list[Morphism]:
                         row[offs[t] + i * x.dims[t] + r] -= X.entry(r, j)
                 if any(e != 0 for e in row):
                     rows.append(row)
-    if rows:
-        basis = kernel_basis(QMatrix.from_rows(rows, cols=total))
-    else:
-        basis = QMatrix.identity(total)
     out = []
-    for k in range(basis.cols):
-        vec = basis.col(k)
+    for vec in kernel_basis(QMatrix.from_rows(rows, cols=total)):
         blocks = []
         for i in range(nv):
             seg = vec[offs[i]: offs[i] + y.dims[i] * x.dims[i]]
@@ -261,11 +256,6 @@ def _coordinates(rows: Sequence[Sequence[Fraction | int]], pivots: Sequence[int]
     return coords
 
 
-def _kernel_vectors(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    k = kernel_basis(m)
-    return [k.col(j) for j in range(k.cols)]
-
-
 def sub_representation(rep: Representation, spans: Sequence[Sequence[Sequence[Fraction | int]]]
                        ) -> tuple[Representation, Morphism]:
     """The subrepresentation spanned at each vertex by the given vectors.
@@ -293,7 +283,7 @@ def sub_representation(rep: Representation, spans: Sequence[Sequence[Sequence[Fr
 
 
 def kernel_of(f: Morphism) -> tuple[Representation, Morphism]:
-    return sub_representation(f.source, [_kernel_vectors(b) for b in f.blocks])
+    return sub_representation(f.source, [kernel_basis(b) for b in f.blocks])
 
 
 def _top_coordinates(radical: Sequence[Sequence[Fraction | int]], dim: int) -> list[int]:
@@ -390,7 +380,7 @@ def min_presentation(rep: Representation) -> MinPresentation:
     algebra = rep.algebra
     q = algebra.quiver
     P0, cover, verts0, offs0 = projective_cover(rep)
-    omega = [_echelon_basis(_kernel_vectors(b), b.cols) for b in cover.blocks]
+    omega = [_echelon_basis(kernel_basis(b), b.cols) for b in cover.blocks]
     gens: list[tuple[str, tuple[Fraction, ...]]] = []
     for u, (rows, pivots) in zip(q.vertices, omega):
         radical = [_coordinates(rows, pivots, P0.arrow_maps[ai].apply(row))

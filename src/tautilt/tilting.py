@@ -150,7 +150,7 @@ def tilting_modules(cat: Catalog, pairs: Sequence[STauPair]) -> list[ModuleRef]:
 
 def hasse(cat: Catalog, pairs: Sequence[STauPair]) -> HasseQuiver:
     """Mutation arrows between pairs whose summand sets differ in one element."""
-    pairs = list(pairs)
+    pairs = tuple(pairs)
     n = cat.algebra.n_vertices
     pos = cat.algebra.quiver.vertex_pos
     size = cat.size
@@ -195,10 +195,10 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair]) -> HasseQuiver:
     arrows = tuple(zip([ids[c // count] for c in arrow_codes],
                        [ids[c % count] for c in arrow_codes]))
     _assert_hasse_shape(cat, pairs, arrows)
-    return HasseQuiver(tuple(pairs), arrows)
+    return HasseQuiver(pairs, arrows)
 
 
-def _assert_hasse_shape(cat: Catalog, pairs: list[STauPair],
+def _assert_hasse_shape(cat: Catalog, pairs: Sequence[STauPair],
                         arrows: Sequence[tuple[int, int]]) -> None:
     if topological_order(len(pairs), arrows) is None:
         raise InvariantViolation("mutation quiver has a cycle")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .algebra import Algebra, delete_vertex, one_point_extension
@@ -22,7 +21,6 @@ from .families import family
 from .modules import extend_by_zero
 from .tilting import (HasseQuiver, enumerate_stau, hasse, is_tau_tilting,
                       tau_tilting_modules, tilting_modules)
-from .util import write_text_atomic
 
 
 @dataclass
@@ -31,6 +29,8 @@ class ClaimReport:
     status: str  # pass | fail | skipped
     counts: dict[str, int] = field(default_factory=dict)
     detail: str | None = None
+    # File name -> text of a failure artifact, for the caller to write; not in `to_dict`.
+    artifacts: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {"claim": self.claim, "status": self.status, "counts": self.counts}
@@ -235,9 +235,10 @@ def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_base: HasseQu
     return images
 
 
-def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> ClaimReport:
+def verify_hasse_gluing(ctx: ExtensionContext) -> ClaimReport:
     """The extension's mutation quiver is the doubled quiver glued along the
-    selected subset, under the vertex map the classification names."""
+    selected subset, under the vertex map the classification names.  A failed
+    map check carries both quivers as DOT artifacts."""
     base = ctx.enum("base")
     quot = ctx.enum("quotient")
     h_ext = ctx.enum("extended").hasse()
@@ -261,21 +262,20 @@ def verify_hasse_gluing(ctx: ExtensionContext, dot_dir: Path | None = None) -> C
                            f"2 * {len(base.pairs)} + {len(quot.pairs)}")
     reason = dag_iso(dag_ext, glued, _glued_vertex_map(ctx, h_ext, h_base, plus))
     if reason is not None:
-        if dot_dir is not None:
-            write_text_atomic(Path(dot_dir) / "hasse_extended.dot", to_dot(dag_ext))
-            write_text_atomic(Path(dot_dir) / "hasse_glued.dot", to_dot(glued))
-        return ClaimReport("hasse-gluing", "fail", counts, reason)
+        return ClaimReport("hasse-gluing", "fail", counts, reason,
+                           {"hasse_extended.dot": to_dot(dag_ext),
+                            "hasse_glued.dot": to_dot(glued)})
     return ClaimReport("hasse-gluing", "pass", counts)
 
 
-# Claim name -> its verifier, given the context and the directory for failure
-# artifacts, in the default order.  The lambdas look each verifier up by name
-# when it runs, so a `verify_*` rebound on this module is the one called.
+# Claim name -> its verifier, in the default order.  The lambdas look each
+# verifier up by name when it runs, so a `verify_*` rebound on this module is
+# the one called.
 CLAIMS = {
-    "classification": lambda ctx, dot_dir: verify_classification(ctx),
-    "count-equations": lambda ctx, dot_dir: verify_count_equations(ctx),
-    "tilting-transfer": lambda ctx, dot_dir: verify_tilting_transfer(ctx),
-    "hasse-gluing": lambda ctx, dot_dir: verify_hasse_gluing(ctx, dot_dir=dot_dir),
+    "classification": lambda ctx: verify_classification(ctx),
+    "count-equations": lambda ctx: verify_count_equations(ctx),
+    "tilting-transfer": lambda ctx: verify_tilting_transfer(ctx),
+    "hasse-gluing": lambda ctx: verify_hasse_gluing(ctx),
 }
 
 
@@ -293,15 +293,15 @@ def select_claims(claims: Iterable[str]) -> tuple[str, ...]:
     return wanted
 
 
-def run_claims(ctx: ExtensionContext, claims: Iterable[str] = tuple(CLAIMS),
-               dot_dir: Path | None = None) -> Iterator[ClaimReport]:
+def run_claims(ctx: ExtensionContext, claims: Iterable[str] = tuple(CLAIMS)
+               ) -> Iterator[ClaimReport]:
     """Run `claims` in order, each when its report is asked for, so the reports
     before an internal error are kept; the list is checked at the call.  At a
     sink the full list, in any order, skips tilting-transfer."""
     claims = select_claims(claims)
     skip_transfer = ctx.base.quiver.is_sink(ctx.source_vertex) and set(claims) == set(CLAIMS)
     return (ClaimReport(claim, "skipped", {}, "source vertex is a sink")
-            if skip_transfer and claim == "tilting-transfer" else CLAIMS[claim](ctx, dot_dir)
+            if skip_transfer and claim == "tilting-transfer" else CLAIMS[claim](ctx)
             for claim in claims)
 
 

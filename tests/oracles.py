@@ -3,6 +3,9 @@ presentation, the catalog's Hom tables, the clique search, the Hasse bucketing,
 the tilting test and the Hasse gluing.
 
 These are the direct algorithms that the package replaced with faster ones:
+- `paths_to_pumping_bound`: every legal path listed up to the pumping bound
+  (`algebra._enumerate_paths` stops a path when it meets one of its own
+  states in the relation automaton again);
 - `rref_fraction`: Gauss–Jordan on `Fraction` rows (`tautilt.linalg.rref`
   eliminates on integer rows);
 - `tau_inverse_closure`: the projectives closed under `modules.tau_inverse`
@@ -50,10 +53,10 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Sequence
 
-from tautilt.algebra import Quiver, _fresh_vertex, build_algebra, opposite_algebra
+from tautilt.algebra import Path, Quiver, _fresh_vertex, build_algebra, opposite_algebra
 from tautilt.catalog import build_catalog
 from tautilt.dags import LabeledDag, glue, hasse_to_dag
-from tautilt.errors import InvariantViolation, PreconditionError
+from tautilt.errors import InfiniteDimensionalError, InvariantViolation, PreconditionError
 from tautilt.linalg import QMatrix, hstack, rank, rref
 from tautilt.modules import (Representation, _top_generators, compose, ext1, hom_basis, iso,
                              kernel_of, pd_at_most_one, projective, projective_cover,
@@ -140,6 +143,30 @@ def algebra_equal_upto_relabel(a, b, vertex_map, arrow_map):
             return False
     mapped_rels = {tuple(arrow_map[x] for x in r) for r in a.relations}
     return mapped_rels == set(b.relations)
+
+
+def paths_to_pumping_bound(quiver, relations):
+    """The path basis, every legal path listed up to the pumping bound
+    |V| + sum(len(r) - 1); a legal path longer than that makes it infinite."""
+    max_len = len(quiver.vertices) + sum(len(r) - 1 for r in relations)
+    basis = [Path(v, (), v) for v in quiver.vertices]
+    frontier = list(basis)
+    length = 0
+    while frontier:
+        length += 1
+        if length > max_len:
+            raise InfiniteDimensionalError(
+                "path basis is infinite: the quiver has a cycle not cut by any relation")
+        new = []
+        for p in frontier:
+            for arrow in quiver.arrows_from[p.target]:
+                cand = p.arrows + (arrow.name,)
+                if any(len(r) <= len(cand) and cand[-len(r):] == r for r in relations):
+                    continue
+                new.append(Path(p.source, cand, arrow.target))
+        basis.extend(new)
+        frontier = new
+    return tuple(basis)
 
 
 def rref_fraction(m):

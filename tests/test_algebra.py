@@ -1,12 +1,19 @@
-import pytest
+import time
+from pathlib import Path
 
-from tautilt.algebra import (Arrow, Quiver, build_algebra, delete_vertex, load_algebra,
-                             one_point_extension, opposite_algebra, parse_algebra,
-                             serialize_algebra)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tautilt.algebra import (Arrow, Quiver, _normalize_relations, build_algebra,
+                             delete_vertex, load_algebra, one_point_extension,
+                             opposite_algebra, parse_algebra, serialize_algebra)
 from tautilt.errors import AlgebraFormatError, InfiniteDimensionalError, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 
-from oracles import add_isolated_vertex, algebra_equal_upto_relabel
+from oracles import add_isolated_vertex, algebra_equal_upto_relabel, paths_to_pumping_bound
+
+DATA = Path(__file__).parent / "data"
 
 
 def linear(n, relations=()):
@@ -204,3 +211,53 @@ def test_parse_rejects_malformed():
         parse_algebra('{"vertices": ["1"]}')
     with pytest.raises(AlgebraFormatError):
         parse_algebra('{"vertices": ["1"], "arrows": [{"id": "a"}], "relations": []}')
+
+
+@st.composite
+def quivers_with_cycles(draw):
+    """At most 3 vertices and 5 arrows, loops and cycles allowed, and relations
+    drawn as walks of 2 to 4 arrows.  The pumping bound |V| + sum(len(r) - 1) is
+    at most 9, and (largest out-degree)^bound at most 20,000, so that the oracle,
+    which lists the legal paths up to that length, stays fast."""
+    vertices = [str(k) for k in range(draw(st.integers(1, 3)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         max_size=5))
+    quiver = Quiver(vertices, [Arrow(f"x{k}", s, t) for k, (s, t) in enumerate(ends)])
+    out_degree = max(len(out) for out in quiver.arrows_from.values())
+    relations, bound = [], len(vertices)
+    for _ in range(draw(st.integers(0, 4)) if quiver.arrows else 0):
+        walk = [draw(st.sampled_from(quiver.arrows))]
+        for _ in range(draw(st.integers(1, 3))):
+            out = quiver.arrows_from[walk[-1].target]
+            if out:
+                walk.append(draw(st.sampled_from(out)))
+        if len(walk) > 1 and bound + len(walk) - 1 <= 9 and (
+                out_degree ** (bound + len(walk) - 1) <= 20_000):
+            relations.append(tuple(a.name for a in walk))
+            bound += len(walk) - 1
+    return quiver, relations
+
+
+@given(quivers_with_cycles())
+@settings(max_examples=300, deadline=None)
+def test_path_basis_matches_the_pumping_bound_oracle(drawn):
+    """The automaton's verdict and basis are those of listing every path up to the
+    pumping bound, on quivers with loops and cycles."""
+    quiver, relations = drawn
+    try:
+        expected = paths_to_pumping_bound(quiver, _normalize_relations(quiver, relations))
+    except InfiniteDimensionalError as exc:
+        with pytest.raises(InfiniteDimensionalError) as got:
+            build_algebra(quiver, relations)
+        assert str(got.value) == str(exc)
+    else:
+        assert build_algebra(quiver, relations).path_basis == expected
+
+
+def test_six_loops_with_four_relations_are_infinite_at_once():
+    """Six loops cut by abc, bcd, cde and def still pump (a loop on its own, say);
+    the automaton says so without listing every legal path up to the bound of 9."""
+    start = time.perf_counter()
+    with pytest.raises(InfiniteDimensionalError, match="path basis is infinite"):
+        load_algebra(DATA / "six_loops_infinite.json")
+    assert time.perf_counter() - start < 0.5

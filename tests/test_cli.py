@@ -17,7 +17,7 @@ from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 
 from oracles import algebra_equal_upto_relabel
-from test_verify import flip_tau_hom_bit
+from test_verify import flip_tau_hom_bit, reverse_one_extension_arrow
 
 
 @pytest.fixture()
@@ -185,6 +185,23 @@ def test_verify_all_claims(runner, tmp_path, example_base):
     assert {r["claim"] for r in doc} == {"classification", "count-equations",
                                          "tilting-transfer", "hasse-gluing"}
     assert all(r["status"] == "pass" for r in doc)
+    assert not list(tmp_path.glob("*.dot"))
+
+
+def test_verify_writes_the_gluing_quivers_into_the_out_dir(runner, tmp_path, monkeypatch, a2):
+    """A failed gluing: the CLI writes both DOT files beside the report, and the
+    report's JSON has no `artifacts` key."""
+    f = write_algebra(tmp_path / "a2.json", a2)
+    out = tmp_path / "out"
+    reverse_one_extension_arrow(monkeypatch, one_point_extension(a2, "2")[0])
+    result = runner.invoke(main, ["--out-dir", str(out), "verify", f, "--source", "2"])
+    assert result.exit_code == 1, result.output
+    assert sorted(p.name for p in out.iterdir()) == [
+        "hasse_extended.dot", "hasse_glued.dot", "verify_report.json"]
+    assert all(p.read_text().startswith("digraph hasse {") for p in out.glob("*.dot"))
+    doc = json.loads((out / "verify_report.json").read_text())
+    assert [r["status"] for r in doc] == ["pass"] * 3 + ["fail"]
+    assert all("artifacts" not in r for r in doc)
 
 
 def test_verify_selected_claims(runner, tmp_path):

@@ -6,6 +6,7 @@ from tautilt import verify
 from tautilt.algebra import Arrow, Quiver, build_algebra, one_point_extension
 from tautilt.catalog import Catalog, build_catalog
 from tautilt.counting import REPORTED_D
+from tautilt.dags import glue, hasse_to_dag, to_dot
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 from tautilt.tilting import HasseQuiver, STauPair, pair_label
@@ -153,28 +154,62 @@ def test_hasse_gluing_small(fork_ctx, single_ctx, a2_ctx):
         assert gluing_search_agrees(ctx)
 
 
-def test_hasse_gluing_names_a_reversed_arrow(monkeypatch, tmp_path, a2):
-    """One arrow of the extension's Hasse quiver turned round: the map check
-    names it by both labels, and the search finds no isomorphism either."""
-    ctx = ExtensionContext(a2, "2")
+def reverse_one_extension_arrow(monkeypatch, extended):
+    """Make `Enumeration.hasse` turn round the first arrow of the Hasse quiver of
+    `extended`, and leave every other algebra's quiver as it is.  Returns the
+    true `Enumeration.hasse`."""
     true_hasse = Enumeration.hasse
 
     def hasse_with_one_arrow_reversed(self):
         h = true_hasse(self)
-        if self.algebra is not ctx.extended:
+        if self.algebra != extended:
             return h
         (a, b), *rest = h.arrows
         return HasseQuiver(h.pairs, tuple(sorted([(b, a)] + rest)))
 
     monkeypatch.setattr(Enumeration, "hasse", hasse_with_one_arrow_reversed)
+    return true_hasse
+
+
+def gluing_dot_texts(ctx):
+    """The DOT texts of the extension's quiver and of the glued doubled quiver."""
+    h_base = ctx.enum("base").hasse()
+    doubled, _ = glue(hasse_to_dag(h_base), range(len(h_base.pairs)))
+    glued, _ = glue(doubled, select_doubled_subset(ctx))
+    return {"hasse_extended.dot": to_dot(hasse_to_dag(ctx.enum("extended").hasse())),
+            "hasse_glued.dot": to_dot(glued)}
+
+
+def test_hasse_gluing_names_a_reversed_arrow(monkeypatch, a2):
+    """One arrow of the extension's Hasse quiver turned round: the map check
+    names it by both labels and carries both quivers as DOT text, and the
+    search finds no isomorphism either."""
+    ctx = ExtensionContext(a2, "2")
+    true_hasse = reverse_one_extension_arrow(monkeypatch, ctx.extended)
     a, b = true_hasse(ctx.enum("extended")).arrows[0]
     pairs = ctx.enum("extended").pairs
-    rep = verify_hasse_gluing(ctx, dot_dir=tmp_path)
+    rep = verify_hasse_gluing(ctx)
     assert rep.status == "fail"
     assert rep.detail.startswith(f"arrow {pair_label(pairs[b])} -> {pair_label(pairs[a])} maps to ")
     assert rep.detail.endswith(", which is not an arrow")
-    assert (tmp_path / "hasse_extended.dot").exists() and (tmp_path / "hasse_glued.dot").exists()
+    assert rep.artifacts == gluing_dot_texts(ctx)
     assert not gluing_search_agrees(ctx)
+
+
+def test_run_claims_hands_back_the_gluing_quivers_and_writes_no_file(monkeypatch, tmp_path, a2):
+    """A failed gluing returns both DOT texts in its report, leaves them out of
+    the report's JSON, and writes nothing; the passing claims carry none."""
+    monkeypatch.chdir(tmp_path)
+    ctx = ExtensionContext(a2, "2")
+    reverse_one_extension_arrow(monkeypatch, ctx.extended)
+    *passed, gluing = run_claims(ctx)
+    assert [r.status for r in passed] == ["pass"] * 3
+    assert all(r.artifacts == {} for r in passed)
+    assert (gluing.claim, gluing.status) == ("hasse-gluing", "fail")
+    assert gluing.artifacts == gluing_dot_texts(ctx)
+    assert all(text.startswith("digraph hasse {") for text in gluing.artifacts.values())
+    assert "artifacts" not in gluing.to_dict()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hasse_gluing_names_a_pair_without_an_image(monkeypatch, a2):
