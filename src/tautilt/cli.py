@@ -147,12 +147,11 @@ def verify(out_dir, file, source_vertex, claims, report_path):
     wanted = select_claims(c.strip() for c in claims.split(",") if c.strip())
     ctx = ExtensionContext(algebra, source_vertex)
     # Each verdict is printed when it is reached, so an internal error in a later
-    # claim keeps the earlier lines; the report is written after the last claim.
+    # claim keeps the earlier lines. The report is written after the last claim
+    # and before the artifacts, so an unwritable out-dir cannot lose it.
     reports = []
     for rep in run_claims(ctx, wanted):
         reports.append(rep)
-        for name, text in rep.artifacts.items():
-            write_text_atomic(out_dir / name, text)
         line = f"{rep.claim}: {rep.status}"
         if rep.counts:
             line += " " + json.dumps(rep.counts, sort_keys=True)
@@ -160,6 +159,9 @@ def verify(out_dir, file, source_vertex, claims, report_path):
         if rep.detail:
             click.echo(f"  {rep.detail}")
     write_text_atomic(path, reports_to_json(reports))
+    for rep in reports:
+        for name, text in rep.artifacts.items():
+            write_text_atomic(out_dir / name, text)
     if any(r.status == "fail" for r in reports):
         sys.exit(EXIT_VERIFY)
 

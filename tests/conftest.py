@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import settings
 
 from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
@@ -7,9 +6,6 @@ from tautilt.families import type_a_square, type_d_square
 
 # Report the oracle comparisons with pytest's expanded assertion messages.
 pytest.register_assert_rewrite("oracles")
-
-# `--hypothesis-profile=ci`: a failing example also prints the blob that replays it.
-settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -204,6 +204,22 @@ def test_verify_writes_the_gluing_quivers_into_the_out_dir(runner, tmp_path, mon
     assert all("artifacts" not in r for r in doc)
 
 
+def test_verify_keeps_its_report_when_the_out_dir_cannot_be_written(
+        runner, tmp_path, monkeypatch, a2):
+    """A failed gluing with `--out-dir` below a plain file and `--report`
+    elsewhere: the run still prints the gluing verdict and writes the report
+    before the artifact write fails."""
+    f = write_algebra(tmp_path / "a2.json", a2)
+    (tmp_path / "plain").write_text("")
+    report = tmp_path / "report.json"
+    reverse_one_extension_arrow(monkeypatch, one_point_extension(a2, "2")[0])
+    result = runner.invoke(main, ["--out-dir", str(tmp_path / "plain" / "out"), "verify", f,
+                                  "--source", "2", "--report", str(report)])
+    assert result.exit_code == 5, result.output
+    assert "hasse-gluing: fail" in result.output
+    assert [r["status"] for r in json.loads(report.read_text())] == ["pass"] * 3 + ["fail"]
+
+
 def test_verify_selected_claims(runner, tmp_path):
     f = write_algebra(tmp_path / "a4.json", type_a_square(4))
     result = runner.invoke(main, ["--out-dir", str(tmp_path), "verify", f,
