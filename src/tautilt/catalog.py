@@ -142,8 +142,9 @@ class Catalog:
 def _check_acyclic(algebra: Algebra) -> None:
     """An arrow v -> w is a radical map P(w) -> P(v): a cycle of arrows is one of projectives."""
     q = algebra.quiver
-    arrows = [(q.vertex_pos[a.source], q.vertex_pos[a.target]) for a in q.arrows]
-    if topological_order(len(q.vertices), arrows) is None:
+    n = len(q.vertices)
+    codes = sorted(q.vertex_pos[a.source] * n + q.vertex_pos[a.target] for a in q.arrows)
+    if topological_order(n, codes)[0] is None:
         raise NotDirectedError(f"the quiver has an oriented cycle; {NOT_DIRECTED}")
 
 

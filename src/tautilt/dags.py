@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 from .tilting import HasseQuiver, pair_label
@@ -15,8 +16,13 @@ class LabeledDag:
     arrows: tuple[tuple[int, int], ...]
 
 
+def _decoded(h: HasseQuiver) -> Iterator[tuple[int, int]]:
+    return map(divmod, h.arrows, repeat(len(h.pairs)))
+
+
 def hasse_to_dag(h: HasseQuiver) -> LabeledDag:
-    return LabeledDag(tuple(pair_label(p) for p in h.pairs), tuple(h.arrows))
+    """The quiver with its labels built and its arrow codes decoded, for gluing."""
+    return LabeledDag(tuple(map(pair_label, h.pairs)), tuple(_decoded(h)))
 
 
 def glue(dag: LabeledDag, subset: Iterable[int]) -> tuple[LabeledDag, dict[int, int]]:
@@ -72,13 +78,18 @@ def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | No
     return None
 
 
-def to_dot(dag: LabeledDag) -> str:
-    """Deterministic DOT text: one node line per vertex, then the arrows in order."""
-    lines = ["digraph hasse {"]
-    for i, label in enumerate(dag.labels):
+def to_dot(quiver: LabeledDag | HasseQuiver) -> Iterator[str]:
+    """Deterministic DOT text, line by line: one node line per vertex, then the
+    arrows in order.  A Hasse quiver's labels and arrows are made as they are
+    written, so neither they nor the text are ever held whole."""
+    if isinstance(quiver, HasseQuiver):
+        labels, arrows = map(pair_label, quiver.pairs), _decoded(quiver)
+    else:
+        labels, arrows = quiver.labels, quiver.arrows
+    yield "digraph hasse {\n"
+    for i, label in enumerate(labels):
         esc = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  n{i} [label="{esc}"];')
-    for a, b in dag.arrows:
-        lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  n{i} [label="{esc}"];\n'
+    for a, b in arrows:
+        yield f"  n{a} -> n{b};\n"
+    yield "}\n"

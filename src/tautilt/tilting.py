@@ -32,11 +32,15 @@ iff `upper.mods & ~tors[lower] == 0` and `supp[lower] & upper.proj == 0`,
 where `tors` is the AND of `tors_mask` and `supp` the OR of `support_mask`
 over the summands (Adachi-Iyama-Reiten, Thm 2.18).  Both tests are one AND
 of `upper`'s code with `lower`'s `outside` mask, so the direction of each
-arrow is decided in O(1).  An arrow (a, b) is coded a * |pairs| + b, and the
-codes are sorted once.
+arrow is decided in O(1).  An arrow a -> b is coded a * |pairs| + b, the codes
+are sorted once, and `HasseQuiver.arrows` keeps them as they are, in one
+`array('q')`: 8 bytes an arrow, and no (a, b) tuple is built.  `divmod(code,
+|pairs|)` gives the arrow back, and sorted codes are sorted by tail, which is
+what `topological_order` reads.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from struct import Struct
 from typing import Sequence
@@ -56,9 +60,13 @@ class STauPair:
 
 @dataclass(frozen=True)
 class HasseQuiver:
-    """Left-mutation quiver on the enumerated pairs (vertices sorted by g-vector)."""
+    """Left-mutation quiver on the enumerated pairs (vertices sorted by g-vector).
+
+    `arrows` holds the arrow a -> b as the code a * len(pairs) + b, the codes
+    strictly increasing; `dags.hasse_to_dag` decodes them into (a, b) pairs.
+    """
     pairs: tuple[STauPair, ...]
-    arrows: tuple[tuple[int, int], ...]
+    arrows: array
 
 
 def is_tau_rigid(cat: Catalog, ref: ModuleRef) -> bool:
@@ -168,7 +176,7 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair]) -> HasseQuiver:
         outside.append(every_entry ^ t | s << size)
     # Almost complete pair -> its first completion, then -1 once a second one came.
     slot: dict[int, int] = {}
-    arrow_codes: list[int] = []
+    arrow_codes = array("q")
     count = len(pairs)
     for b, code in enumerate(codes):
         rest = code
@@ -189,24 +197,18 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair]) -> HasseQuiver:
     # n * count / 2 arrows leave every pair exactly n neighbours.
     if 2 * len(arrow_codes) != n * count or any(c.bit_count() != n for c in codes):
         raise InvariantViolation("exchange graph is not n-regular")
-    del slot, outside  # freed before the arrow tuples are built: a lower peak
-    arrow_codes.sort()
-    ids = list(range(count))  # one int object per vertex, shared by its arrows
-    arrows = tuple(zip([ids[c // count] for c in arrow_codes],
-                       [ids[c % count] for c in arrow_codes]))
+    del slot, outside  # freed before the codes are sorted: a lower peak
+    arrows = array("q", sorted(arrow_codes))
+    del arrow_codes
     _assert_hasse_shape(cat, pairs, arrows)
     return HasseQuiver(pairs, arrows)
 
 
-def _assert_hasse_shape(cat: Catalog, pairs: Sequence[STauPair],
-                        arrows: Sequence[tuple[int, int]]) -> None:
-    if topological_order(len(pairs), arrows) is None:
+def _assert_hasse_shape(cat: Catalog, pairs: Sequence[STauPair], arrows: Sequence[int]) -> None:
+    """`arrows` are codes a * len(pairs) + b, sorted."""
+    order, indeg, outdeg = topological_order(len(pairs), arrows)
+    if order is None:
         raise InvariantViolation("mutation quiver has a cycle")
-    indeg = [0] * len(pairs)
-    outdeg = [0] * len(pairs)
-    for a, b in arrows:
-        outdeg[a] += 1
-        indeg[b] += 1
     sources = [i for i, d in enumerate(indeg) if d == 0]
     sinks = [i for i, d in enumerate(outdeg) if d == 0]
     if len(sources) != 1 or len(sinks) != 1:

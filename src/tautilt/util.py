@@ -3,62 +3,87 @@ from __future__ import annotations
 
 import errno
 import os
-from collections import deque
+import stat
 from contextlib import contextmanager, suppress
+from itertools import accumulate, takewhile
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
 
 
 @contextmanager
-def _writing(path: Path) -> Iterator[Path]:
+def _writing(path: Path, keep_dirs: bool = True) -> Iterator[Path]:
     """The temp file beside `path`, its parent directory made.  The temp file is
-    removed afterwards; an OS error becomes a PreconditionError that names `path`,
-    as does a directory or a path with no file name ("." or "/") as the target."""
+    removed afterwards, and so are the directories made here when the write fails
+    or `keep_dirs` is false.  An OS error becomes a PreconditionError that names
+    `path`, as does a target that is a directory, a path with no file name ("."
+    or "/"), or an existing target that is not a regular file (a FIFO, a device,
+    a symlink): renaming over it would replace it by a regular file."""
     if not path.name or path.is_dir():
         raise PreconditionError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    made: list[Path] = []
+    kept = False
     try:
+        with suppress(FileNotFoundError, NotADirectoryError):
+            if not stat.S_ISREG(path.lstat().st_mode):
+                raise PreconditionError(f"cannot write {path}: not a regular file")
+        made = list(takewhile(lambda d: not d.exists(), path.parents))  # deepest first
         path.parent.mkdir(parents=True, exist_ok=True)
         yield tmp
+        kept = keep_dirs
     except OSError as exc:
         raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         with suppress(OSError):
             tmp.unlink()
+        if not kept:
+            for d in made:
+                with suppress(OSError):
+                    d.rmdir()
 
 
-def write_text_atomic(path: Path | str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
+def write_text_atomic(path: Path | str, text: str | Iterable[str]) -> None:
+    """Write `text`, or its lines one by one, via a sibling temp file and rename,
+    so readers never see a torn file and a line iterator is never held whole."""
     path = Path(path)
     with _writing(path) as tmp:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
 
 
 def check_writable(path: Path | str) -> None:
     """Raise now the PreconditionError that `write_text_atomic(path, ...)` would
-    raise after a long run: refuse a directory as the target, make the parent,
-    and create and remove the temp file."""
-    with _writing(Path(path)) as tmp:
+    raise after a long run: refuse a target that is not a regular file, make the
+    parent, and create and remove the temp file and the directories made."""
+    with _writing(Path(path), keep_dirs=False) as tmp:
         tmp.write_text("", encoding="utf-8")
 
 
-def topological_order(n: int, arrows: Iterable[tuple[int, int]]) -> list[int] | None:
-    """Kahn order of the vertices 0..n-1, or None when the arrows contain a cycle."""
-    adj = [[] for _ in range(n)]
+def topological_order(n: int,
+                      codes: Sequence[int]) -> tuple[list[int] | None, list[int], list[int]]:
+    """Kahn order of the vertices 0..n-1, or None when the arrows contain a cycle,
+    with the in-degree and out-degree of every vertex.
+
+    An arrow a -> b is the code a * n + b, and the codes are sorted by tail, so
+    the arrows out of a are codes[start[a]:start[a + 1]] (compressed sparse
+    rows): one pass over the codes counts the degrees, and no vertex holds a list.
+    """
     indeg = [0] * n
-    for a, b in arrows:
-        adj[a].append(b)
+    outdeg = [0] * n
+    for c in codes:
+        a, b = divmod(c, n)
+        outdeg[a] += 1
         indeg[b] += 1
-    queue = deque(i for i in range(n) if indeg[i] == 0)
-    order = []
-    while queue:
-        i = queue.popleft()
-        order.append(i)
-        for j in adj[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return order if len(order) == n else None
+    start = list(accumulate(outdeg, initial=0))
+    waiting = indeg.copy()
+    order = [i for i, d in enumerate(indeg) if not d]
+    for i in order:  # a queue: the loop reaches the vertices appended below
+        for c in codes[start[i]:start[i + 1]]:
+            j = c % n
+            waiting[j] -= 1
+            if not waiting[j]:
+                order.append(j)
+    return (order if len(order) == n else None), indeg, outdeg

@@ -263,8 +263,8 @@ def verify_hasse_gluing(ctx: ExtensionContext) -> ClaimReport:
     reason = dag_iso(dag_ext, glued, _glued_vertex_map(ctx, h_ext, h_base, plus))
     if reason is not None:
         return ClaimReport("hasse-gluing", "fail", counts, reason,
-                           {"hasse_extended.dot": to_dot(dag_ext),
-                            "hasse_glued.dot": to_dot(glued)})
+                           {"hasse_extended.dot": "".join(to_dot(dag_ext)),
+                            "hasse_glued.dot": "".join(to_dot(glued))})
     return ClaimReport("hasse-gluing", "pass", counts)
 
 

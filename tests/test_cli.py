@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,44 @@ def test_family_reports_an_unwritable_out_in_one_line(runner, tmp_path):
     assert result.stderr == f"error: cannot write {out}: File exists\n"
     assert result.stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+def test_an_output_target_that_is_not_a_regular_file_is_left_as_it_is(runner, tmp_path, kind):
+    """Renaming the temp file over a FIFO or a symlink would replace it by a
+    regular file: exit 5, and the target and what a symlink names keep their state."""
+    target = tmp_path / "out.json"
+    if kind == "fifo":
+        os.mkfifo(target)
+    else:
+        (tmp_path / "named.json").write_text("old")
+        target.symlink_to(tmp_path / "named.json")
+    result = runner.invoke(main, ["family", "--kind", "A2", "--n", "2", "--out", str(target)])
+    assert result.exit_code == 5
+    assert result.stderr == f"error: cannot write {target}: not a regular file\n"
+    assert result.stdout == ""
+    if kind == "fifo":
+        assert stat.S_ISFIFO(target.lstat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    else:
+        assert target.is_symlink() and (tmp_path / "named.json").read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["named.json", "out.json"]
+
+
+@pytest.mark.parametrize("args", [
+    ["family", "--kind", "A2", "--n", "2", "--out", "newdir/.."],
+    ["hasse", "--dot", "newdir/..", "a2.json"],
+], ids=["family-out", "hasse-dot"])
+def test_a_failed_write_removes_the_directories_it_made(monkeypatch, runner, tmp_path, a2,
+                                                        args):
+    """`newdir/..` is made, written beside and then cannot be renamed onto."""
+    monkeypatch.chdir(tmp_path)
+    write_algebra(tmp_path / "a2.json", a2)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 5
+    assert result.stderr.startswith("error: cannot write newdir/..: ")
+    assert result.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a2.json"]
 
 def test_extend_at_sink_fails(runner, tmp_path, a2):
     f = write_algebra(tmp_path / "a2.json", a2)
