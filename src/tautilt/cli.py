@@ -106,7 +106,7 @@ def enumerate_cmd(file, kind):
     if kind == "stau":
         items = [pair_to_dict(p) for p in enum.pairs]
     elif kind == "tau":
-        items = [{"summands": list(m)} for m in enum.tau_tilt()]
+        items = [{"summands": list(m)} for m in enum.tau_tilt]
     else:
         items = [{"summands": list(m)} for m in enum.tilt()]
     for item in items:

@@ -11,39 +11,50 @@ of a vertex set for the k-th vertex.  `Catalog` holds one row per entry:
 `compat_mask` (its compatible entries), `tors_mask` (the j with
 Hom(E_i, tau E_j) = 0) and `support_mask` (its support).  A DFS node that
 adds entry i carries its candidates `cand & compat_mask[i]`, the OR of the
-support masks and the running g-vector of its modules, so keeping a clique
-costs one `bit_count`.
+support masks, the running g-vector of its modules and the module bitmask
+`mods | 1 << i`, so keeping a clique costs two `bit_count`s.
 
 The running g-vector is one int of n lanes, coordinate 0 in the most
 significant lane, each lane a signed `width`-byte value offset by half its
 range.  A child adds its entry's packed row: one int addition.  A kept pair
 has at most n summands, so a lane never leaves its range, and the packed
-ints sort as the g-vectors do.  Only a kept pair is decoded, by one
-`struct` unpack of its bytes, and pairs of one unsupported-vertex set share
-one projective-part tuple.
+ints sort as the g-vectors do.
 
-`hasse` codes a pair as one int: the module bits first (bits 0 to
-cat.size - 1), then the bits of the unsupported vertices (bit cat.size + k
-for the k-th vertex).  Clearing one set bit of a code gives an almost
+A kept pair is one int: its biased packed g-vector, shifted above its code.
+The code is the module bits first (bits 0 to cat.size - 1), then the bits of
+the unsupported vertices (bit cat.size + k for the k-th vertex).  The ints
+are sorted once, which sorts the pairs by g-vector; distinct pairs have
+distinct g-vectors (Adachi-Iyama-Reiten, Thm 5.5), and two neighbours with
+one g-vector raise.  A `PairTable` keeps the ints as they are.  Its length,
+the full-support modules and `hasse`'s codes are read off the ints; a pair
+is decoded into an `STauPair` only where one is read (an index or an
+iteration), by one `struct` unpack of its g-vector, and the pairs of one
+unsupported-vertex set share one projective-part tuple.
+
+`hasse` works on the codes.  Clearing one set bit of a code gives an almost
 complete pair, the key of one dict slot.  The slot holds the first
 completion; the second decides the arrow at once and leaves -1, so a third
 raises.  The module part of `lower` lies in the torsion class of `upper`
 iff `upper.mods & ~tors[lower] == 0` and `supp[lower] & upper.proj == 0`,
-where `tors` is the AND of `tors_mask` and `supp` the OR of `support_mask`
-over the summands (Adachi-Iyama-Reiten, Thm 2.18).  Both tests are one AND
-of `upper`'s code with `lower`'s `outside` mask, so the direction of each
-arrow is decided in O(1).  An arrow a -> b is coded a * |pairs| + b, the codes
-are sorted once, and `HasseQuiver.arrows` keeps them as they are, in one
-`array('q')`: 8 bytes an arrow, and no (a, b) tuple is built.  `divmod(code,
-|pairs|)` gives the arrow back, and sorted codes are sorted by tail, which is
-what `topological_order` reads.
+where `tors` is the AND of `tors_mask` over the summands and `supp`, the
+support, is the complement of the unsupported bits (Adachi-Iyama-Reiten,
+Thm 2.18).  Both tests are one AND of `upper`'s code with `lower`'s
+`outside` mask, so the direction of each arrow is decided in O(1).  An
+arrow a -> b is coded a * |pairs| + b, the codes are sorted once, and
+`HasseQuiver.arrows` keeps them as they are, in one `array('q')`: 8 bytes
+an arrow, and no (a, b) tuple is built.  `divmod(code, |pairs|)` gives the
+arrow back, and sorted codes are sorted by tail, which is what
+`topological_order` reads.  The source and the sink are checked on their
+codes too, so `hasse` decodes no pair.
 """
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from struct import Struct
-from typing import Sequence
+from typing import Iterable, Iterator
 
 from .catalog import Catalog, ModuleRef
 from .errors import InvariantViolation, PreconditionError
@@ -58,14 +69,80 @@ class STauPair:
     g: tuple[int, ...]
 
 
+# Lane width in bytes -> its `struct` format character.
+_LANE_FORMAT = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _lanes(n: int, width: int) -> tuple[list[int], int]:
+    """The unit of each of n lanes of `width` bytes, coordinate 0 the most
+    significant, and the bias that offsets every lane by half its range."""
+    units = [1 << 8 * width * (n - 1 - k) for k in range(n)]
+    return units, sum(units) << 8 * width - 1
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class PairTable(Sequence[STauPair]):
+    """The enumerated pairs, one int each, read-only: `keys[k]` is pair k's
+    biased packed g-vector, in `width`-byte lanes, shifted above its code
+    (module bits, then unsupported-vertex bits).  `pairs[k]` and iteration
+    decode `STauPair`s; nothing else does."""
+    keys: tuple[int, ...]
+    vertices: tuple[str, ...]
+    size: int
+    width: int
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, k: int) -> STauPair:
+        return self._decode(self.keys[k])
+
+    def __iter__(self) -> Iterator[STauPair]:
+        return map(self._decode, self.keys)
+
+    @cached_property
+    def _layout(self) -> tuple[int, int, Struct, dict[int, tuple[str, ...]]]:
+        """(code bits, lane bias, g-vector unpacker, and the projective part of
+        each unsupported-vertex mask met so far: pairs of one mask share it)."""
+        n = len(self.vertices)
+        return (self.size + n, _lanes(n, self.width)[1],
+                Struct(f">{n}{_LANE_FORMAT[self.width]}"), {})
+
+    def _decode(self, key: int) -> STauPair:
+        code_bits, bias, g_struct, proj_of = self._layout
+        unsupported = key >> self.size & (1 << len(self.vertices)) - 1
+        proj = proj_of.get(unsupported)
+        if proj is None:
+            proj = proj_of[unsupported] = tuple(
+                v for k, v in enumerate(self.vertices) if unsupported >> k & 1)
+        return STauPair(_bits(key & (1 << self.size) - 1), proj,
+                        g_struct.unpack((key >> code_bits ^ bias).to_bytes(g_struct.size, "big")))
+
+    def codes(self) -> list[int]:
+        """Each pair's code: module bits, then unsupported-vertex bits."""
+        mask = (1 << self.size + len(self.vertices)) - 1
+        return [key & mask for key in self.keys]
+
+
 @dataclass(frozen=True)
 class HasseQuiver:
     """Left-mutation quiver on the enumerated pairs (vertices sorted by g-vector).
 
+    `pairs` is the enumeration's `PairTable`, and vertex k is its pair k.
     `arrows` holds the arrow a -> b as the code a * len(pairs) + b, the codes
     strictly increasing; `dags.hasse_to_dag` decodes them into (a, b) pairs.
     """
-    pairs: tuple[STauPair, ...]
+    pairs: PairTable
     arrows: array
 
 
@@ -89,91 +166,87 @@ def is_tilting(cat: Catalog, ref: ModuleRef) -> bool:
     return is_tau_tilting(cat, ref) and all(cat.pd_le_one[i] for i in ref)
 
 
-def enumerate_stau(cat: Catalog) -> list[STauPair]:
+def enumerate_stau(cat: Catalog) -> PairTable:
     """All support tau-tilting pairs, canonically ordered by g-vector.
 
     The DFS grows each clique by catalog indices above its last one, so it
     meets every clique once, and the catalog is finite, so the search ends.
     It runs on an explicit stack of (candidates, support, packed module
-    g-vector, clique) nodes: a recursive inner function refers to itself,
-    and that reference cycle keeps a finished search's pairs alive until the
-    cyclic garbage collector runs.
+    g-vector, module bits) nodes: a recursive inner function refers to
+    itself, and that reference cycle keeps a finished search's pairs alive
+    until the cyclic garbage collector runs.
     """
     vertices = cat.algebra.quiver.vertices
-    n = len(vertices)
+    n, size = len(vertices), cat.size
     all_vertices = (1 << n) - 1
     compat, support_mask = cat.compat_mask, cat.support_mask
     # A kept pair has at most n summands, so |g_k| <= n * max|g entry| + 1 < bound:
     # signed lanes of `width` bytes hold it, and no lane carries into the next.
     bound = n * (max((abs(c) for g in cat.g_vectors for c in g), default=0) + 1) + 1
-    width, lane_format = next((w, f) for w, f in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
-                              if bound < 1 << 8 * w - 1)
-    lane = [1 << 8 * width * (n - 1 - k) for k in range(n)]
-    bias = sum(lane) << 8 * width - 1
+    width = next(w for w in _LANE_FORMAT if bound < 1 << 8 * w - 1)
+    lane, bias = _lanes(n, width)
     packed = [sum(c * u for c, u in zip(g, lane)) for g in cat.g_vectors]
-    decode = Struct(f">{n}{lane_format}").unpack
-    # Unsupported-vertex mask -> (projective part, its packed g-vector).
-    proj_of: dict[int, tuple[tuple[str, ...], int]] = {}
-    kept: list[tuple[int, tuple[int, ...], tuple[str, ...]]] = []
+    code_bits = size + n
+    # Unsupported-vertex mask -> the packed g-vector of its projectives.
+    proj_of: dict[int, int] = {}
+    kept: list[int] = []
     rigid = sum(1 << i for i, m in enumerate(cat.tors_mask) if m >> i & 1)
-    stack = [(rigid, 0, bias, ())]
+    stack = [(rigid, 0, bias, 0)]
     while stack:
-        candidates, support, g_modules, clique = stack.pop()
-        if len(clique) == support.bit_count():
-            unsupported = all_vertices & ~support
-            proj = proj_of.get(unsupported)
-            if proj is None:
-                proj = proj_of[unsupported] = (
-                    tuple(v for k, v in enumerate(vertices) if unsupported >> k & 1),
-                    sum(u for k, u in enumerate(lane) if unsupported >> k & 1))
-            kept.append((g_modules - proj[1], clique, proj[0]))
+        candidates, support, g_modules, mods = stack.pop()
+        if mods.bit_count() == support.bit_count():
+            unsupported = all_vertices ^ support
+            g_proj = proj_of.get(unsupported)
+            if g_proj is None:
+                g_proj = proj_of[unsupported] = sum(
+                    u for k, u in enumerate(lane) if unsupported >> k & 1)
+            kept.append((g_modules - g_proj) << code_bits | unsupported << size | mods)
         # A child takes one candidate i; its candidates are those above i, ANDed with its row.
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             i = low.bit_length() - 1
             stack.append((candidates & compat[i], support | support_mask[i],
-                          g_modules + packed[i], clique + (i,)))
+                          g_modules + packed[i], mods | low))
     # Biased lanes, coordinate 0 the most significant: int order is g-vector order.
-    # Popped from the end of the reversed list, each kept node is freed as its pair is built.
-    kept.sort(reverse=True)
-    pairs: list[STauPair] = []
-    previous = None
-    while kept:
-        key, clique, proj = kept.pop()
-        if key == previous:
-            raise InvariantViolation(f"distinct pairs share the g-vector {pairs[-1].g}")
-        previous = key
-        pairs.append(STauPair(clique, proj, decode((key ^ bias).to_bytes(n * width, "big"))))
+    kept.sort()
+    pairs = PairTable(tuple(kept), vertices, size, width)
+    keys = pairs.keys
+    for k in range(1, len(keys)):
+        if keys[k - 1] >> code_bits == keys[k] >> code_bits:
+            raise InvariantViolation(f"distinct pairs share the g-vector {pairs[k].g}")
     return pairs
 
 
-def tau_tilting_modules(pairs: Sequence[STauPair]) -> list[ModuleRef]:
-    return [p.modules for p in pairs if not p.proj_part]
+def tau_tilting_modules(pairs: PairTable) -> list[ModuleRef]:
+    """The modules of the full-support pairs, in table order, read off the ints."""
+    every_entry = (1 << pairs.size) - 1
+    proj_bits = (1 << len(pairs.vertices)) - 1 << pairs.size
+    return [_bits(key & every_entry) for key in pairs.keys if not key & proj_bits]
 
 
-def tilting_modules(cat: Catalog, pairs: Sequence[STauPair]) -> list[ModuleRef]:
-    return [m for m in tau_tilting_modules(pairs) if is_tilting(cat, m)]
+def tilting_modules(cat: Catalog, tau_tilt: Iterable[ModuleRef]) -> list[ModuleRef]:
+    """The tilting modules among the tau-tilting modules `tau_tilt`."""
+    return [m for m in tau_tilt if is_tilting(cat, m)]
 
 
-def hasse(cat: Catalog, pairs: Sequence[STauPair]) -> HasseQuiver:
+def hasse(cat: Catalog, pairs: PairTable) -> HasseQuiver:
     """Mutation arrows between pairs whose summand sets differ in one element."""
-    pairs = tuple(pairs)
     n = cat.algebra.n_vertices
-    pos = cat.algebra.quiver.vertex_pos
     size = cat.size
     every_entry = (1 << size) - 1
-    tors_mask, support_mask = cat.tors_mask, cat.support_mask
-    codes: list[int] = []
+    all_vertices = (1 << n) - 1
+    tors_mask = cat.tors_mask
+    codes = pairs.codes()
+    # A kept pair's support is the complement of its unsupported bits.
     outside: list[int] = []
-    for p in pairs:
-        m, t, s = 0, every_entry, 0
-        for i in p.modules:
-            m |= 1 << i
-            t &= tors_mask[i]
-            s |= support_mask[i]
-        codes.append(m | sum(1 << pos[v] for v in p.proj_part) << size)
-        outside.append(every_entry ^ t | s << size)
+    for code in codes:
+        t, mods = every_entry, code & every_entry
+        while mods:
+            low = mods & -mods
+            mods ^= low
+            t &= tors_mask[low.bit_length() - 1]
+        outside.append(every_entry ^ t | (all_vertices ^ code >> size) << size)
     # Almost complete pair -> its first completion, then -1 once a second one came.
     slot: dict[int, int] = {}
     arrow_codes = array("q")
@@ -200,23 +273,23 @@ def hasse(cat: Catalog, pairs: Sequence[STauPair]) -> HasseQuiver:
     del slot, outside  # freed before the codes are sorted: a lower peak
     arrows = array("q", sorted(arrow_codes))
     del arrow_codes
-    _assert_hasse_shape(cat, pairs, arrows)
+    _assert_hasse_shape(cat, codes, arrows)
     return HasseQuiver(pairs, arrows)
 
 
-def _assert_hasse_shape(cat: Catalog, pairs: Sequence[STauPair], arrows: Sequence[int]) -> None:
-    """`arrows` are codes a * len(pairs) + b, sorted."""
-    order, indeg, outdeg = topological_order(len(pairs), arrows)
+def _assert_hasse_shape(cat: Catalog, codes: Sequence[int], arrows: Sequence[int]) -> None:
+    """`codes` are the pairs' codes, as `PairTable.codes` gives them, and
+    `arrows` are codes a * len(codes) + b, sorted."""
+    order, indeg, outdeg = topological_order(len(codes), arrows)
     if order is None:
         raise InvariantViolation("mutation quiver has a cycle")
     sources = [i for i, d in enumerate(indeg) if d == 0]
     sinks = [i for i, d in enumerate(outdeg) if d == 0]
     if len(sources) != 1 or len(sinks) != 1:
         raise InvariantViolation("mutation quiver does not have unique source and sink")
-    proj_all = tuple(sorted(cat.projective_index[v] for v in cat.algebra.quiver.vertices))
-    if pairs[sources[0]].modules != proj_all or pairs[sources[0]].proj_part:
+    if codes[sources[0]] != sum(1 << i for i in cat.projective_index.values()):
         raise InvariantViolation("source of the mutation quiver is not the regular pair")
-    if pairs[sinks[0]].modules or set(pairs[sinks[0]].proj_part) != set(cat.algebra.quiver.vertices):
+    if codes[sinks[0]] != (1 << cat.algebra.n_vertices) - 1 << cat.size:
         raise InvariantViolation("sink of the mutation quiver is not the zero pair")
 
 

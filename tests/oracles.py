@@ -413,14 +413,30 @@ def reference_arrows(cat, pairs):
     return sorted(arrows)
 
 
+def pair_key(table, pair):
+    """`pair` as `table` keeps it: the g-vector in `table.width`-byte lanes, each
+    offset by half its range, coordinate 0 the most significant, above the
+    module bits and then the unsupported-vertex bits."""
+    bits = 8 * table.width
+    g = 0
+    for c in pair.g:
+        assert -(1 << bits - 1) <= c < 1 << bits - 1
+        g = g << bits | c + (1 << bits - 1)
+    code = sum(1 << i for i in pair.modules)
+    code |= sum(1 << table.size + table.vertices.index(v) for v in pair.proj_part)
+    return g << table.size + len(table.vertices) | code
+
+
 def assert_matches_oracle(cat):
     """`enumerate_stau` and `hasse` equal the reference forms exactly; returns the pairs."""
     pairs = enumerate_stau(cat)
-    assert pairs == reference_pairs(cat)
+    reference = reference_pairs(cat)
+    assert list(pairs) == reference
+    assert list(pairs.keys) == [pair_key(pairs, p) for p in reference]
     h = hasse(cat, pairs)
     assert h.arrows.typecode == "q"
     assert all(x < y for x, y in zip(h.arrows, h.arrows[1:]))
-    assert decoded_arrows(h) == reference_arrows(cat, pairs)
+    assert decoded_arrows(h) == reference_arrows(cat, reference)
     return pairs
 
 

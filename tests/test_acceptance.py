@@ -73,7 +73,7 @@ def test_criterion_1_worked_example():
         cat = build_catalog(b)
         pairs = enumerate_stau(cat)
         assert len(tau_tilting_modules(pairs)) == 6
-        assert len(tilting_modules(cat, pairs)) == 5
+        assert len(tilting_modules(cat, tau_tilting_modules(pairs))) == 5
         ctx = ExtensionContext(fork_base(), "2")
         rep = verify_classification(ctx)
         assert rep.status == "pass"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -60,8 +61,8 @@ def test_example_base_tau_tilt_set(example_base):
     # compatibility graph forbids exactly {S2, P2}, {S3, [2/4]}, {S4, [2/3]}
     # and the simple pairs {S_i, S2}; its size-3 cliques are the set below.
     cat = build_catalog(example_base)
-    pairs = enumerate_stau(cat)
-    got = {tuple(sorted(cat.entries[i].dims for i in m)) for m in tau_tilting_modules(pairs)}
+    tau_tilt = tau_tilting_modules(enumerate_stau(cat))
+    got = {tuple(sorted(cat.entries[i].dims for i in m)) for m in tau_tilt}
     expected = {
         tuple(sorted([(0, 1, 0), (0, 0, 1), (1, 1, 1)])),  # S3 + S4 + P2
         tuple(sorted([(0, 0, 1), (1, 0, 1), (1, 1, 1)])),  # S4 + [2/4] + P2
@@ -71,9 +72,9 @@ def test_example_base_tau_tilt_set(example_base):
     }
     assert got == expected
     # hereditary: the same five modules are the tilting modules
-    assert len(tilting_modules(cat, pairs)) == 5
-    got_tilt = {tuple(sorted(cat.entries[i].dims for i in m))
-                for m in tilting_modules(cat, pairs)}
+    tilt = tilting_modules(cat, tau_tilt)
+    assert len(tilt) == 5
+    got_tilt = {tuple(sorted(cat.entries[i].dims for i in m)) for m in tilt}
     assert got_tilt == expected
 
 
@@ -94,7 +95,7 @@ def test_tilting_counts_linear_family():
     for n in (2, 3, 4, 5):
         cat = build_catalog(type_a_square(n))
         pairs = enumerate_stau(cat)
-        assert len(tilting_modules(cat, pairs)) == 2
+        assert len(tilting_modules(cat, tau_tilting_modules(pairs))) == 2
 
 
 def test_g_vector_examples(cat_a2, a2):
@@ -191,7 +192,7 @@ def assert_catalan_counts(n):
     assert len(pairs) == comb(2 * n + 2, n + 1) // (n + 2)
     tau_tilt = tau_tilting_modules(pairs)
     assert len(tau_tilt) == comb(2 * n, n) // (n + 1)
-    assert tilting_modules(cat, pairs) == tau_tilt
+    assert tilting_modules(cat, tau_tilt) == tau_tilt
 
 
 def test_hereditary_linear_counts_are_catalan():
@@ -217,7 +218,7 @@ def test_hereditary_d_counts_are_cluster_counts(hereditary_d, n):
     pairs = enumerate_stau(cat)
     assert len(pairs) == pairs_num // n
     assert len(tau_tilting_modules(pairs)) == tilt_num // n
-    assert len(tilting_modules(cat, pairs)) == tilt_num // n
+    assert len(tilting_modules(cat, tau_tilting_modules(pairs))) == tilt_num // n
 
 
 def test_empty_algebra_enumeration():
@@ -259,11 +260,12 @@ def test_shared_g_vector_is_rejected(monkeypatch, cat_a2):
 
 
 def test_third_completion_is_rejected(cat_lambda3):
-    """A repeated pair is a third completion of each of its almost complete pairs."""
+    """The last pair's int repeated: the repeat is a third completion of each of
+    its almost complete pairs."""
     pairs = enumerate_stau(cat_lambda3)
     with pytest.raises(InvariantViolation,
                        match="^more than two completions of an almost complete pair$"):
-        hasse(cat_lambda3, pairs + [pairs[0]])
+        hasse(cat_lambda3, replace(pairs, keys=pairs.keys + pairs.keys[-1:]))
 
 
 def test_undecided_mutation_direction_is_rejected(monkeypatch, cat_lambda3):
@@ -276,10 +278,12 @@ def test_undecided_mutation_direction_is_rejected(monkeypatch, cat_lambda3):
 
 
 def test_missing_pair_breaks_regularity(cat_lambda3):
-    """Without the zero pair, each of its n neighbours has n - 1 neighbours."""
-    pairs = [p for p in enumerate_stau(cat_lambda3) if p.modules]
+    """Without the zero pair's int, each of its n neighbours has n - 1 neighbours."""
+    pairs = enumerate_stau(cat_lambda3)
+    kept = tuple(key for key, p in zip(pairs.keys, pairs) if p.modules)
+    assert len(kept) == len(pairs) - 1
     with pytest.raises(InvariantViolation, match="^exchange graph is not n-regular$"):
-        hasse(cat_lambda3, pairs)
+        hasse(cat_lambda3, replace(pairs, keys=kept))
 
 
 def test_second_source_is_rejected(cat_lambda3):
@@ -289,7 +293,7 @@ def test_second_source_is_rejected(cat_lambda3):
     head = h.arrows[0] % n
     with pytest.raises(InvariantViolation,
                        match="^mutation quiver does not have unique source and sink$"):
-        _assert_hasse_shape(cat_lambda3, list(h.pairs), [c for c in h.arrows if c % n != head])
+        _assert_hasse_shape(cat_lambda3, h.pairs.codes(), [c for c in h.arrows if c % n != head])
 
 
 def test_reversed_quiver_is_rejected_at_its_source(cat_lambda3):
@@ -297,19 +301,20 @@ def test_reversed_quiver_is_rejected_at_its_source(cat_lambda3):
     h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
     with pytest.raises(InvariantViolation,
                        match="^source of the mutation quiver is not the regular pair$"):
-        _assert_hasse_shape(cat_lambda3, list(h.pairs),
+        _assert_hasse_shape(cat_lambda3, h.pairs.codes(),
                             arrow_codes(len(h.pairs), ((b, a) for a, b in decoded_arrows(h))))
 
 
 def test_sink_must_be_the_zero_pair(cat_lambda3):
-    """The sink's pair replaced by one with no summands and no projective part."""
+    """The sink's code replaced by one with no summands and no projective part."""
     h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
-    pairs = list(h.pairs)
-    (sink,) = set(range(len(pairs))) - {a for a, _ in decoded_arrows(h)}
-    pairs[sink] = STauPair((), (), pairs[sink].g)
+    codes = h.pairs.codes()
+    (sink,) = set(range(len(codes))) - {a for a, _ in decoded_arrows(h)}
+    assert h.pairs[sink] == STauPair((), ("1", "2", "3"), (-1, -1, -1))
+    codes[sink] = 0
     with pytest.raises(InvariantViolation,
                        match="^sink of the mutation quiver is not the zero pair$"):
-        _assert_hasse_shape(cat_lambda3, pairs, h.arrows)
+        _assert_hasse_shape(cat_lambda3, codes, h.arrows)
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +10,8 @@ from tautilt.counting import REPORTED_D
 from tautilt.dags import glue, hasse_to_dag, to_dot
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
-from tautilt.tilting import HasseQuiver, STauPair, pair_label
+from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, pair_label,
+                             tau_tilting_modules)
 from tautilt.verify import (Enumeration, ExtensionContext, family_counts, reports_to_json,
                             reproduce_tables, run_claims, select_claims,
                             select_doubled_subset,
@@ -17,7 +19,7 @@ from tautilt.verify import (Enumeration, ExtensionContext, family_counts, report
                             verify_hasse_gluing, verify_tilting_transfer)
 
 from oracles import (arrow_codes, assert_doubled_quiver_matches_search, decoded_arrows,
-                     gluing_search_agrees)
+                     gluing_search_agrees, pair_key)
 
 
 @pytest.fixture(scope="module")
@@ -222,9 +224,9 @@ def test_hasse_gluing_names_a_pair_without_an_image(monkeypatch, a2):
         h = true_hasse(self)
         if self.algebra is not ctx.extended:
             return h
-        first, *rest = h.pairs
-        moved = STauPair(first.modules, first.proj_part, (99,) * len(first.g))
-        return HasseQuiver((moved, *rest), h.arrows)
+        first = h.pairs[0]
+        moved = pair_key(h.pairs, STauPair(first.modules, first.proj_part, (99,) * len(first.g)))
+        return HasseQuiver(replace(h.pairs, keys=(moved,) + h.pairs.keys[1:]), h.arrows)
 
     monkeypatch.setattr(Enumeration, "hasse", hasse_with_one_g_vector_moved)
     rep = verify_hasse_gluing(ctx)
@@ -243,7 +245,7 @@ def test_hasse_gluing_checks_the_extension_vertex_count(monkeypatch, a2):
         if self.algebra is not ctx.extended:
             return h
         last = len(h.pairs) - 1
-        return HasseQuiver(h.pairs[:last],
+        return HasseQuiver(replace(h.pairs, keys=h.pairs.keys[:last]),
                            arrow_codes(last, (a for a in decoded_arrows(h) if last not in a)))
 
     monkeypatch.setattr(Enumeration, "hasse", hasse_without_the_last_pair)
@@ -319,6 +321,22 @@ def test_run_claims_builds_three_catalogs(monkeypatch):
     assert [r.status for r in run_claims(ctx)] == ["pass"] * 4
     assert len(built) == 3
     assert {id(a) for a in built} == {id(ctx.base), id(ctx.extended), id(ctx.quotient)}
+
+
+def test_run_claims_decodes_the_full_support_modules_once_per_enumeration(monkeypatch):
+    """Four claims read the full-support modules of three enumerations, and
+    each table is scanned for them once."""
+    scanned = []
+
+    def counting_tau_tilting_modules(pairs):
+        scanned.append(id(pairs))
+        return tau_tilting_modules(pairs)
+
+    monkeypatch.setattr(verify, "tau_tilting_modules", counting_tau_tilting_modules)
+    ctx = ExtensionContext(type_a_square(4), "4")
+    assert [r.status for r in run_claims(ctx)] == ["pass"] * 4
+    tables = [id(ctx.enum(which).pairs) for which in ("base", "extended", "quotient")]
+    assert sorted(scanned) == sorted(tables)
 
 
 FAULT_CASES = pytest.mark.parametrize("base, source", [(type_a_square(4), "4"),
@@ -422,6 +440,26 @@ def test_reproduce_tables_small():
     assert [r.stau for r in result.table_d.rows] == [32, 78]
     assert result.discrepancies == []
     assert result.hard_failures == 0
+
+
+def test_reproduce_tables_builds_no_pair_record(monkeypatch):
+    """The tables read the pair counts and the full-support modules off the
+    enumeration's ints, so not one `STauPair` is built; decoding a pair
+    builds one, so the count below is live."""
+    built = []
+    true_init = STauPair.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        true_init(self, *args)
+
+    monkeypatch.setattr(STauPair, "__init__", counting_init)
+    result = reproduce_tables(5, 5)
+    assert [(r.tau_tilt, r.stau) for r in result.table_a.rows + result.table_d.rows] == [
+        (1, 2), (2, 5), (3, 12), (5, 29), (8, 70), (6, 32), (11, 78)]
+    assert built == []
+    first = enumerate_stau(build_catalog(type_a_square(2)))[0]
+    assert built == [(first.modules, first.proj_part, first.g)]
 
 
 def test_reproduce_tables_flags_reported_misprint():
