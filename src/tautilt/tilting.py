@@ -26,10 +26,11 @@ the unsupported vertices (bit cat.size + k for the k-th vertex).  The ints
 are sorted once, which sorts the pairs by g-vector; distinct pairs have
 distinct g-vectors (Adachi-Iyama-Reiten, Thm 5.5), and two neighbours with
 one g-vector raise.  A `PairTable` keeps the ints as they are.  Its length,
-the full-support modules and `hasse`'s codes are read off the ints; a pair
-is decoded into an `STauPair` only where one is read (an index or an
-iteration), by one `struct` unpack of its g-vector, and the pairs of one
-unsupported-vertex set share one projective-part tuple.
+the full-support modules, `hasse`'s codes and each pair's unsupported-vertex
+bits are read off the ints; a pair is decoded into an `STauPair` only where
+one is read (an index or an iteration), by one `struct` unpack of its
+g-vector, and the pairs of one unsupported-vertex set share one
+projective-part tuple.
 
 `hasse` works on the codes.  Clearing one set bit of a code gives an almost
 complete pair, the key of one dict slot.  The slot holds the first
@@ -132,6 +133,11 @@ class PairTable(Sequence[STauPair]):
         """Each pair's code: module bits, then unsupported-vertex bits."""
         mask = (1 << self.size + len(self.vertices)) - 1
         return [key & mask for key in self.keys]
+
+    def unsupported_masks(self) -> list[int]:
+        """Each pair's unsupported-vertex bits: bit k for the k-th vertex."""
+        all_vertices = (1 << len(self.vertices)) - 1
+        return [key >> self.size & all_vertices for key in self.keys]
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,12 @@ These are the direct algorithms that the package replaced with faster ones:
 - `searched_doubled_hasse`: the doubled quiver as the Hasse quiver of the
   base with an isolated vertex adjoined (`add_isolated_vertex`), searched in
   its own catalog (`verify_hasse_gluing` glues the base's quiver along all of
-  its vertices, the product rule).
+  its vertices, the product rule);
+- `family_counts`: one enumeration per family member (`reproduce_tables`
+  reads every row of a family off one enumeration of its largest member,
+  whose idempotent quotients the smaller members are).
 They share no code with the fast forms, so the tests can compare the two
-exactly; the last one runs the package's own search, on another algebra.
+exactly; the last two run the package's own search, on other algebras.
 
 It also keeps the builders and references that only tests use:
 `add_isolated_vertex`, `simple`, `hom_dim` (the length of an intertwiner
@@ -59,11 +62,12 @@ from tautilt.algebra import Path, Quiver, _fresh_vertex, build_algebra, opposite
 from tautilt.catalog import build_catalog
 from tautilt.dags import LabeledDag, glue, hasse_to_dag
 from tautilt.errors import InfiniteDimensionalError, InvariantViolation, PreconditionError
+from tautilt.families import family
 from tautilt.linalg import QMatrix, hstack, rank, rref
 from tautilt.modules import (Representation, _top_generators, compose, ext1, hom_basis, iso,
                              kernel_of, pd_at_most_one, projective, projective_cover,
                              sub_representation, syzygy, tau_inverse)
-from tautilt.tilting import HasseQuiver, STauPair, enumerate_stau, hasse
+from tautilt.tilting import HasseQuiver, STauPair, enumerate_stau, hasse, tau_tilting_modules
 from tautilt.util import topological_order
 
 
@@ -616,3 +620,9 @@ def gluing_search_agrees(ctx):
               if s_iso in p.modules and ctx.source_vertex in p.proj_part]
     glued, _ = glue(hasse_to_dag(h_dbl), subset)
     return dag_iso_search(hasse_to_dag(ctx.enum("extended").hasse()), glued)
+
+
+def family_counts(kind, n):
+    """(full-support count, pair count) of one family member, by its own enumeration."""
+    pairs = enumerate_stau(build_catalog(family(kind, n)))
+    return len(tau_tilting_modules(pairs)), len(pairs)

@@ -4,29 +4,33 @@ import pytest
 from tautilt.catalog import build_catalog
 from tautilt.counting import closed_form
 from tautilt.families import type_a_square, type_d_square
-from tautilt.tilting import enumerate_stau, hasse, tau_tilting_modules
-from tautilt.verify import ExtensionContext, reproduce_tables, verify_count_equations
+from tautilt.tilting import enumerate_stau, hasse
+from tautilt.verify import (ExtensionContext, family_rows, reproduce_tables,
+                            verify_count_equations)
+
+from oracles import family_counts
 
 pytestmark = pytest.mark.slow
 
 
-def counts(algebra):
-    pairs = enumerate_stau(build_catalog(algebra))
-    return len(tau_tilting_modules(pairs)), len(pairs)
-
-
 def test_linear_family_full_columns():
-    assert counts(type_a_square(9)) == (55, 2378)
-    assert counts(type_a_square(10)) == (89, 5741)
+    assert family_counts("A2", 9) == (55, 2378)
+    assert family_counts("A2", 10) == (89, 5741)
 
 
 def test_fork_family_full_columns():
     # full-support counts match the reported row; pair counts continue the
     # recurrence past the misprinted entries
-    assert counts(type_d_square(9)) == (73, 2646)
-    assert counts(type_d_square(10)) == (118, 6388)
+    assert family_counts("D2", 9) == (73, 2646)
+    assert family_counts("D2", 10) == (118, 6388)
     assert closed_form("stau_d", 9) == 2646
     assert closed_form("stau_d", 10) == 6388
+
+
+@pytest.mark.parametrize("kind, first", [("A2", 1), ("D2", 4)])
+def test_family_rows_match_per_member_enumeration_at_ten(kind, first):
+    assert [(r.n, r.tau_tilt, r.stau) for r in family_rows(kind, first, 10)] == [
+        (n, *family_counts(kind, n)) for n in range(first, 11)]
 
 
 def test_full_table_reproduction_flags():

@@ -12,14 +12,14 @@ from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, pair_label,
                              tau_tilting_modules)
-from tautilt.verify import (Enumeration, ExtensionContext, family_counts, reports_to_json,
-                            reproduce_tables, run_claims, select_claims,
+from tautilt.verify import (Enumeration, ExtensionContext, TableRow, family_rows,
+                            reports_to_json, reproduce_tables, run_claims, select_claims,
                             select_doubled_subset,
                             verify_classification, verify_count_equations,
                             verify_hasse_gluing, verify_tilting_transfer)
 
 from oracles import (arrow_codes, assert_doubled_quiver_matches_search, decoded_arrows,
-                     gluing_search_agrees, pair_key)
+                     family_counts, gluing_search_agrees, pair_key)
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +339,28 @@ def test_run_claims_decodes_the_full_support_modules_once_per_enumeration(monkey
     assert sorted(scanned) == sorted(tables)
 
 
+def test_gluing_decodes_no_base_pair_for_the_subset(monkeypatch):
+    """`select_doubled_subset` reads the source's bit off the base table's ints,
+    so it builds no `STauPair`; on D2 n=6 `run_claims` decodes the 454
+    extension pairs twice and the 188 base pairs twice (labels and vertex
+    map), 1,284 in all (the subset decoded the base pairs a third time, 1,472)."""
+    built = []
+    true_init = STauPair.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        true_init(self, *args)
+
+    monkeypatch.setattr(STauPair, "__init__", counting_init)
+    ctx = ExtensionContext(type_d_square(6), "6")
+    assert (len(ctx.enum("base").pairs), len(ctx.enum("extended").pairs)) == (188, 454)
+    subset = select_doubled_subset(ctx)
+    assert len(subset) == len(ctx.enum("quotient").pairs) == 78
+    assert built == []
+    assert [r.status for r in run_claims(ctx)] == ["pass"] * 4
+    assert len(built) == 2 * 454 + 2 * 188 == 1284
+
+
 FAULT_CASES = pytest.mark.parametrize("base, source", [(type_a_square(4), "4"),
                                                        (type_d_square(5), "5")],
                                       ids=["A2-4", "D2-5"])
@@ -432,6 +454,15 @@ def test_recurrences_fork():
     assert counts[1] == (11, 78)
 
 
+@pytest.mark.parametrize("kind, first, n_max", [("A2", 1, 8), ("D2", 4, 8)])
+def test_family_rows_match_per_member_enumeration(kind, first, n_max):
+    """Every row read off the largest member's pairs, through the quotient by
+    the idempotents of the vertices past n, is the row of member n enumerated
+    in its own catalog."""
+    assert [(r.n, r.tau_tilt, r.stau) for r in family_rows(kind, first, n_max)] == [
+        (n, *family_counts(kind, n)) for n in range(first, n_max + 1)]
+
+
 def test_reproduce_tables_small():
     result = reproduce_tables(4, 5)
     assert [r.tau_tilt for r in result.table_a.rows] == [1, 2, 3, 5]
@@ -495,6 +526,7 @@ def test_reproduce_tables_checks_columns_past_the_reported_tables(monkeypatch):
 
 
 def test_reproduce_tables_needs_increasing_family_counts(monkeypatch):
-    monkeypatch.setattr(verify, "family_counts", lambda kind, n: (1, 2))
+    monkeypatch.setattr(verify, "family_rows", lambda kind, first, n_max: [
+        TableRow(n, 1, 2) for n in range(first, n_max + 1)])
     with pytest.raises(InvariantViolation, match="family counts must be positive and increasing"):
         reproduce_tables(2, 4)
