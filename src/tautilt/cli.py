@@ -15,7 +15,7 @@ import click
 
 from .algebra import load_algebra, one_point_extension, serialize_algebra
 from .catalog import build_catalog
-from .dags import to_dot
+from .dags import hasse_to_dag, to_dot
 from .errors import (AlgebraFormatError, InfiniteDimensionalError, InvariantViolation,
                      NotDirectedError, PreconditionError, TautiltError)
 from .families import family
@@ -126,7 +126,7 @@ def hasse_cmd(file, dot_path):
     enum = Enumeration(algebra)
     h = enum.hasse()
     if dot_path is not None:
-        write_text_atomic(dot_path, to_dot(h))
+        write_text_atomic(dot_path, to_dot(hasse_to_dag(h)))
     click.echo(f"vertices {len(h.pairs)} arrows {len(h.arrows)}")
 
 

@@ -1,28 +1,27 @@
 """Labeled acyclic quivers: doubling surgery, checking a vertex map, DOT export."""
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .tilting import HasseQuiver, pair_label
 
 
 @dataclass(frozen=True)
 class LabeledDag:
-    """Labels and sorted arrows (i, j) by position; `tilting.hasse` checks each quiver it builds."""
-    labels: tuple[str, ...]
-    arrows: tuple[tuple[int, int], ...]
-
-
-def _decoded(h: HasseQuiver) -> Iterator[tuple[int, int]]:
-    return map(divmod, h.arrows, repeat(len(h.pairs)))
+    """Arrows a -> b as the sorted codes a * size + b, as `tilting.hasse` keeps them;
+    `label(k)` names vertex k only where text is written (a message, a DOT line)."""
+    size: int
+    arrows: array
+    label: Callable[[int], str]
 
 
 def hasse_to_dag(h: HasseQuiver) -> LabeledDag:
-    """The quiver with its labels built and its arrow codes decoded, for gluing."""
-    return LabeledDag(tuple(map(pair_label, h.pairs)), tuple(_decoded(h)))
+    """The quiver on the Hasse quiver's own arrow codes, each vertex named by its pair."""
+    return LabeledDag(len(h.pairs), h.arrows, lambda k: pair_label(h.pairs[k]))
 
 
 def glue(dag: LabeledDag, subset: Iterable[int]) -> tuple[LabeledDag, dict[int, int]]:
@@ -31,22 +30,25 @@ def glue(dag: LabeledDag, subset: Iterable[int]) -> tuple[LabeledDag, dict[int, 
 
     Arrows inside the subset are copied onto the copies, arrows from the
     complement into the subset are redirected to the copies, arrows out of
-    the subset survive unchanged, and every copy points at its original.
+    the subset survive unchanged, and every copy points at its original.  The
+    k-th member's copy is vertex size + k, labeled with the member's label and "+".
     Distinct arrows go to distinct arrows, and an acyclic quiver stays acyclic.
     """
-    sub = frozenset(subset)
-    n = len(dag.labels)
-    if any(not (0 <= i < n) for i in sub):
+    n, members = dag.size, sorted(set(subset))
+    if members and not (0 <= members[0] and members[-1] < n):
         raise PreconditionError("subset member out of range")
-    plus = {v: n + k for k, v in enumerate(sorted(sub))}
-    labels = list(dag.labels) + [dag.labels[v] + "+" for v in plus]
-    arrows: list[tuple[int, int]] = []
-    for a, b in dag.arrows:
-        if a in sub and b in sub:
-            arrows.append((plus[a], plus[b]))
-        arrows.append((a, plus[b]) if b in sub and a not in sub else (a, b))
-    arrows.extend((copy, v) for v, copy in plus.items())
-    return LabeledDag(tuple(labels), tuple(sorted(arrows))), plus
+    plus, m = {v: n + k for k, v in enumerate(members)}, n + len(members)
+    codes = [copy * m + v for v, copy in plus.items()]
+    for a, b in map(divmod, dag.arrows, repeat(n)):
+        if b not in plus:
+            codes.append(a * m + b)
+        elif a in plus:
+            codes += (plus[a] * m + plus[b], a * m + b)
+        else:
+            codes.append(a * m + plus[b])
+    codes.sort()
+    return LabeledDag(m, array("q", codes), lambda k: dag.label(k) if k < n
+                      else dag.label(members[k - n]) + "+"), plus
 
 
 def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | None:
@@ -54,42 +56,40 @@ def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | No
     otherwise the first reason it is not, naming vertices and arrows by label.
 
     The map must be a bijection that sends every arrow of x to an arrow of y.
-    Both arrow lists must be free of repeats (`hasse` guarantees it for a
-    mutation quiver, and `glue` keeps it), so with equal arrow counts the map is
-    then onto the arrows of y too.  O(V + E).
+    Both arrow arrays must be strictly increasing (`hasse` and `glue` make them
+    so); then it is one iff the mapped codes, sorted, are y's.  O(V + E log E).
     """
-    n = len(y.labels)
-    if len(x.labels) != n or len(vertex_map) != n:
-        return f"the vertex map sends {len(vertex_map)} of {len(x.labels)} vertices onto {n}"
+    n = y.size
+    if x.size != n or len(vertex_map) != n:
+        return f"the vertex map sends {len(vertex_map)} of {x.size} vertices onto {n}"
     preimage = [-1] * n
     for i, j in enumerate(vertex_map):
         if not 0 <= j < n:
-            return f"{x.labels[i]} maps to no vertex"
+            return f"{x.label(i)} maps to no vertex"
         if preimage[j] != -1:
-            return f"{x.labels[preimage[j]]} and {x.labels[i]} both map to {y.labels[j]}"
+            return f"{x.label(preimage[j])} and {x.label(i)} both map to {y.label(j)}"
         preimage[j] = i
     if len(x.arrows) != len(y.arrows):
         return f"{len(x.arrows)} arrows cannot map onto {len(y.arrows)}"
+    if array("q", sorted(vertex_map[a] * n + vertex_map[b]
+                         for a, b in map(divmod, x.arrows, repeat(n)))) == y.arrows:
+        return None
     targets = set(y.arrows)
-    for a, b in x.arrows:
-        if (vertex_map[a], vertex_map[b]) not in targets:
-            return (f"arrow {x.labels[a]} -> {x.labels[b]} maps to {y.labels[vertex_map[a]]} "
-                    f"-> {y.labels[vertex_map[b]]}, which is not an arrow")
-    return None
+    for a, b in map(divmod, x.arrows, repeat(n)):
+        if vertex_map[a] * n + vertex_map[b] not in targets:
+            return (f"arrow {x.label(a)} -> {x.label(b)} maps to {y.label(vertex_map[a])} "
+                    f"-> {y.label(vertex_map[b])}, which is not an arrow")
+    raise InvariantViolation("dag_iso was given an arrow array that is not strictly increasing")
 
 
-def to_dot(quiver: LabeledDag | HasseQuiver) -> Iterator[str]:
+def to_dot(dag: LabeledDag) -> Iterator[str]:
     """Deterministic DOT text, line by line: one node line per vertex, then the
-    arrows in order.  A Hasse quiver's labels and arrows are made as they are
-    written, so neither they nor the text are ever held whole."""
-    if isinstance(quiver, HasseQuiver):
-        labels, arrows = map(pair_label, quiver.pairs), _decoded(quiver)
-    else:
-        labels, arrows = quiver.labels, quiver.arrows
+    arrows in code order, each made as it is written and never held whole."""
+    size, label = dag.size, dag.label
     yield "digraph hasse {\n"
-    for i, label in enumerate(labels):
-        esc = label.replace("\\", "\\\\").replace('"', '\\"')
+    for i in range(size):
+        esc = label(i).replace("\\", "\\\\").replace('"', '\\"')
         yield f'  n{i} [label="{esc}"];\n'
-    for a, b in arrows:
+    for a, b in map(divmod, dag.arrows, repeat(size)):
         yield f"  n{a} -> n{b};\n"
     yield "}\n"

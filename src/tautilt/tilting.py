@@ -146,7 +146,7 @@ class HasseQuiver:
 
     `pairs` is the enumeration's `PairTable`, and vertex k is its pair k.
     `arrows` holds the arrow a -> b as the code a * len(pairs) + b, the codes
-    strictly increasing; `dags.hasse_to_dag` decodes them into (a, b) pairs.
+    strictly increasing; `dags.hasse_to_dag` wraps these codes as they are.
     """
     pairs: PairTable
     arrows: array

@@ -252,10 +252,10 @@ def verify_hasse_gluing(ctx: ExtensionContext) -> ClaimReport:
     subset = select_doubled_subset(ctx)
     glued, plus = glue(dag_dbl, subset)
     counts = {
-        "hasse_extended": len(dag_ext.labels),
-        "hasse_doubled": len(dag_dbl.labels),
+        "hasse_extended": dag_ext.size,
+        "hasse_doubled": dag_dbl.size,
         "selected": len(subset),
-        "glued": len(glued.labels),
+        "glued": glued.size,
     }
     if len(subset) != len(quot.pairs):
         return ClaimReport("hasse-gluing", "fail", counts,

@@ -32,6 +32,10 @@ These are the direct algorithms that the package replaced with faster ones:
   dimension vectors entry by entry;
 - `ext1_tilting_test`: a tilting test that computes syzygies and Ext^1
   (`is_tilting` reads the catalog's pd <= 1 table);
+- `ReferenceDag` and `reference_glue`: a quiver as a tuple of labels and a
+  tuple of (a, b) arrows, glued by rebuilding both tuples (`dags.glue`
+  rewrites the sorted arrow codes and makes a label only when one is asked
+  for);
 - `dag_iso_search`: a backtracking isomorphism search over degree and level
   color classes (`verify_hasse_gluing` checks the one vertex map that the
   classification names, read off the g-vectors);
@@ -50,24 +54,28 @@ It also keeps the builders and references that only tests use:
 basis), `radical`, `dims_of_ref`, `support_of_ref`, `g_vector_of_pair`
 (summed entry g-vectors, minus e_v per unsupported vertex),
 `algebra_equal_upto_relabel`, and `arrow_codes` and `decoded_arrows`, which
-turn (a, b) arrows into the sorted codes a * n + b that `hasse` keeps and back.
+turn (a, b) arrows into the sorted codes a * n + b that `hasse` keeps and back;
+`reference_dag` and `as_labeled_dag` carry a quiver from the package's form
+to the reference's and back.
 """
 from array import array
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
 from tautilt.algebra import Path, Quiver, _fresh_vertex, build_algebra, opposite_algebra
 from tautilt.catalog import build_catalog
-from tautilt.dags import LabeledDag, glue, hasse_to_dag
+from tautilt.dags import LabeledDag
 from tautilt.errors import InfiniteDimensionalError, InvariantViolation, PreconditionError
 from tautilt.families import family
 from tautilt.linalg import QMatrix, hstack, rank, rref
 from tautilt.modules import (Representation, _top_generators, compose, ext1, hom_basis, iso,
                              kernel_of, pd_at_most_one, projective, projective_cover,
                              sub_representation, syzygy, tau_inverse)
-from tautilt.tilting import HasseQuiver, STauPair, enumerate_stau, hasse, tau_tilting_modules
+from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, hasse, pair_label,
+                             tau_tilting_modules)
 from tautilt.util import topological_order
 
 
@@ -475,6 +483,41 @@ def ext1_tilting_test(cat):
     return is_tilting
 
 
+@dataclass(frozen=True)
+class ReferenceDag:
+    """Labels and sorted arrows (i, j) by position."""
+    labels: tuple[str, ...]
+    arrows: tuple[tuple[int, int], ...]
+
+
+def reference_dag(h: HasseQuiver) -> ReferenceDag:
+    """A Hasse quiver with every label built and every arrow code decoded."""
+    return ReferenceDag(tuple(map(pair_label, h.pairs)), tuple(decoded_arrows(h)))
+
+
+def as_labeled_dag(d: ReferenceDag) -> LabeledDag:
+    """The same quiver in the package's form: arrow codes and a label function."""
+    return LabeledDag(len(d.labels), arrow_codes(len(d.labels), d.arrows), d.labels.__getitem__)
+
+
+def reference_glue(dag: ReferenceDag, subset: Iterable[int]) -> tuple[ReferenceDag, dict[int, int]]:
+    """`dags.glue` on tuples: the plus-copies of the subset members, in increasing
+    order, follow the vertices, with every arrow rerouted as `dags.glue` says."""
+    sub = frozenset(subset)
+    n = len(dag.labels)
+    if any(not (0 <= i < n) for i in sub):
+        raise PreconditionError("subset member out of range")
+    plus = {v: n + k for k, v in enumerate(sorted(sub))}
+    labels = list(dag.labels) + [dag.labels[v] + "+" for v in plus]
+    arrows: list[tuple[int, int]] = []
+    for a, b in dag.arrows:
+        if a in sub and b in sub:
+            arrows.append((plus[a], plus[b]))
+        arrows.append((a, plus[b]) if b in sub and a not in sub else (a, b))
+    arrows.extend((copy, v) for v, copy in plus.items())
+    return ReferenceDag(tuple(labels), tuple(sorted(arrows))), plus
+
+
 def _adjacency(n: int, arrows: Sequence[tuple[int, int]]):
     succ = [[] for _ in range(n)]
     pred = [[] for _ in range(n)]
@@ -494,7 +537,7 @@ def _levels(n: int, arrows: Sequence[tuple[int, int]], succ) -> list[int]:
     return level
 
 
-def _joint_colors(x: LabeledDag, y: LabeledDag) -> tuple[list[int], list[int]]:
+def _joint_colors(x: ReferenceDag, y: ReferenceDag) -> tuple[list[int], list[int]]:
     """Degree/level refinement on both graphs with a shared palette.
 
     The returned colorings are isomorphism invariants that correspond
@@ -523,7 +566,7 @@ def _joint_colors(x: LabeledDag, y: LabeledDag) -> tuple[list[int], list[int]]:
     return cx, cy
 
 
-def dag_iso_search(x: LabeledDag, y: LabeledDag) -> bool:
+def dag_iso_search(x: ReferenceDag, y: ReferenceDag) -> bool:
     """Arrow-preserving bijection test (labels are ignored).
 
     Backtracking over color classes on an explicit stack, so the depth is not
@@ -603,7 +646,7 @@ def assert_doubled_quiver_matches_search(ctx):
     and 2k + 1, with g-vectors (g, -1) and (g, +1), and the arrows agree."""
     h_base = ctx.enum("base").hasse()
     n = len(h_base.pairs)
-    product, _ = glue(hasse_to_dag(h_base), range(n))
+    product, _ = reference_glue(reference_dag(h_base), range(n))
     searched, _ = searched_doubled_hasse(ctx.base)
     assert [p.g for p in searched.pairs] == [p.g + (c,) for p in h_base.pairs for c in (-1, 1)]
     renumber = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
@@ -618,8 +661,8 @@ def gluing_search_agrees(ctx):
     h_dbl, s_iso = searched_doubled_hasse(ctx.base)
     subset = [k for k, p in enumerate(h_dbl.pairs)
               if s_iso in p.modules and ctx.source_vertex in p.proj_part]
-    glued, _ = glue(hasse_to_dag(h_dbl), subset)
-    return dag_iso_search(hasse_to_dag(ctx.enum("extended").hasse()), glued)
+    glued, _ = reference_glue(reference_dag(h_dbl), subset)
+    return dag_iso_search(reference_dag(ctx.enum("extended").hasse()), glued)
 
 
 def family_counts(kind, n):

@@ -7,7 +7,7 @@ from tautilt import verify
 from tautilt.algebra import Arrow, Quiver, build_algebra, one_point_extension
 from tautilt.catalog import Catalog, build_catalog
 from tautilt.counting import REPORTED_D
-from tautilt.dags import glue, hasse_to_dag, to_dot
+from tautilt.dags import to_dot
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
 from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, pair_label,
@@ -18,8 +18,9 @@ from tautilt.verify import (Enumeration, ExtensionContext, TableRow, family_rows
                             verify_classification, verify_count_equations,
                             verify_hasse_gluing, verify_tilting_transfer)
 
-from oracles import (arrow_codes, assert_doubled_quiver_matches_search, decoded_arrows,
-                     family_counts, gluing_search_agrees, pair_key)
+from oracles import (arrow_codes, as_labeled_dag, assert_doubled_quiver_matches_search,
+                     decoded_arrows, family_counts, gluing_search_agrees, pair_key,
+                     reference_dag, reference_glue)
 
 
 @pytest.fixture(scope="module")
@@ -157,30 +158,42 @@ def test_hasse_gluing_small(fork_ctx, single_ctx, a2_ctx):
         assert gluing_search_agrees(ctx)
 
 
-def reverse_one_extension_arrow(monkeypatch, extended):
-    """Make `Enumeration.hasse` turn round the first arrow of the Hasse quiver of
-    `extended`, and leave every other algebra's quiver as it is.  Returns the
-    true `Enumeration.hasse`."""
+def mutate_extension_arrows(monkeypatch, extended, mutate):
+    """Make `Enumeration.hasse` replace the (a, b) arrows of the Hasse quiver of
+    `extended`, in code order, by `mutate(arrows)`, and leave every other
+    algebra's quiver as it is.  Returns the true `Enumeration.hasse`."""
     true_hasse = Enumeration.hasse
 
-    def hasse_with_one_arrow_reversed(self):
+    def mutated_hasse(self):
         h = true_hasse(self)
         if self.algebra != extended:
             return h
-        (a, b), *rest = decoded_arrows(h)
-        return HasseQuiver(h.pairs, arrow_codes(len(h.pairs), [(b, a)] + rest))
+        return HasseQuiver(h.pairs, arrow_codes(len(h.pairs), mutate(decoded_arrows(h))))
 
-    monkeypatch.setattr(Enumeration, "hasse", hasse_with_one_arrow_reversed)
+    monkeypatch.setattr(Enumeration, "hasse", mutated_hasse)
     return true_hasse
 
 
-def gluing_dot_texts(ctx):
-    """The DOT texts of the extension's quiver and of the glued doubled quiver."""
+def reverse_one_extension_arrow(monkeypatch, extended):
+    """Turn round the first arrow of the Hasse quiver of `extended`."""
+    return mutate_extension_arrows(monkeypatch, extended,
+                                   lambda arrows: reverse_the_first_arrow(arrows)[0])
+
+
+def reference_glued(ctx):
+    """The doubled quiver glued along the selected subset, by `reference_glue`."""
     h_base = ctx.enum("base").hasse()
-    doubled, _ = glue(hasse_to_dag(h_base), range(len(h_base.pairs)))
-    glued, _ = glue(doubled, select_doubled_subset(ctx))
-    return {"hasse_extended.dot": "".join(to_dot(ctx.enum("extended").hasse())),
-            "hasse_glued.dot": "".join(to_dot(glued))}
+    doubled, _ = reference_glue(reference_dag(h_base), range(len(h_base.pairs)))
+    return reference_glue(doubled, select_doubled_subset(ctx))
+
+
+def gluing_dot_texts(ctx):
+    """The DOT texts of the extension's quiver and of the glued doubled quiver,
+    both built by the reference from the decoded arrows and every label."""
+    extended = reference_dag(ctx.enum("extended").hasse())
+    glued, _ = reference_glued(ctx)
+    return {"hasse_extended.dot": "".join(to_dot(as_labeled_dag(extended))),
+            "hasse_glued.dot": "".join(to_dot(as_labeled_dag(glued)))}
 
 
 def test_hasse_gluing_names_a_reversed_arrow(monkeypatch, a2):
@@ -341,9 +354,10 @@ def test_run_claims_decodes_the_full_support_modules_once_per_enumeration(monkey
 
 def test_gluing_decodes_no_base_pair_for_the_subset(monkeypatch):
     """`select_doubled_subset` reads the source's bit off the base table's ints,
-    so it builds no `STauPair`; on D2 n=6 `run_claims` decodes the 454
-    extension pairs twice and the 188 base pairs twice (labels and vertex
-    map), 1,284 in all (the subset decoded the base pairs a third time, 1,472)."""
+    so it builds no `STauPair`, and a passing gluing builds no label; on D2 n=6
+    `run_claims` decodes the 454 extension pairs and the 188 base pairs once
+    each, for the vertex map, 642 in all (the labels decoded every pair a second
+    time, 1,284, and the subset the base pairs a third, 1,472)."""
     built = []
     true_init = STauPair.__init__
 
@@ -358,7 +372,7 @@ def test_gluing_decodes_no_base_pair_for_the_subset(monkeypatch):
     assert len(subset) == len(ctx.enum("quotient").pairs) == 78
     assert built == []
     assert [r.status for r in run_claims(ctx)] == ["pass"] * 4
-    assert len(built) == 2 * 454 + 2 * 188 == 1284
+    assert len(built) == 454 + 188 == 642
 
 
 FAULT_CASES = pytest.mark.parametrize("base, source", [(type_a_square(4), "4"),
@@ -430,6 +444,59 @@ def test_one_flipped_tau_hom_bit_is_caught(monkeypatch, base, source, bit, outco
 
     monkeypatch.setattr(verify, "build_catalog", build_with_one_bit_flipped)
     assert claim_outcomes(ctx) == outcomes
+
+
+def reverse_the_first_arrow(arrows):
+    return [arrows[0][::-1]] + arrows[1:], arrows[0][::-1]
+
+
+def move_the_head_of_an_arrow_out_of_the_source(arrows):
+    """The first arrow s -> b out of the quiver's one source now ends at the
+    first vertex c that s has no arrow to; nothing reaches s, so no cycle is made."""
+    heads = {b for _, b in arrows}
+    s = next(a for a, _ in arrows if a not in heads)
+    out = {b for a, b in arrows if a == s}
+    c = next(v for v in range(len(heads) + 1) if v != s and v not in out)
+    first = next(k for k, (a, _) in enumerate(arrows) if a == s)
+    return arrows[:first] + [(s, c)] + arrows[first + 1:], (s, c)
+
+
+def drop_the_first_arrow(arrows):
+    return arrows[1:], None
+
+
+@FAULT_CASES
+@pytest.mark.parametrize("mutation", [reverse_the_first_arrow,
+                                      move_the_head_of_an_arrow_out_of_the_source,
+                                      drop_the_first_arrow],
+                         ids=["reversed", "head-moved", "dropped"])
+def test_gluing_check_and_search_agree_on_a_faulty_extension_quiver(monkeypatch, base, source,
+                                                                    mutation):
+    """One arrow of the extension's Hasse quiver reversed, moved to another head,
+    or dropped: the map check fails and names the new arrow by the labels of its
+    ends and of their images (or counts the arrows), and the search finds no
+    isomorphism either."""
+    ctx = ExtensionContext(base, source)
+    h_base = ctx.enum("base").hasse()
+    h_ext = ctx.enum("extended").hasse()
+    arrows = decoded_arrows(h_ext)
+    glued, plus = reference_glued(ctx)
+    vertex_map = verify._glued_vertex_map(ctx, h_ext, h_base, plus)
+    assert verify_hasse_gluing(ctx).status == "pass"
+    _, changed = mutation(arrows)
+    mutate_extension_arrows(monkeypatch, ctx.extended, lambda arrows: mutation(arrows)[0])
+    rep = verify_hasse_gluing(ctx)
+    assert rep.status == "fail"
+    if changed is None:
+        assert rep.detail == f"{len(arrows) - 1} arrows cannot map onto {len(arrows)}"
+    else:
+        a, b = changed
+        label = reference_dag(h_ext).labels
+        assert rep.detail == (f"arrow {label[a]} -> {label[b]} maps to "
+                              f"{glued.labels[vertex_map[a]]} -> {glued.labels[vertex_map[b]]}, "
+                              "which is not an arrow")
+    assert rep.artifacts == gluing_dot_texts(ctx)
+    assert not gluing_search_agrees(ctx)
 
 
 def assert_two_step_recurrences(counts):
