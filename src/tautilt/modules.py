@@ -5,7 +5,8 @@ matrix of shape dims[target] x dims[source] to every arrow; a path acts by
 composing its arrow matrices in order, so a forbidden path must act as the
 zero matrix.  The AR translate is computed as the kernel of the Nakayama
 functor applied to a minimal projective presentation, and its inverse by
-dualizing into the opposite algebra.
+dualizing into the opposite algebra.  Ext^1 and pd <= 1 are read off the
+dimensions of Hom spaces and of the syzygy and its projective cover.
 """
 from __future__ import annotations
 
@@ -99,18 +100,8 @@ class Morphism:
     def __setattr__(self, name, value):
         raise AttributeError("Morphism is immutable")
 
-    def flat(self) -> tuple[Fraction, ...]:
-        return tuple(e for b in self.blocks for e in b.entries)
-
     def __repr__(self) -> str:
         return f"Morphism({self.source.dims} -> {self.target.dims})"
-
-
-def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    if inner.target.dims != outer.source.dims:
-        raise ValueError("morphisms not composable")
-    return Morphism(inner.source, outer.target,
-                    [o * i for o, i in zip(outer.blocks, inner.blocks)])
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +335,10 @@ def projective_cover(rep: Representation) -> tuple[Representation, Morphism, tup
     return P, cover, verts, offsets
 
 
-def syzygy(rep: Representation) -> tuple[Representation, Morphism, Representation, Morphism]:
-    """Kernel of the projective cover: (omega, inclusion into P, P, cover)."""
+def syzygy(rep: Representation) -> tuple[Representation, Representation]:
+    """Kernel of the projective cover P -> rep: (omega, P)."""
     P, cover, _, _ = projective_cover(rep)
-    omega, incl = kernel_of(cover)
-    return omega, incl, P, cover
+    return kernel_of(cover)[0], P
 
 
 @dataclass(frozen=True)
@@ -528,33 +518,23 @@ def extend_by_zero(rep: Representation, target: Algebra) -> Representation:
 # homological invariants
 
 def ext1(m: Representation, n: Representation) -> int:
-    """dim Ext^1(m, n) via 0 -> omega -> P0 -> m -> 0."""
+    """dim Ext^1(m, n) off 0 -> Hom(m, n) -> Hom(P0, n) -> Hom(omega, n) -> Ext^1(m, n) -> 0,
+    Hom(-, n) on 0 -> omega -> P0 -> m -> 0 (exact at the end, as Ext^1(P0, n) = 0)."""
     if m.algebra != n.algebra:
         raise PreconditionError("ext between representations over different algebras")
     if m.total_dim == 0 or n.total_dim == 0:
         return 0
-    omega, incl, P0, _ = syzygy(m)
-    if omega.total_dim == 0:
-        return 0
-    target_basis = hom_basis(omega, n)
-    if not target_basis:
-        return 0
-    restricted = [compose(phi, incl).flat() for phi in hom_basis(P0, n)]
-    if not restricted:
-        return len(target_basis)
-    mat = QMatrix.from_rows(restricted, cols=len(restricted[0]))
-    return len(target_basis) - rank(mat)
+    omega, P0 = syzygy(m)
+    return len(hom_basis(omega, n)) - len(hom_basis(P0, n)) + len(hom_basis(m, n))
 
 
 def pd_at_most_one(rep: Representation) -> bool:
-    """True iff the first syzygy is projective (or the module is zero)."""
+    """True iff the first syzygy is projective: as large as its cover, sum P(v) over its top."""
     if rep.total_dim == 0:
         return True
-    omega, _, _, _ = syzygy(rep)
-    if omega.total_dim == 0:
-        return True
-    omega2, _, _, _ = syzygy(omega)
-    return omega2.total_dim == 0
+    omega, _ = syzygy(rep)
+    return omega.total_dim == sum(projective(rep.algebra, v).total_dim
+                                  for v, _ in _top_generators(omega))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Reference forms of the row reduction, the catalog closure, the minimal
-presentation, the catalog's Hom tables, the clique search, the Hasse bucketing,
-the tilting test and the Hasse gluing.
+presentation, Ext^1 and pd <= 1, the catalog's Hom tables, the clique search,
+the Hasse bucketing, the tilting test and the Hasse gluing.
 
 These are the direct algorithms that the package replaced with faster ones:
 - `paths_to_pumping_bound`: every legal path listed up to the pumping bound
@@ -30,6 +30,13 @@ These are the direct algorithms that the package replaced with faster ones:
 - `reference_arrows`: buckets keyed by frozensets of tokens, and a torsion
   test (`generates`) that reads one bit of `Catalog.tors_mask` and the
   dimension vectors entry by entry;
+- `ext1_by_restriction`: dim Ext^1(M, N) as dim Hom(Omega, N) less the rank
+  of the maps P0 -> N composed with the syzygy's inclusion (`compose`), each
+  flattened to a row (`modules.ext1` reads it off three Hom dimensions in the
+  long exact sequence of Hom);
+- `pd_by_second_syzygy`: pd <= 1 iff the second syzygy is zero
+  (`modules.pd_at_most_one` compares the first syzygy with its projective
+  cover, read off its top);
 - `ext1_tilting_test`: a tilting test that computes syzygies and Ext^1
   (`is_tilting` reads the catalog's pd <= 1 table);
 - `ReferenceDag` and `reference_glue`: a quiver as a tuple of labels and a
@@ -51,12 +58,12 @@ exactly; the last two run the package's own search, on other algebras.
 
 It also keeps the builders and references that only tests use:
 `add_isolated_vertex`, `simple`, `hom_dim` (the length of an intertwiner
-basis), `radical`, `dims_of_ref`, `support_of_ref`, `g_vector_of_pair`
-(summed entry g-vectors, minus e_v per unsupported vertex),
-`algebra_equal_upto_relabel`, and `arrow_codes` and `decoded_arrows`, which
-turn (a, b) arrows into the sorted codes a * n + b that `hasse` keeps and back;
-`reference_dag` and `as_labeled_dag` carry a quiver from the package's form
-to the reference's and back.
+basis), `compose` (two morphisms, block by block), `radical`, `dims_of_ref`,
+`support_of_ref`, `g_vector_of_pair` (summed entry g-vectors, minus e_v per
+unsupported vertex), `algebra_equal_upto_relabel`, and `arrow_codes` and
+`decoded_arrows`, which turn (a, b) arrows into the sorted codes a * n + b
+that `hasse` keeps and back; `reference_dag` and `as_labeled_dag` carry a
+quiver from the package's form to the reference's and back.
 """
 from array import array
 from collections import Counter
@@ -71,7 +78,7 @@ from tautilt.dags import LabeledDag
 from tautilt.errors import InfiniteDimensionalError, InvariantViolation, PreconditionError
 from tautilt.families import family
 from tautilt.linalg import QMatrix, hstack, rank, rref
-from tautilt.modules import (Representation, _top_generators, compose, ext1, hom_basis, iso,
+from tautilt.modules import (Morphism, Representation, _top_generators, ext1, hom_basis, iso,
                              kernel_of, pd_at_most_one, projective, projective_cover,
                              sub_representation, syzygy, tau_inverse)
 from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, hasse, pair_label,
@@ -251,6 +258,14 @@ def assert_catalog_matches_tau_inverse_closure(cat):
     assert cat.tau_index == tau_index
     assert cat.projective_index == projective_index
     assert cat.simple_index == simple_index
+
+
+def compose(outer, inner):
+    """The morphism outer ∘ inner, block by block."""
+    if inner.target.dims != outer.source.dims:
+        raise ValueError("morphisms not composable")
+    return Morphism(inner.source, outer.target,
+                    [o * i for o, i in zip(outer.blocks, inner.blocks)])
 
 
 def composed_presentation(rep):
@@ -460,6 +475,33 @@ def arrow_codes(n: int, arrows: Iterable[tuple[int, int]]) -> array:
 def decoded_arrows(h: HasseQuiver) -> list[tuple[int, int]]:
     """The arrows of a Hasse quiver as (a, b) pairs, in code order."""
     return [divmod(c, len(h.pairs)) for c in h.arrows]
+
+
+def ext1_by_restriction(m, n):
+    """dim Ext^1(m, n) as Hom(omega, n) modulo the restrictions of the maps P0 -> n
+    along the syzygy's inclusion, each composed map flattened to one row."""
+    if m.algebra != n.algebra:
+        raise PreconditionError("ext between representations over different algebras")
+    if m.total_dim == 0 or n.total_dim == 0:
+        return 0
+    P0, cover, _, _ = projective_cover(m)
+    omega, incl = kernel_of(cover)
+    target_basis = hom_basis(omega, n)
+    if not target_basis:
+        return 0
+    restricted = [tuple(e for b in compose(phi, incl).blocks for e in b.entries)
+                  for phi in hom_basis(P0, n)]
+    if not restricted:
+        return len(target_basis)
+    return len(target_basis) - rank(QMatrix.from_rows(restricted, cols=len(restricted[0])))
+
+
+def pd_by_second_syzygy(rep):
+    """pd <= 1 iff the second syzygy is zero (or the first, or the module, is)."""
+    if rep.total_dim == 0:
+        return True
+    omega = syzygy(rep)[0]
+    return omega.total_dim == 0 or syzygy(omega)[0].total_dim == 0
 
 
 def ext1_tilting_test(cat):

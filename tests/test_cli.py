@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import tautilt
 from tautilt.algebra import (Arrow, Quiver, build_algebra, load_algebra,
                              one_point_extension, serialize_algebra)
-from tautilt import cli, verify
+from tautilt import cli, modules, verify
 from tautilt.catalog import build_catalog
 from tautilt.cli import main
 from tautilt.errors import InvariantViolation, PreconditionError
@@ -659,3 +659,30 @@ def test_verify_prints_the_verdicts_reached_before_an_internal_error(runner, tmp
     assert lines[3] == "  counting identity violated by independent enumeration"
     assert result.stderr == "internal check failed: exchange graph is not n-regular\n"
     assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_no_command_runs_the_reference_routes(monkeypatch, runner, tmp_path):
+    """`tau`, `tau_inverse`, `ext1`, `pd_at_most_one` and `syzygy` raise, in
+    `modules` and wherever a module of the package imported them, and five
+    commands still exit 0: the catalog reads all of them off its presentations."""
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "tautilt"]
+    for name in ("ext1", "pd_at_most_one", "syzygy", "tau", "tau_inverse"):
+        original = getattr(modules, name)
+
+        def refuse(*args, name=name):
+            raise AssertionError(f"a command ran modules.{name}")
+        for module in package:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="ran modules.tau$"):
+        modules.tau(modules.projective(type_a_square(2), "1"))
+    d2_6 = write_algebra(tmp_path / "d2_6.json", type_d_square(6))
+    a2_6 = write_algebra(tmp_path / "a2_6.json", type_a_square(6))
+    data = Path(__file__).resolve().parent / "data"
+    for args in (["tables", "--nA", "4", "--nD", "5"],
+                 ["catalog", str(data / "hereditary_d8.json")],
+                 ["enumerate", "--kind", "tilt", d2_6],
+                 ["hasse", "--dot", str(tmp_path / "a2_6.dot"), a2_6],
+                 ["--out-dir", str(tmp_path), "verify", "--source", "6", d2_6]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)

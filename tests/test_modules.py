@@ -4,9 +4,9 @@ import pytest
 
 from tautilt import modules
 from tautilt.algebra import one_point_extension
-from tautilt.catalog import Catalog
+from tautilt.catalog import Catalog, build_catalog
 from tautilt.errors import InvariantViolation, PreconditionError
-from tautilt.families import type_a_square
+from tautilt.families import type_a_square, type_d_square
 from tautilt.linalg import QMatrix, hstack, invert, rank, rref
 from tautilt.modules import (Morphism, Representation, _top_generators, direct_sum,
                              dual_representation, ext1, extend_by_zero, hom_basis, injective,
@@ -14,7 +14,8 @@ from tautilt.modules import (Morphism, Representation, _top_generators, direct_s
                              projective, projective_cover, sub_representation, tau, tau_inverse,
                              zero_rep)
 
-from oracles import hom_dim, radical, simple
+from oracles import (ext1_by_restriction, hom_dim, pd_by_second_syzygy, radical,
+                     simple)
 
 
 def quotient_by(rep, inclusion):
@@ -248,6 +249,19 @@ def test_ar_pairing_on_catalog(cat_lambda3):
             lhs = ext1(n, m)
             rhs = hom_dim(m, tn) if tn.total_dim else 0
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("kind, n, first", [("A2", 5, 9), ("D2", 5, 10), ("D", 8, 25)])
+def test_ext1_and_pd_match_the_restriction_and_second_syzygy_routes(hereditary_d, kind, n, first):
+    """On every entry, `pd_at_most_one` equals the second-syzygy test; on every
+    pair among the first entries (all of A2 and D2 n=5, 806 pairs in all),
+    `ext1` equals Hom(Omega, N) modulo the restricted maps P0 -> N."""
+    cat = build_catalog({"A2": type_a_square, "D2": type_d_square, "D": hereditary_d}[kind](n))
+    assert [pd_at_most_one(e) for e in cat.entries] == list(map(pd_by_second_syzygy, cat.entries))
+    head = cat.entries[:first]
+    assert len(head) == first and (kind == "D" or cat.size == first)
+    assert ([[ext1(x, y) for y in head] for x in head]
+            == [[ext1_by_restriction(x, y) for y in head] for x in head])
 
 
 def test_decompose_block_sum(lambda3, cat_lambda3):
