@@ -31,11 +31,11 @@ class Path:
 
 
 class Quiver:
-    """A finite directed multigraph with named vertices and arrows."""
+    """A finite directed multigraph: unique vertex ids, and `Arrow`s with unique ids between them."""
 
-    def __init__(self, vertices: Sequence[str], arrows: Sequence[Arrow | tuple[str, str, str]]):
+    def __init__(self, vertices: Sequence[str], arrows: Sequence[Arrow]):
         vs = tuple(str(v) for v in vertices)
-        ars = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
+        ars = tuple(arrows)
         if len(set(vs)) != len(vs):
             raise AlgebraFormatError("duplicate vertex ids")
         names = [a.name for a in ars]
@@ -221,17 +221,11 @@ def opposite_algebra(algebra: Algebra) -> Algebra:
 # file format
 
 
-def algebra_to_dict(algebra: Algebra) -> dict:
-    return {
-        "vertices": list(algebra.quiver.vertices),
-        "arrows": [{"id": a.name, "from": a.source, "to": a.target}
-                   for a in algebra.quiver.arrows],
-        "relations": [list(r) for r in algebra.relations],
-    }
-
-
 def serialize_algebra(algebra: Algebra) -> str:
-    return json.dumps(algebra_to_dict(algebra), indent=2) + "\n"
+    q = algebra.quiver
+    arrows = [{"id": a.name, "from": a.source, "to": a.target} for a in q.arrows]
+    return json.dumps({"vertices": list(q.vertices), "arrows": arrows,
+                       "relations": [list(r) for r in algebra.relations]}, indent=2) + "\n"
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -269,4 +263,6 @@ def load_algebra(path) -> Algebra:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise AlgebraFormatError(f"not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise AlgebraFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return parse_algebra(text)

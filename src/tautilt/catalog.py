@@ -87,8 +87,6 @@ class Catalog:
             if homs[i][i][0] != 1:
                 raise InvariantViolation(f"dim End is {homs[i][i][0]} on the catalog entry with "
                                          f"dims {list(e.dims)}, not 1")
-        self._hom_dim_rows = [[homs[k][i][0] for k in range(self.size)]
-                              for i in range(self.size)]
         # Bit j of tors_mask[i]: Hom(E_i, tau E_j) = 0, so E_i is tau-rigid iff bit i
         # is set.  compat_mask[i] keeps the j with Hom(E_j, tau E_i) = 0 as well;
         # bit k of support_mask[i]: dims[k] != 0.
@@ -115,8 +113,10 @@ class Catalog:
 
     @cached_property
     def hom_dims(self) -> QMatrix:
-        """dim Hom(E_i, E_k) at row i, column k, read off the pairwise ranks of `__init__`."""
-        return QMatrix.from_rows(self._hom_dim_rows, cols=self.size)
+        """dim Hom(E_i, E_k) at row i, column k: the ranks of `__init__`, redone on first read."""
+        acts = [PathActions(e) for e in self.entries]
+        return QMatrix(self.size, self.size, [presentation_hom(pres, act)[0]
+                                              for pres in self.presentations for act in acts])
 
     def decompose(self, rep: Representation) -> ModuleRef:
         """Multiplicities m_k solving sum_k dim Hom(E_i, E_k) m_k = dim Hom(E_i, rep).

@@ -28,7 +28,7 @@ def type_d_square(n: int) -> Algebra:
 
 
 def family(kind: str, n: int) -> Algebra:
-    kind = kind.upper()
+    """The A2 or D2 algebra on n vertices; `kind` is exactly "A2" or "D2"."""
     if kind == "A2":
         return type_a_square(n)
     if kind == "D2":

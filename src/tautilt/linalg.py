@@ -83,14 +83,6 @@ class QMatrix:
     def __repr__(self) -> str:
         return f"QMatrix({self.rows}x{self.cols}, {self.to_rows()!r})"
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return QMatrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def scale(self, c: Fraction | int) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, [c * a for a in self.entries])
-
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")

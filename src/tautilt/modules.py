@@ -545,8 +545,9 @@ def iso(x: Representation, y: Representation) -> bool:
 
     The determinant of sum(c_i f_i) over a hom basis (f_i) is a polynomial
     of degree at most the total dimension in each c_i, so it vanishes
-    identically iff it vanishes on the full integer grid of that size.  A
-    block is singular iff its rank falls short of its size.
+    identically iff it vanishes on the full integer grid of that size.  Each
+    nonzero vertex's block of sum(c_i f_i) is built in one pass over the basis
+    blocks' entries; it is singular iff its rank falls short of its size.
     """
     if x.algebra != y.algebra:
         raise PreconditionError("iso between representations over different algebras")
@@ -557,19 +558,10 @@ def iso(x: Representation, y: Representation) -> bool:
     fs = hom_basis(x, y)
     if not fs:
         return False
-    bound = x.total_dim
-    nz = [i for i, d in enumerate(x.dims) if d > 0]
-    for coeffs in grid_points(len(fs), bound):
-        ok = True
-        for i in nz:
-            m = fs[0].blocks[i].scale(coeffs[0])
-            for k in range(1, len(fs)):
-                if coeffs[k]:
-                    m = m + fs[k].blocks[i].scale(coeffs[k])
-            if rank(m) < m.rows:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    # Per nonzero vertex: its size, and the basis blocks' entries, one tuple per position.
+    blocks = [(d, list(zip(*(f.blocks[i].entries for f in fs))))
+              for i, d in enumerate(x.dims) if d]
+    return any(all(rank(QMatrix(d, d, [sum(c * e for c, e in zip(coeffs, col)) for col in cols])) == d
+                   for d, cols in blocks)
+               for coeffs in grid_points(len(fs), x.total_dim))
 

@@ -52,9 +52,15 @@ These are the direct algorithms that the package replaced with faster ones:
   its vertices, the product rule);
 - `family_counts`: one enumeration per family member (`reproduce_tables`
   reads every row of a family off one enumeration of its largest member,
-  whose idempotent quotients the smaller members are).
+  whose idempotent quotients the smaller members are);
+- `orthant_count`: over a radical-square-zero algebra, the pairs whose
+  g-vector has sign vector eps, counted as the tilting modules of the
+  hereditary K Q_eps, where Q_eps keeps the arrows i -> j with eps_i = +
+  and eps_j = - (Adachi, Proc. AMS 144, 2016; Aoki, arXiv 2018, on the
+  separated quiver); the count of each component of Q_eps comes from its own
+  enumeration (`enumerate_stau` counts all the pairs in one search).
 They share no code with the fast forms, so the tests can compare the two
-exactly; the last two run the package's own search, on other algebras.
+exactly; the last three run the package's own search, on other algebras.
 
 It also keeps the builders and references that only tests use:
 `add_isolated_vertex`, `simple`, `hom_dim` (the length of an intertwiner
@@ -65,6 +71,7 @@ unsupported vertex), `algebra_equal_upto_relabel`, and `arrow_codes` and
 that `hasse` keeps and back; `reference_dag` and `as_labeled_dag` carry a
 quiver from the package's form to the reference's and back.
 """
+import itertools
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -72,7 +79,8 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
-from tautilt.algebra import Path, Quiver, _fresh_vertex, build_algebra, opposite_algebra
+from tautilt.algebra import (Arrow, Path, Quiver, _fresh_vertex, build_algebra,
+                             opposite_algebra)
 from tautilt.catalog import build_catalog
 from tautilt.dags import LabeledDag
 from tautilt.errors import InfiniteDimensionalError, InvariantViolation, PreconditionError
@@ -82,7 +90,7 @@ from tautilt.modules import (Morphism, Representation, _top_generators, ext1, ho
                              kernel_of, pd_at_most_one, projective, projective_cover,
                              sub_representation, syzygy, tau_inverse)
 from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, hasse, pair_label,
-                             tau_tilting_modules)
+                             tau_tilting_modules, tilting_modules)
 from tautilt.util import topological_order
 
 
@@ -711,3 +719,52 @@ def family_counts(kind, n):
     """(full-support count, pair count) of one family member, by its own enumeration."""
     pairs = enumerate_stau(build_catalog(family(kind, n)))
     return len(tau_tilting_modules(pairs)), len(pairs)
+
+
+@cache
+def _tilting_count(n: int, arrows: tuple[tuple[int, int], ...]) -> int:
+    """The tilting modules of the path algebra of the quiver on 0..n-1 with arrows (a, b)."""
+    cat = build_catalog(build_algebra(Quiver([str(k) for k in range(n)], [
+        Arrow(f"x{k}", str(a), str(b)) for k, (a, b) in enumerate(arrows)])))
+    return len(tilting_modules(cat, tau_tilting_modules(enumerate_stau(cat))))
+
+
+def orthant_count(algebra, signs: Sequence[int]) -> int:
+    """The tilting modules of K Q_eps, for the signs eps (+1 or -1, one per vertex):
+    the product over the components of Q_eps, each cached by its arrows in vertex order."""
+    q = algebra.quiver
+    kept = [(a.source, a.target) for a in q.arrows
+            if signs[q.vertex_pos[a.source]] > 0 > signs[q.vertex_pos[a.target]]]
+    component = {v: (v,) for v in q.vertices}
+    for s, t in kept:
+        if component[s] is not component[t]:
+            merged = tuple(sorted(component[s] + component[t], key=q.vertex_pos.get))
+            component.update(dict.fromkeys(merged, merged))
+    total = 1
+    for members in set(component.values()):
+        pos = {v: k for k, v in enumerate(members)}
+        total *= _tilting_count(len(members), tuple(sorted((pos[s], pos[t]) for s, t in kept
+                                                           if s in pos)))
+    return total
+
+
+def pairs_per_orthant(pairs) -> Counter:
+    """The number of pairs whose g-vector has each sign vector; a zero coordinate raises."""
+    signs = Counter(tuple((c > 0) - (c < 0) for c in p.g) for p in pairs)
+    zero = next((eps for eps in signs if 0 in eps), None)
+    if zero is not None:
+        raise InvariantViolation(f"a pair's g-vector has the sign vector {zero}, with a zero")
+    return signs
+
+
+def assert_orthant_counts_match(algebra, pairs) -> None:
+    """On a radical-square-zero algebra, each of the 2^n orthants eps holds as many
+    pairs as K Q_eps has tilting modules.  The reversed reading, K Q_-eps, must
+    miss somewhere, so that the check is seen to be able to fail."""
+    if any(len(p.arrows) > 1 for p in algebra.path_basis):
+        raise PreconditionError("the algebra is not radical square zero")
+    found = pairs_per_orthant(pairs)
+    orthants = list(itertools.product((1, -1), repeat=algebra.n_vertices))
+    assert {eps: found[eps] for eps in orthants} == {
+        eps: orthant_count(algebra, eps) for eps in orthants}
+    assert any(found[eps] != orthant_count(algebra, [-e for e in eps]) for eps in orthants)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import stat
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 import tautilt
 from tautilt.algebra import (Arrow, Quiver, build_algebra, load_algebra,
                              one_point_extension, serialize_algebra)
-from tautilt import cli, modules, verify
+from tautilt import algebra, cli, modules, verify
 from tautilt.catalog import build_catalog
 from tautilt.cli import main
 from tautilt.errors import InvariantViolation, PreconditionError
@@ -50,6 +51,21 @@ def test_validate_parse_error(runner, tmp_path):
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
+
+
+def test_an_algebra_file_that_cannot_be_read_is_a_usage_error(monkeypatch, runner, tmp_path,
+                                                              lambda3):
+    """An OSError while reading (EIO, as /proc/self/mem gives) exits 2 with one line."""
+    f = write_algebra(tmp_path / "l3.json", lambda3)
+
+    def unreadable(*args, **kwargs):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(algebra, "open", unreadable, raising=False)
+    result = runner.invoke(main, ["validate", f])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: cannot read {f}: Input/output error\n"
 
 
 def test_validate_infinite(runner, tmp_path):

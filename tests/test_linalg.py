@@ -23,11 +23,6 @@ def test_matrix_rejects_inexact_entries(bad):
         QMatrix(2, 1, [Fraction(1, 2), bad])
 
 
-def test_a_float_cannot_enter_through_arithmetic():
-    with pytest.raises(TypeError):
-        QMatrix.identity(2).scale(0.5)
-
-
 def test_rref_identity():
     m = QMatrix.identity(2)
     red, pivots = rref(m)

@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from tautilt import modules
-from tautilt.algebra import one_point_extension
+from tautilt.algebra import Arrow, Quiver, build_algebra, one_point_extension
 from tautilt.catalog import Catalog, build_catalog
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
@@ -14,7 +15,7 @@ from tautilt.modules import (Morphism, Representation, _top_generators, direct_s
                              projective, projective_cover, sub_representation, tau, tau_inverse,
                              zero_rep)
 
-from oracles import (ext1_by_restriction, hom_dim, pd_by_second_syzygy, radical,
+from oracles import (dims_of_ref, ext1_by_restriction, hom_dim, pd_by_second_syzygy, radical,
                      simple)
 
 
@@ -36,10 +37,6 @@ def quotient_by(rep, inclusion):
             * sections[q.vertex_pos[a.source]] for ai, a in enumerate(q.arrows)]
     quot = Representation(rep.algebra, dims, maps)
     return quot, Morphism(rep, quot, projections)
-
-
-def dims_of(rep):
-    return rep.dims
 
 
 def test_projective_dimension_vectors(lambda3):
@@ -332,8 +329,62 @@ def test_iso_of_two_constructions(lambda3):
 
 def test_iso_rescaled_arrow_matrix(a2):
     p2 = projective(a2, "2")
-    twisted = Representation(a2, p2.dims, [m.scale(Fraction(7, 3)) for m in p2.arrow_maps])
+    twisted = Representation(a2, p2.dims, [
+        QMatrix(m.rows, m.cols, [Fraction(7, 3) * e for e in m.entries]) for m in p2.arrow_maps])
     assert iso(p2, twisted)
+
+
+def sums_with_equal_dims(cat):
+    """Pairs (s, r) of sums of at most two entries, as index tuples, with equal dimension
+    vectors; r comes after s in the order: single entries, then pairs i <= j."""
+    seen = {}
+    for r in [(i,) for i in range(cat.size)] + list(
+            itertools.combinations_with_replacement(range(cat.size), 2)):
+        d = dims_of_ref(cat, r)
+        yield from ((s, r) for s in seen.get(d, ()))
+        seen.setdefault(d, []).append(r)
+
+
+@pytest.mark.parametrize("kind, n, first", [("A2", 4, 5), ("D2", 5, 11), ("D", 8, 401)])
+def test_iso_agrees_with_hom_dimensions(hereditary_d, kind, n, first):
+    """Over a representation-finite algebra X and Y are isomorphic iff dim Hom(E, X) =
+    dim Hom(E, Y) for every indecomposable E (Auslander); dim Hom(E, -) of a sum is the
+    sum over its entries.  `iso` matches that on every pair of sums of at most two
+    entries with equal dimension vectors (417 pairs; the first 401 on hereditary D8).
+    Each two-entry sum of those pairs is isomorphic to its reversal, and no single hom
+    basis map between the two is invertible, so `iso` must combine them."""
+    cat = build_catalog({"A2": type_a_square, "D2": type_d_square, "D": hereditary_d}[kind](n))
+    pairs = list(sums_with_equal_dims(cat))
+    assert len(pairs) == first or (kind == "D" and len(pairs) > first)
+    pairs = pairs[:first]
+    columns = {k: [hom_dim(e, cat.entries[k]) for e in cat.entries]
+               for k in {k for pair in pairs for ref in pair for k in ref}}
+
+    def module(ref):
+        return direct_sum(cat.algebra, [cat.entries[k] for k in ref])[0]
+
+    def profile(ref):
+        return [sum(c) for c in zip(*(columns[k] for k in ref))]
+
+    verdicts = [iso(module(s), module(r)) for s, r in pairs]
+    assert verdicts == [profile(s) == profile(r) for s, r in pairs]
+    swapped = {ref for pair in pairs for ref in pair if len(set(ref)) == 2}
+    assert swapped
+    for ref in sorted(swapped):
+        x, y = module(ref), module(ref[::-1])
+        assert iso(x, y)
+        assert not any(all(rank(b) == b.rows for b in f.blocks) for f in hom_basis(x, y))
+
+
+def test_iso_without_homs():
+    """Two Kronecker modules of dimension vector (1, 1), one with arrow a zero and one
+    with arrow b zero: no nonzero map runs between them, so `iso` answers no before
+    it scans a grid point."""
+    kronecker = build_algebra(Quiver(["1", "2"], [Arrow("a", "2", "1"), Arrow("b", "2", "1")]))
+    one, zero = QMatrix.identity(1), QMatrix.zeros(1, 1)
+    x = Representation(kronecker, (1, 1), (one, zero))
+    y = Representation(kronecker, (1, 1), (zero, one))
+    assert hom_basis(x, y) == [] and not iso(x, y)
 
 
 def test_dual_round_trip(lambda3):

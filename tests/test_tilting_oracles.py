@@ -16,10 +16,11 @@ from tautilt.catalog import build_catalog
 from tautilt.dags import hasse_to_dag, to_dot
 from tautilt.errors import InvariantViolation
 from tautilt.families import family, type_a_square
-from tautilt.tilting import _assert_hasse_shape, enumerate_stau, hasse, pair_to_dict
+from tautilt.tilting import STauPair, _assert_hasse_shape, enumerate_stau, hasse, pair_to_dict
 
-from oracles import (arrow_codes, as_labeled_dag, assert_matches_oracle, decoded_arrows,
-                     reference_dag)
+from oracles import (arrow_codes, as_labeled_dag, assert_matches_oracle,
+                     assert_orthant_counts_match, decoded_arrows, orthant_count,
+                     pairs_per_orthant, reference_dag)
 
 
 def hereditary_d(n):
@@ -33,6 +34,26 @@ def hereditary_d(n):
                                    [("D2", n) for n in range(4, 8)])
 def test_families_match_oracle(kind, n):
     assert_matches_oracle(build_catalog(family(kind, n)))
+
+
+@pytest.mark.parametrize("kind,n", [("A2", n) for n in range(2, 11)] +
+                                   [("D2", n) for n in range(4, 11)])
+def test_pairs_per_orthant_count_the_tilting_modules_of_q_eps(kind, n):
+    """A second count of the pair column, per sign vector of the g-vectors."""
+    algebra = family(kind, n)
+    assert_orthant_counts_match(algebra, enumerate_stau(build_catalog(algebra)))
+
+
+def test_orthant_count_components():
+    """On D2 n=5 (5 -> 4 -> 3 -> {1, 2}), eps = (-, -, +, -, +) keeps the fork
+    1 <- 3 -> 2 (5 tilting modules) and the arrow 5 -> 4 (2), 10 in all, and
+    -eps keeps only 4 -> 3; a g-vector with a zero coordinate is refused."""
+    algebra = family("D2", 5)
+    assert orthant_count(algebra, (-1, -1, 1, -1, 1)) == 10
+    assert orthant_count(algebra, (1, 1, -1, 1, -1)) == 2
+    with pytest.raises(InvariantViolation, match="with a zero"):
+        pairs_per_orthant([STauPair((0,), (), (1, 1, 1, 1, 1)),
+                           STauPair((1,), (), (1, 0, 1, 1, 1))])
 
 
 def test_hereditary_d5_matches_oracle():
