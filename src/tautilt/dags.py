@@ -7,7 +7,7 @@ from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation, PreconditionError
-from .tilting import HasseQuiver, pair_label
+from .tilting import HasseQuiver
 
 
 @dataclass(frozen=True)
@@ -21,7 +21,7 @@ class LabeledDag:
 
 def hasse_to_dag(h: HasseQuiver) -> LabeledDag:
     """The quiver on the Hasse quiver's own arrow codes, each vertex named by its pair."""
-    return LabeledDag(len(h.pairs), h.arrows, lambda k: pair_label(h.pairs[k]))
+    return LabeledDag(len(h.pairs), h.arrows, h.pairs.label)
 
 
 def glue(dag: LabeledDag, subset: Iterable[int]) -> tuple[LabeledDag, dict[int, int]]:

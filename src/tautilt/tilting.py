@@ -11,8 +11,9 @@ of a vertex set for the k-th vertex.  `Catalog` holds one row per entry:
 `compat_mask` (its compatible entries), `tors_mask` (the j with
 Hom(E_i, tau E_j) = 0) and `support_mask` (its support).  A DFS node that
 adds entry i carries its candidates `cand & compat_mask[i]`, the OR of the
-support masks, the running g-vector of its modules and the module bitmask
-`mods | 1 << i`, so keeping a clique costs two `bit_count`s.
+support masks, the running g-vector of its modules, the module bitmask
+`mods | 1 << i` and its summand count, so keeping a clique costs one
+`bit_count`; a child that no descendant can make a pair is not pushed.
 
 The running g-vector is one int of n lanes, coordinate 0 in the most
 significant lane, each lane a signed `width`-byte value offset by half its
@@ -26,21 +27,31 @@ the unsupported vertices (bit cat.size + k for the k-th vertex).  The ints
 are sorted once, which sorts the pairs by g-vector; distinct pairs have
 distinct g-vectors (Adachi-Iyama-Reiten, Thm 5.5), and two neighbours with
 one g-vector raise.  A `PairTable` keeps the ints as they are.  Its length,
-the full-support modules, `hasse`'s codes and each pair's unsupported-vertex
-bits are read off the ints; a pair is decoded into an `STauPair` only where
-one is read (an index or an iteration), by one `struct` unpack of its
-g-vector, and the pairs of one unsupported-vertex set share one
-projective-part tuple.
+the full-support modules, `hasse`'s codes, each pair's unsupported-vertex
+bits and each pair's label are read off the ints; a pair is decoded into an
+`STauPair` only where one is read (an index or an iteration), by one
+`struct` unpack of its g-vector, and the pairs of one unsupported-vertex set
+share one projective-part tuple.
+
+Where a per-entry value is folded over a pair's module bits, the fold is
+read off per-byte tables instead of walked bit by bit: `_byte_rows` makes
+one row for each 8 entries (256 cells, fewer for the last), cell c of row o
+holding the fold over the entries 8 * o + b for the set bits b of c.  A pair then costs one
+lookup per byte of module bits.  `PairTable.label` joins the cells that
+hold comma-joined entry numbers; `hasse` ANDs the cells that hold torsion
+rows.
 
 `hasse` works on the codes.  Clearing one set bit of a code gives an almost
 complete pair, the key of one dict slot.  The slot holds the first
 completion; the second decides the arrow at once and leaves -1, so a third
 raises.  The module part of `lower` lies in the torsion class of `upper`
 iff `upper.mods & ~tors[lower] == 0` and `supp[lower] & upper.proj == 0`,
-where `tors` is the AND of `tors_mask` over the summands and `supp`, the
-support, is the complement of the unsupported bits (Adachi-Iyama-Reiten,
-Thm 2.18).  Both tests are one AND of `upper`'s code with `lower`'s
-`outside` mask, so the direction of each arrow is decided in O(1).  An
+where `tors` is the AND of `tors_mask` over the summands, read off the
+byte tables, and `supp`, the support, is the complement of the unsupported
+bits (Adachi-Iyama-Reiten, Thm 2.18).  The table cells are the ANDs
+themselves, so each `outside` mask is bit for bit the one the summands give.
+Both tests are one AND of `upper`'s code with `lower`'s `outside` mask, so
+the direction of each arrow is decided in O(1) from the whole torsion class.  An
 arrow a -> b is coded a * |pairs| + b, the codes are sorted once, and
 `HasseQuiver.arrows` keeps them as they are, in one `array('q')`: 8 bytes
 an arrow, and no (a, b) tuple is built.  `divmod(code, |pairs|)` gives the
@@ -81,6 +92,18 @@ def _lanes(n: int, width: int) -> tuple[list[int], int]:
     return units, sum(units) << 8 * width - 1
 
 
+def _byte_rows(items: Sequence, unit, join) -> list[list]:
+    """One row per 8 items: row o, column c folds `join` over items[8 * o + b]
+    for the set bits b of byte c, ascending, starting from `unit`."""
+    rows = []
+    for o in range(0, len(items), 8):
+        row = [unit]
+        for item in items[o:o + 8]:
+            row += [join(cell, item) for cell in row]
+        rows.append(row)
+    return rows
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     """The positions of the set bits of `mask`, ascending."""
     out = []
@@ -119,15 +142,34 @@ class PairTable(Sequence[STauPair]):
         return (self.size + n, _lanes(n, self.width)[1],
                 Struct(f">{n}{_LANE_FORMAT[self.width]}"), {})
 
-    def _decode(self, key: int) -> STauPair:
-        code_bits, bias, g_struct, proj_of = self._layout
+    def _proj_part(self, key: int) -> tuple[str, ...]:
+        """The unsupported vertices of `key`, one tuple per vertex mask."""
+        proj_of = self._layout[3]
         unsupported = key >> self.size & (1 << len(self.vertices)) - 1
         proj = proj_of.get(unsupported)
         if proj is None:
             proj = proj_of[unsupported] = tuple(
                 v for k, v in enumerate(self.vertices) if unsupported >> k & 1)
-        return STauPair(_bits(key & (1 << self.size) - 1), proj,
+        return proj
+
+    def _decode(self, key: int) -> STauPair:
+        code_bits, bias, g_struct, _ = self._layout
+        return STauPair(_bits(key & (1 << self.size) - 1), self._proj_part(key),
                         g_struct.unpack((key >> code_bits ^ bias).to_bytes(g_struct.size, "big")))
+
+    @cached_property
+    def _label_rows(self) -> list[list[str]]:
+        """Row o, column c: the comma-joined entry numbers of the set bits of byte c."""
+        return _byte_rows([str(i) for i in range(self.size)], "",
+                          lambda cell, i: f"{cell},{i}" if cell else i)
+
+    def label(self, k: int) -> str:
+        """Pair k as `M[modules]|P[unsupported vertices]`, read off its key
+        one byte of module bits at a time: no g-vector, no `STauPair`."""
+        key = self.keys[k]
+        mods = (key & (1 << self.size) - 1).to_bytes(self.size + 7 >> 3, "little")
+        return (f"M[{','.join([row[b] for row, b in zip(self._label_rows, mods) if b])}]"
+                f"|P[{','.join(self._proj_part(key))}]")
 
     def codes(self) -> list[int]:
         """Each pair's code: module bits, then unsupported-vertex bits."""
@@ -178,9 +220,12 @@ def enumerate_stau(cat: Catalog) -> PairTable:
     The DFS grows each clique by catalog indices above its last one, so it
     meets every clique once, and the catalog is finite, so the search ends.
     It runs on an explicit stack of (candidates, support, packed module
-    g-vector, module bits) nodes: a recursive inner function refers to
-    itself, and that reference cycle keeps a finished search's pairs alive
-    until the cyclic garbage collector runs.
+    g-vector, module bits, summand count) nodes: a recursive inner function
+    refers to itself, and that reference cycle keeps a finished search's
+    pairs alive until the cyclic garbage collector runs.  Each descendant of
+    a node adds one summand and never shrinks the support, so a child with
+    fewer summands and candidates together than supported vertices leads to
+    no kept pair and is not pushed.
     """
     vertices = cat.algebra.quiver.vertices
     n, size = len(vertices), cat.size
@@ -197,10 +242,10 @@ def enumerate_stau(cat: Catalog) -> PairTable:
     proj_of: dict[int, int] = {}
     kept: list[int] = []
     rigid = sum(1 << i for i, m in enumerate(cat.tors_mask) if m >> i & 1)
-    stack = [(rigid, 0, bias, 0)]
+    stack = [(rigid, 0, bias, 0, 0)]
     while stack:
-        candidates, support, g_modules, mods = stack.pop()
-        if mods.bit_count() == support.bit_count():
+        candidates, support, g_modules, mods, depth = stack.pop()
+        if depth == support.bit_count():
             unsupported = all_vertices ^ support
             g_proj = proj_of.get(unsupported)
             if g_proj is None:
@@ -208,12 +253,14 @@ def enumerate_stau(cat: Catalog) -> PairTable:
                     u for k, u in enumerate(lane) if unsupported >> k & 1)
             kept.append((g_modules - g_proj) << code_bits | unsupported << size | mods)
         # A child takes one candidate i; its candidates are those above i, ANDed with its row.
+        depth += 1
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             i = low.bit_length() - 1
-            stack.append((candidates & compat[i], support | support_mask[i],
-                          g_modules + packed[i], mods | low))
+            child, child_support = candidates & compat[i], support | support_mask[i]
+            if depth + child.bit_count() >= child_support.bit_count():
+                stack.append((child, child_support, g_modules + packed[i], mods | low, depth))
     # Biased lanes, coordinate 0 the most significant: int order is g-vector order.
     kept.sort()
     pairs = PairTable(tuple(kept), vertices, size, width)
@@ -242,16 +289,16 @@ def hasse(cat: Catalog, pairs: PairTable) -> HasseQuiver:
     size = cat.size
     every_entry = (1 << size) - 1
     all_vertices = (1 << n) - 1
-    tors_mask = cat.tors_mask
     codes = pairs.codes()
+    # Row o, column c: the AND of the torsion rows of the entries 8 * o + b, b a set bit of c.
+    tors_rows = _byte_rows(cat.tors_mask, every_entry, int.__and__)
+    n_bytes = size + 7 >> 3
     # A kept pair's support is the complement of its unsupported bits.
     outside: list[int] = []
     for code in codes:
-        t, mods = every_entry, code & every_entry
-        while mods:
-            low = mods & -mods
-            mods ^= low
-            t &= tors_mask[low.bit_length() - 1]
+        t = every_entry
+        for row, byte in zip(tors_rows, (code & every_entry).to_bytes(n_bytes, "little")):
+            t &= row[byte]
         outside.append(every_entry ^ t | (all_vertices ^ code >> size) << size)
     # Almost complete pair -> its first completion, then -1 once a second one came.
     slot: dict[int, int] = {}
@@ -297,12 +344,6 @@ def _assert_hasse_shape(cat: Catalog, codes: Sequence[int], arrows: Sequence[int
         raise InvariantViolation("source of the mutation quiver is not the regular pair")
     if codes[sinks[0]] != (1 << cat.algebra.n_vertices) - 1 << cat.size:
         raise InvariantViolation("sink of the mutation quiver is not the zero pair")
-
-
-def pair_label(pair: STauPair) -> str:
-    mods = ",".join(str(i) for i in pair.modules)
-    proj = ",".join(pair.proj_part)
-    return f"M[{mods}]|P[{proj}]"
 
 
 def pair_to_dict(pair: STauPair) -> dict:

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from tautilt.algebra import Arrow, Quiver, build_algebra
+from tautilt.algebra import Arrow, Quiver, build_algebra, load_algebra
 from tautilt.catalog import build_catalog
 from tautilt.families import type_a_square, type_d_square
 
@@ -74,3 +76,9 @@ def hereditary_d():
         arrows += [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(3, n)]
         return build_algebra(Quiver([str(k) for k in range(1, n + 1)], arrows))
     return build
+
+
+@pytest.fixture(scope="session")
+def cat_hereditary_e8():
+    """Hereditary E8 (8 -> 7 -> 6 -> 5 -> 4, then 4 -> 1 and 4 -> 2 -> 3): 120 entries."""
+    return build_catalog(load_algebra(Path(__file__).parent / "data" / "hereditary_e8.json"))

@@ -39,6 +39,9 @@ These are the direct algorithms that the package replaced with faster ones:
   cover, read off its top);
 - `ext1_tilting_test`: a tilting test that computes syzygies and Ext^1
   (`is_tilting` reads the catalog's pd <= 1 table);
+- `pair_label`: a pair's DOT and message label joined from its decoded
+  `STauPair` (`PairTable.label` reads it off the pair's key, one byte of
+  module bits at a time, and decodes nothing);
 - `ReferenceDag` and `reference_glue`: a quiver as a tuple of labels and a
   tuple of (a, b) arrows, glued by rebuilding both tuples (`dags.glue`
   rewrites the sorted arrow codes and makes a label only when one is asked
@@ -89,8 +92,8 @@ from tautilt.linalg import QMatrix, hstack, rank, rref
 from tautilt.modules import (Morphism, Representation, _top_generators, ext1, hom_basis, iso,
                              kernel_of, pd_at_most_one, projective, projective_cover,
                              sub_representation, syzygy, tau_inverse)
-from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, hasse, pair_label,
-                             tau_tilting_modules, tilting_modules)
+from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, hasse, tau_tilting_modules,
+                             tilting_modules)
 from tautilt.util import topological_order
 
 
@@ -538,6 +541,12 @@ class ReferenceDag:
     """Labels and sorted arrows (i, j) by position."""
     labels: tuple[str, ...]
     arrows: tuple[tuple[int, int], ...]
+
+
+def pair_label(pair: STauPair) -> str:
+    mods = ",".join(str(i) for i in pair.modules)
+    proj = ",".join(pair.proj_part)
+    return f"M[{mods}]|P[{proj}]"
 
 
 def reference_dag(h: HasseQuiver) -> ReferenceDag:

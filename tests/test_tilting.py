@@ -205,7 +205,7 @@ def test_hereditary_linear_a10_counts_are_catalan():
     assert_catalan_counts(10)  # 58,786 pairs
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_hereditary_d_counts_are_cluster_counts(hereditary_d, n):
     """Fomin-Zelevinsky: type D_n has (3n-2)/n C(2n-2, n-1) clusters, the support
     tau-tilting pairs, and (3n-4)/n C(2n-3, n-1) positive clusters, the tilting
@@ -219,6 +219,16 @@ def test_hereditary_d_counts_are_cluster_counts(hereditary_d, n):
     assert len(pairs) == pairs_num // n
     assert len(tau_tilting_modules(pairs)) == tilt_num // n
     assert len(tilting_modules(cat, tau_tilting_modules(pairs))) == tilt_num // n
+
+
+def test_hereditary_e8_counts_are_cluster_counts(cat_hereditary_e8):
+    """Fomin-Zelevinsky: with exponents e_1..e_8 = 1, 7, 11, 13, 17, 19, 23, 29 and
+    Coxeter number h = 30, type E8 has prod (h + e_i + 1)/(e_i + 1) = 25,080
+    clusters, the support tau-tilting pairs, and prod (h + e_i - 1)/(e_i + 1)
+    = 17,342 positive clusters, the tilting modules."""
+    pairs = enumerate_stau(cat_hereditary_e8)
+    assert len(pairs) == 25_080
+    assert len(tau_tilting_modules(pairs)) == 17_342
 
 
 def test_empty_algebra_enumeration():

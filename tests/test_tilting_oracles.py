@@ -19,8 +19,8 @@ from tautilt.families import family, type_a_square
 from tautilt.tilting import STauPair, _assert_hasse_shape, enumerate_stau, hasse, pair_to_dict
 
 from oracles import (arrow_codes, as_labeled_dag, assert_matches_oracle,
-                     assert_orthant_counts_match, decoded_arrows, orthant_count,
-                     pairs_per_orthant, reference_dag)
+                     assert_orthant_counts_match, decoded_arrows, orthant_count, pair_label,
+                     pairs_per_orthant, reference_arrows, reference_dag)
 
 
 def hereditary_d(n):
@@ -59,6 +59,48 @@ def test_orthant_count_components():
 def test_hereditary_d5_matches_oracle():
     pairs = assert_matches_oracle(build_catalog(hereditary_d(5)))
     assert len(pairs) == 182  # the clusters of type D5
+
+
+@pytest.mark.parametrize("name", ["A2-9", "D2-8", "hereditary-D8", "hereditary-E8"])
+def test_labels_read_off_the_keys_match_the_decoded_pairs(request, name):
+    """Module bits fill two bytes on D2 n=8 (16 entries), three on A2 n=9 (17),
+    seven on hereditary D8 (56) and fifteen on hereditary E8 (120)."""
+    if name == "hereditary-E8":
+        cat = request.getfixturevalue("cat_hereditary_e8")
+    elif name == "hereditary-D8":
+        cat = build_catalog(hereditary_d(8))
+    else:
+        kind, n = name.split("-")
+        cat = build_catalog(family(kind, int(n)))
+    pairs = enumerate_stau(cat)
+    assert [pairs.label(k) for k in range(len(pairs))] == list(map(pair_label, pairs))
+
+
+def test_hasse_agrees_with_the_reference_on_every_flipped_torsion_bit(monkeypatch):
+    """Each single tors_mask bit flipped after enumeration, on A2 n=4 and 6 and
+    D2 n=5 and 6 (7, 11, 10 and 12 entries: 414 mutants): `hasse` gives the
+    reference's arrows or raises its message.  Every one of them raises, so a
+    direction test that reads less than the whole torsion class shows here."""
+    outcomes = []
+
+    def outcome(build):
+        try:
+            return build()
+        except InvariantViolation as exc:
+            return str(exc)
+
+    for kind, n in [("A2", 4), ("A2", 6), ("D2", 5), ("D2", 6)]:
+        cat = build_catalog(family(kind, n))
+        pairs = enumerate_stau(cat)
+        reference = list(pairs)
+        tors = cat.tors_mask
+        for i in range(cat.size):
+            for j in range(cat.size):
+                monkeypatch.setattr(cat, "tors_mask", tors[:i] + [tors[i] ^ 1 << j] + tors[i + 1:])
+                got = outcome(lambda: decoded_arrows(hasse(cat, pairs)))
+                assert got == outcome(lambda: reference_arrows(cat, reference)), (kind, n, i, j)
+                outcomes.append(got)
+    assert outcomes == ["mutation direction is not uniquely determined"] * 414
 
 
 GOLDEN = {

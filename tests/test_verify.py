@@ -10,8 +10,7 @@ from tautilt.counting import REPORTED_D
 from tautilt.dags import to_dot
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
-from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, pair_label,
-                             tau_tilting_modules)
+from tautilt.tilting import HasseQuiver, STauPair, enumerate_stau, tau_tilting_modules
 from tautilt.verify import (Enumeration, ExtensionContext, TableRow, family_rows,
                             reports_to_json, reproduce_tables, run_claims, select_claims,
                             select_doubled_subset,
@@ -20,7 +19,7 @@ from tautilt.verify import (Enumeration, ExtensionContext, TableRow, family_rows
 
 from oracles import (arrow_codes, as_labeled_dag, assert_doubled_quiver_matches_search,
                      decoded_arrows, family_counts, gluing_search_agrees, pair_key,
-                     reference_dag, reference_glue)
+                     pair_label, reference_dag, reference_glue)
 
 
 @pytest.fixture(scope="module")
