@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
 3 infinite-dimensional algebra, 4 not representation-directed,
 5 precondition violated, 70 internal error (a failed internal check, or any
 exception that is not a TautiltError).
+
+Start-up: the module level imports only `algebra`, `errors` and `util`; each
+command imports the layers it runs, so `validate` and `extend` never load the
+catalog, the enumeration or the verifiers.
 """
 from __future__ import annotations
 
@@ -14,14 +18,8 @@ from pathlib import Path
 import click
 
 from .algebra import load_algebra, one_point_extension, serialize_algebra
-from .catalog import build_catalog
-from .dags import hasse_to_dag, to_dot
 from .errors import (AlgebraFormatError, InfiniteDimensionalError, InvariantViolation,
                      NotDirectedError, PreconditionError, TautiltError)
-from .families import family
-from .tilting import pair_to_dict
-from .verify import (CLAIMS, Enumeration, ExtensionContext, reports_to_json,
-                     reproduce_tables, run_claims, select_claims)
 from .util import check_writable, write_text_atomic
 
 EXIT_VERIFY = 1
@@ -81,6 +79,7 @@ def main(ctx, out_dir):
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
 def family_cmd(kind, n, out_path):
     """Write a family algebra to an algebra file."""
+    from .families import family
     algebra = family(kind, n)
     write_text_atomic(out_path, serialize_algebra(algebra))
     click.echo(f"wrote {out_path} (dim {algebra.dimension})")
@@ -101,6 +100,8 @@ def validate(file):
               show_default=True)
 def enumerate_cmd(file, kind):
     """List modules of the requested kind; the final line carries the count."""
+    from .tilting import pair_to_dict
+    from .verify import Enumeration
     algebra = load_algebra(file)
     enum = Enumeration(algebra)
     if kind == "stau":
@@ -122,10 +123,12 @@ def hasse_cmd(file, dot_path):
     """Build the left-mutation quiver and report its size."""
     if dot_path is not None:
         check_writable(dot_path)
+    from .verify import Enumeration
     algebra = load_algebra(file)
     enum = Enumeration(algebra)
     h = enum.hasse()
     if dot_path is not None:
+        from .dags import hasse_to_dag, to_dot
         write_text_atomic(dot_path, to_dot(hasse_to_dag(h)))
     click.echo(f"vertices {len(h.pairs)} arrows {len(h.arrows)}")
 
@@ -145,8 +148,10 @@ def extend(file, source_vertex, out_path):
 @main.command()
 @ALGEBRA_FILE
 @click.option("--source", "source_vertex", required=True, help="Source vertex to extend at.")
-@click.option("--claims", default=",".join(CLAIMS), show_default=True,
-              help="Comma-separated claim list.")
+# ",".join(verify.CLAIMS), spelled out so that only `verify` loads `verify`;
+# a test pins the two equal.
+@click.option("--claims", default="classification,count-equations,tilting-transfer,hasse-gluing",
+              show_default=True, help="Comma-separated claim list.")
 @click.option("--report", "report_path", type=click.Path(path_type=Path), default=None,
               help="Report file (default: out-dir/verify_report.json).")
 @click.pass_obj
@@ -154,6 +159,7 @@ def verify(out_dir, file, source_vertex, claims, report_path):
     """Run the selected claim verifiers on the extension context of FILE."""
     path = report_path or (out_dir / "verify_report.json")
     check_writable(path)
+    from .verify import ExtensionContext, reports_to_json, run_claims, select_claims
     algebra = load_algebra(file)
     wanted = select_claims(c.strip() for c in claims.split(",") if c.strip())
     ctx = ExtensionContext(algebra, source_vertex)
@@ -182,6 +188,7 @@ def verify(out_dir, file, source_vertex, claims, report_path):
 @click.option("--nD", "n_d", type=int, default=10, show_default=True)
 def tables(n_a, n_d):
     """Reproduce both family tables and diff them against the reported values."""
+    from .verify import reproduce_tables
     result = reproduce_tables(n_a, n_d)
     click.echo(result.render(), nl=False)
     warnings = sum(1 for d in result.discrepancies if d.corroborated)
@@ -195,6 +202,7 @@ def tables(n_a, n_d):
 @ALGEBRA_FILE
 def catalog(file):
     """Dump the indecomposable catalog with dimension vectors."""
+    from .catalog import build_catalog
     algebra = load_algebra(file)
     cat = build_catalog(algebra)
     for i, e in enumerate(cat.entries):

@@ -30,7 +30,10 @@ def _writing(path: Path, keep_dirs: bool = True) -> Iterator[Path]:
             if not stat.S_ISREG(path.lstat().st_mode):
                 raise PreconditionError(f"cannot write {path}: not a regular file")
         made = list(takewhile(lambda d: not d.exists(), path.parents))  # deepest first
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:  # the parent exists and is not a directory
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR)) from None
         yield tmp
         kept = keep_dirs
     except OSError as exc:

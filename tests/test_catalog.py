@@ -253,15 +253,10 @@ def test_representation_infinite_type_hits_cap():
         build_catalog(kronecker)
 
 
-@pytest.mark.slow
-def test_hereditary_e8_reaches_the_coordinate_bound():
-    """Hereditary E8 (8 -> 7 -> 6 -> 5 -> 4, then 4 -> 1 and 4 -> 2 -> 3) has 120
-    indecomposables, and its highest root has a 6: the bound the closure checks
-    is reached, so it is not too small."""
-    vertices = [str(k) for k in range(1, 9)]
-    arrows = [Arrow("b1", "4", "1"), Arrow("b2", "4", "2"), Arrow("b3", "2", "3")]
-    arrows += [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(4, 8)]
-    cat = build_catalog(build_algebra(Quiver(vertices, arrows)))
+def test_hereditary_e8_reaches_the_coordinate_bound(cat_hereditary_e8):
+    """Hereditary E8 has 120 indecomposables, and its highest root has a 6: the
+    bound the closure checks is reached, so it is not too small."""
+    cat = cat_hereditary_e8
     assert cat.size == 120
     assert max(max(e.dims) for e in cat.entries) == 6
     # the same count from one Hom-space kernel per pair (the oracle route)

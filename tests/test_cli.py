@@ -237,15 +237,26 @@ def test_family_rejects_an_out_of_range_n_with_one_error_line(runner, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
-def test_family_reports_an_unwritable_out_in_one_line(runner, tmp_path):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    out = blocker / "x.json"
-    result = runner.invoke(main, ["family", "--kind", "A2", "--n", "3", "--out", str(out)])
+@pytest.mark.parametrize("args, out", [
+    (["hasse", "--dot", "file/x.dot", "a2.json"], "file/x.dot"),
+    (["extend", "--source", "2", "--out", "file/b.json", "a2.json"], "file/b.json"),
+    (["verify", "--source", "2", "--report", "file/r.json", "a2.json"], "file/r.json"),
+    (["--out-dir", "file", "verify", "--source", "2", "a2.json"], "file/verify_report.json"),
+    (["family", "--kind", "A2", "--n", "3", "--out", "file/x.json"], "file/x.json"),
+], ids=["hasse-dot", "extend-out", "verify-report", "out-dir", "family-out"])
+def test_an_output_below_a_regular_file_is_not_a_directory(monkeypatch, runner, tmp_path, a2,
+                                                           args, out):
+    """A parent that is a regular file is ENOTDIR, not the EEXIST that making it
+    raises: exit 5, one line, and nothing written."""
+    monkeypatch.chdir(tmp_path)
+    write_algebra(tmp_path / "a2.json", a2)
+    (tmp_path / "file").write_text("")
+    result = runner.invoke(main, args)
     assert result.exit_code == 5
-    assert result.stderr == f"error: cannot write {out}: File exists\n"
+    assert result.stderr == f"error: cannot write {out}: Not a directory\n"
     assert result.stdout == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a2.json", "file"]
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("kind", ["fifo", "symlink"])
