@@ -172,8 +172,13 @@ def _fresh_name(taken: Container[str], base: str, sep: str) -> str:
 
 
 def _fresh_vertex(quiver: Quiver) -> str:
+    """One more than the largest name if all are decimal and `int` and `str` convert
+    both (4,300 digits by default), otherwise the first free name of a, a1, a2, ..."""
     if all(v.removeprefix("-").isdecimal() for v in quiver.vertices) and quiver.vertices:
-        return str(max(int(v) for v in quiver.vertices) + 1)
+        try:
+            return str(max(int(v) for v in quiver.vertices) + 1)
+        except ValueError:
+            pass
     return _fresh_name(quiver.vertex_pos, "a", "")
 
 

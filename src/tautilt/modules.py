@@ -117,45 +117,39 @@ def zero_rep(algebra: Algebra) -> Representation:
                           [QMatrix.zeros(0, 0) for _ in q.arrows])
 
 
-@lru_cache(maxsize=None)
-def projective(algebra: Algebra, v: str) -> Representation:
-    """Fiber at w is spanned by the basis paths v -> w; arrows append on the right."""
+def _standard_module(algebra: Algebra, v: str, fiber, image) -> Representation:
+    """The module with basis `fiber(w)` at each vertex w, where arrow a sends
+    basis path p to basis path `image(a, p)` of `fiber(a.target)`, or to 0 if None."""
     q = algebra.quiver
     if v not in q.vertex_pos:
         raise PreconditionError(f"unknown vertex {v!r}")
-    dims = [len(algebra.paths_between(v, w)) for w in q.vertices]
     maps = []
     for a in q.arrows:
-        src_paths = algebra.paths_between(v, a.source)
-        tgt_rows = dims[q.vertex_pos[a.target]]
-        m = [[0] * len(src_paths) for _ in range(tgt_rows)]
+        src_paths = fiber(a.source)
+        m = [[0] * len(src_paths) for _ in fiber(a.target)]
         for c, p in enumerate(src_paths):
-            pos = algebra.path_position(v, a.target, p.arrows + (a.name,))
+            pos = image(a, p)
             if pos is not None:
                 m[pos][c] = 1
         maps.append(QMatrix.from_rows(m, cols=len(src_paths)))
-    return Representation(algebra, dims, maps)
+    return Representation(algebra, [len(fiber(w)) for w in q.vertices], maps)
+
+
+@lru_cache(maxsize=None)
+def projective(algebra: Algebra, v: str) -> Representation:
+    """Fiber at w is spanned by the basis paths v -> w; arrows append on the right."""
+    return _standard_module(
+        algebra, v, lambda w: algebra.paths_between(v, w),
+        lambda a, p: algebra.path_position(v, a.target, p.arrows + (a.name,)))
 
 
 @lru_cache(maxsize=None)
 def injective(algebra: Algebra, v: str) -> Representation:
     """Fiber at w is spanned by the basis paths w -> v; arrows strip on the left."""
-    q = algebra.quiver
-    if v not in q.vertex_pos:
-        raise PreconditionError(f"unknown vertex {v!r}")
-    dims = [len(algebra.paths_between(w, v)) for w in q.vertices]
-    maps = []
-    for a in q.arrows:
-        src_paths = algebra.paths_between(a.source, v)
-        tgt_paths = algebra.paths_between(a.target, v)
-        m = [[0] * len(src_paths) for _ in range(len(tgt_paths))]
-        for c, p in enumerate(src_paths):
-            if p.arrows[:1] == (a.name,):
-                pos = algebra.path_position(a.target, v, p.arrows[1:])
-                if pos is not None:
-                    m[pos][c] = 1
-        maps.append(QMatrix.from_rows(m, cols=len(src_paths)))
-    return Representation(algebra, dims, maps)
+    return _standard_module(
+        algebra, v, lambda w: algebra.paths_between(w, v),
+        lambda a, p: algebra.path_position(a.target, v, p.arrows[1:])
+        if p.arrows[:1] == (a.name,) else None)
 
 
 def direct_sum(algebra: Algebra, reps: Sequence[Representation]) -> tuple[Representation, list[list[int]]]:

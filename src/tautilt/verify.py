@@ -122,9 +122,7 @@ def verify_classification(ctx: ExtensionContext) -> ClaimReport:
     two adds the new projective and the new simple to a full module over the
     quotient.  The two images must be disjoint and cover everything.
     """
-    ext = ctx.enum("extended")
-    base = ctx.enum("base")
-    quot = ctx.enum("quotient")
+    ext, base, quot = map(ctx.enum, ("extended", "base", "quotient"))
     cat_b = ext.catalog
     image_one, image_two = _shape_images(ctx, base.tau_tilt, quot.tau_tilt)
     counts = {"tau_tilt_base": len(base.tau_tilt),
@@ -170,9 +168,7 @@ def verify_tilting_transfer(ctx: ExtensionContext) -> ClaimReport:
     """Tilting modules transfer one-to-one onto shape-one images; shape two never tilts."""
     if ctx.base.quiver.is_sink(ctx.source_vertex):
         raise PreconditionError("tilting transfer requires the source vertex not to be a sink")
-    ext = ctx.enum("extended")
-    base = ctx.enum("base")
-    quot = ctx.enum("quotient")
+    ext, base, quot = map(ctx.enum, ("extended", "base", "quotient"))
     cat_b = ext.catalog
     image, shape_two = _shape_images(ctx, base.tilt(), quot.tau_tilt)
     enumerated = set(ext.tilt())
@@ -209,33 +205,37 @@ def select_doubled_subset(ctx: ExtensionContext) -> frozenset[int]:
 def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_base: HasseQuiver,
                       plus: dict[int, int]) -> list[int]:
     """The vertex of `glue(doubled quiver, subset)` that the classification names
-    for each pair of the extension, read off its g-vector; -1 where there is none.
+    for each pair of the extension, read off its key; -1 where there is none.
 
-    The new and the isolated vertex share a name and the last position, so the
-    g-vectors of both algebras compare coordinate by coordinate.  With
-    g(S_new) = e_new - e_i, a pair without S_new goes to the doubled pair of the
-    same g-vector, S_new without P_new to that of g + e_i (a selected original),
-    and P_new + S_new to the plus-copy (`plus`, from `glue`) of that of g - e_new.
+    The new and the isolated vertex share a name and the last lane, so with
+    lanes of one width the doubled pair (g, c) is its base key's g part shifted
+    up one lane, the biased c in the new last lane.  With g(S_new) = e_new - e_i,
+    a pair without S_new goes to the doubled pair of the same g, S_new without
+    P_new to that of g + e_i (a selected original), and P_new + S_new to the
+    plus-copy (`plus`, from `glue`) of that of g - e_new.  No pair is decoded.
     """
-    cat = ctx.enum("extended").catalog
-    if cat.algebra.quiver.vertices != ctx.base.quiver.vertices + (ctx.new_vertex,):
+    ext, base = h_ext.pairs, h_base.pairs
+    if ext.vertices != base.vertices + (ctx.new_vertex,):
         raise InvariantViolation("the extension does not list the base's vertices first")
+    if ext.width != base.width:
+        raise InvariantViolation(f"the extension packs g-vectors in {ext.width}-byte lanes, "
+                                 f"the base in {base.width}-byte lanes")
+    cat = ctx.enum("extended").catalog
     p_new, s_new = cat.projective_index[ctx.new_vertex], cat.simple_index[ctx.new_vertex]
-    pos = cat.algebra.quiver.vertex_pos
-    i, new = pos[ctx.source_vertex], pos[ctx.new_vertex]
-    n_base = len(h_base.pairs)
-    by_g = {p.g + (c,): k + n_base * (c > 0) for k, p in enumerate(h_base.pairs) for c in (-1, 1)}
+    lane, n_base = 8 * ext.width, len(base)
+    unit_i = 1 << lane * (len(base.vertices) - ext.vertices.index(ctx.source_vertex))
+    base_shift, ext_shift = base.size + len(base.vertices), ext.size + len(ext.vertices)
+    by_g = {(key >> base_shift << lane) + (1 << lane - 1) + c: k + n_base * (c > 0)
+            for k, key in enumerate(base.keys) for c in (-1, 1)}
     images = []
-    for pair in h_ext.pairs:
-        g = list(pair.g)
-        if s_new not in pair.modules:
-            images.append(by_g.get(pair.g, -1))
-        elif p_new not in pair.modules:
-            g[i] += 1
-            images.append(by_g.get(tuple(g), -1))
+    for key in ext.keys:
+        g = key >> ext_shift
+        if not key >> s_new & 1:
+            images.append(by_g.get(g, -1))
+        elif not key >> p_new & 1:
+            images.append(by_g.get(g + unit_i, -1))
         else:
-            g[new] -= 1
-            images.append(plus.get(by_g.get(tuple(g)), -1))
+            images.append(plus.get(by_g.get(g - 1), -1))
     return images
 
 
@@ -243,8 +243,7 @@ def verify_hasse_gluing(ctx: ExtensionContext) -> ClaimReport:
     """The extension's mutation quiver is the doubled quiver glued along the
     selected subset, under the vertex map the classification names.  A failed
     map check carries both quivers as DOT artifacts."""
-    base = ctx.enum("base")
-    quot = ctx.enum("quotient")
+    base, quot = map(ctx.enum, ("base", "quotient"))
     h_ext = ctx.enum("extended").hasse()
     dag_ext = hasse_to_dag(h_ext)
     h_base = base.hasse()

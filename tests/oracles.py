@@ -777,3 +777,28 @@ def assert_orthant_counts_match(algebra, pairs) -> None:
     assert {eps: found[eps] for eps in orthants} == {
         eps: orthant_count(algebra, eps) for eps in orthants}
     assert any(found[eps] != orthant_count(algebra, [-e for e in eps]) for eps in orthants)
+
+
+def hom_orthogonal_subsets(cat) -> Counter:
+    """(size, support bits) -> the number of sets of catalog entries with
+    Hom(X, Y) = Hom(Y, X) = 0 for any two members X, Y, read off
+    `Catalog.hom_dims` by a clique search, with no tau.  Every entry is a
+    brick (`Catalog` checks End = k), so these are the semibricks.
+
+    Over a tau-tilting finite algebra the semibricks are as many as the support
+    tau-tilting pairs, the semibrick of a pair holding one brick per arrow out
+    of it, and dually one per arrow into it (Asai, "Semibricks", IMRN 2020)."""
+    hom = cat.hom_dims.to_rows()
+    orthogonal = [sum(1 << j for j in range(cat.size) if hom[i][j] == hom[j][i] == 0)
+                  for i in range(cat.size)]
+    found: Counter = Counter()
+    stack = [((1 << cat.size) - 1, 0, 0)]
+    while stack:
+        candidates, support, size = stack.pop()
+        found[size, support] += 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            stack.append((candidates & orthogonal[i], support | cat.support_mask[i], size + 1))
+    return found

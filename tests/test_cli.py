@@ -140,6 +140,20 @@ def test_extend_names_a_new_vertex_beside_a_digit_like_one(runner, tmp_path, nam
     assert result.output == "new vertex a\n"
 
 
+@pytest.mark.parametrize("name", ["1" * 5000, "9" * 4300], ids=["5000-digits", "4300-nines"])
+def test_extend_names_a_new_vertex_beside_a_decimal_name_too_long_to_convert(runner, tmp_path,
+                                                                              name):
+    """`int` reads at most 4,300 digits and `str` writes at most 4,300, and the
+    successor of 4,300 nines has 4,301: the new vertex is `a`."""
+    f = write_algebra(tmp_path / "q.json", build_algebra(Quiver(["1", name], [
+        Arrow("x", name, "1")])))
+    out = tmp_path / "b.json"
+    result = runner.invoke(main, ["extend", f, "--source", name, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "new vertex a\n"
+    assert load_algebra(out).quiver.vertices == ("1", name, "a")
+
+
 @pytest.mark.parametrize("args", [
     ["hasse", "--dot", "{dir}"],
     ["extend", "--source", "2", "--out", "{dir}"],

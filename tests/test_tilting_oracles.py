@@ -7,20 +7,24 @@ the list-based implementation.
 """
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
+from tautilt.counting import REPORTED_D
 from tautilt.dags import hasse_to_dag, to_dot
 from tautilt.errors import InvariantViolation
 from tautilt.families import family, type_a_square
 from tautilt.tilting import STauPair, _assert_hasse_shape, enumerate_stau, hasse, pair_to_dict
+from tautilt.verify import family_rows
 
 from oracles import (arrow_codes, as_labeled_dag, assert_matches_oracle,
-                     assert_orthant_counts_match, decoded_arrows, orthant_count, pair_label,
-                     pairs_per_orthant, reference_arrows, reference_dag)
+                     assert_orthant_counts_match, decoded_arrows, hom_orthogonal_subsets,
+                     orthant_count, pair_label, pairs_per_orthant, reference_arrows,
+                     reference_dag)
 
 
 def hereditary_d(n):
@@ -28,6 +32,17 @@ def hereditary_d(n):
     arrows = [Arrow("b1", "3", "1"), Arrow("b2", "3", "2")]
     arrows += [Arrow(f"a{k}", str(k + 1), str(k)) for k in range(3, n)]
     return build_algebra(Quiver([str(k) for k in range(1, n + 1)], arrows))
+
+
+def named_catalog(request, name):
+    """The catalog of "hereditary-D8", "hereditary-E8" (the session fixture) or a
+    family member such as "A2-9"."""
+    if name == "hereditary-E8":
+        return request.getfixturevalue("cat_hereditary_e8")
+    if name == "hereditary-D8":
+        return build_catalog(hereditary_d(8))
+    kind, n = name.split("-")
+    return build_catalog(family(kind, int(n)))
 
 
 @pytest.mark.parametrize("kind,n", [("A2", n) for n in range(1, 8)] +
@@ -56,6 +71,37 @@ def test_orthant_count_components():
                            STauPair((1,), (), (1, 0, 1, 1, 1))])
 
 
+@pytest.mark.parametrize("name, total", [("A2-3", 12), ("A2-6", 169), ("A2-10", 5741),
+                                         ("D2-4", 32), ("D2-8", 1096), ("D2-10", 6388),
+                                         ("hereditary-D8", 9438), ("hereditary-E8", 25080)])
+def test_hom_orthogonal_subsets_count_the_pairs_by_out_and_in_degree(request, name, total):
+    """A tau-free count of the pair column: the semibricks, by size, are as many
+    as the pairs with that many arrows out, and as the pairs with that many in."""
+    cat = named_catalog(request, name)
+    by_size = Counter()
+    for (size, _), count in hom_orthogonal_subsets(cat).items():
+        by_size[size] += count
+    pairs = enumerate_stau(cat)
+    arrows = decoded_arrows(hasse(cat, pairs))
+    out_degree, in_degree = Counter(a for a, _ in arrows), Counter(b for _, b in arrows)
+    assert sum(by_size.values()) == len(pairs) == total
+    assert by_size == Counter(out_degree[k] for k in range(len(pairs)))
+    assert by_size == Counter(in_degree[k] for k in range(len(pairs)))
+
+
+@pytest.mark.parametrize("kind, first", [("A2", 1), ("D2", 4)])
+def test_hom_orthogonal_subsets_read_every_table_row_off_one_search(kind, first):
+    """Row n counts the semibricks of member 10 supported on the vertices 1 .. n,
+    those of its quotient member n: the pair column of `family_rows`, with
+    D2 n=8 at 1,096 where the paper prints 1,026."""
+    found = hom_orthogonal_subsets(build_catalog(family(kind, 10)))
+    rows = {n: sum(c for (_, support), c in found.items() if support < 1 << n)
+            for n in range(first, 11)}
+    assert rows == {row.n: row.stau for row in family_rows(kind, first, 10)}
+    if kind == "D2":
+        assert (rows[8], REPORTED_D[8][1]) == (1096, 1026)
+
+
 def test_hereditary_d5_matches_oracle():
     pairs = assert_matches_oracle(build_catalog(hereditary_d(5)))
     assert len(pairs) == 182  # the clusters of type D5
@@ -65,13 +111,7 @@ def test_hereditary_d5_matches_oracle():
 def test_labels_read_off_the_keys_match_the_decoded_pairs(request, name):
     """Module bits fill two bytes on D2 n=8 (16 entries), three on A2 n=9 (17),
     seven on hereditary D8 (56) and fifteen on hereditary E8 (120)."""
-    if name == "hereditary-E8":
-        cat = request.getfixturevalue("cat_hereditary_e8")
-    elif name == "hereditary-D8":
-        cat = build_catalog(hereditary_d(8))
-    else:
-        kind, n = name.split("-")
-        cat = build_catalog(family(kind, int(n)))
+    cat = named_catalog(request, name)
     pairs = enumerate_stau(cat)
     assert [pairs.label(k) for k in range(len(pairs))] == list(map(pair_label, pairs))
 
