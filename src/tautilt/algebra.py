@@ -236,7 +236,7 @@ def serialize_algebra(algebra: Algebra) -> str:
 def parse_algebra(text: str) -> Algebra:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int past 4,300 digits
         raise AlgebraFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise AlgebraFormatError("top-level document must be an object")
@@ -258,6 +258,12 @@ def parse_algebra(text: str) -> Algebra:
     if not isinstance(rels, list) or not all(
             isinstance(r, list) and all(isinstance(x, str) for x in r) for r in rels):
         raise AlgebraFormatError("relations must be lists of arrow ids")
+    # Ids reach output as UTF-8; an arrow's ends and a relation's entries must equal ids.
+    for name in doc["vertices"] + [a.name for a in arrows]:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise AlgebraFormatError(f"id {name!r} cannot be encoded as UTF-8") from None
     quiver = Quiver(doc["vertices"], arrows)
     return build_algebra(quiver, [tuple(r) for r in rels])
 

@@ -7,7 +7,8 @@ exception that is not a TautiltError).
 
 Start-up: the module level imports only `algebra`, `errors` and `util`; each
 command imports the layers it runs, so `validate` and `extend` never load the
-catalog, the enumeration or the verifiers.
+catalog, the enumeration or the verifiers, and `enumerate` and `hasse` never
+load the verifiers.
 """
 from __future__ import annotations
 
@@ -100,16 +101,15 @@ def validate(file):
               show_default=True)
 def enumerate_cmd(file, kind):
     """List modules of the requested kind; the final line carries the count."""
-    from .tilting import pair_to_dict
-    from .verify import Enumeration
-    algebra = load_algebra(file)
-    enum = Enumeration(algebra)
+    from .catalog import build_catalog
+    from .tilting import enumerate_stau, pair_to_dict, tilting_modules
+    pairs = enumerate_stau(build_catalog(load_algebra(file)))
     if kind == "stau":
-        items = [pair_to_dict(p) for p in enum.pairs]
+        items = [pair_to_dict(p) for p in pairs]
     elif kind == "tau":
-        items = [{"summands": list(m)} for m in enum.tau_tilt]
+        items = [{"summands": list(m)} for m in pairs.tau_tilt]
     else:
-        items = [{"summands": list(m)} for m in enum.tilt()]
+        items = [{"summands": list(m)} for m in tilting_modules(pairs)]
     for item in items:
         click.echo(json.dumps(item, sort_keys=True))
     click.echo(f"count {len(items)}")
@@ -123,10 +123,9 @@ def hasse_cmd(file, dot_path):
     """Build the left-mutation quiver and report its size."""
     if dot_path is not None:
         check_writable(dot_path)
-    from .verify import Enumeration
-    algebra = load_algebra(file)
-    enum = Enumeration(algebra)
-    h = enum.hasse()
+    from .catalog import build_catalog
+    from .tilting import enumerate_stau, hasse
+    h = hasse(enumerate_stau(build_catalog(load_algebra(file))))
     if dot_path is not None:
         from .dags import hasse_to_dag, to_dot
         write_text_atomic(dot_path, to_dot(hasse_to_dag(h)))

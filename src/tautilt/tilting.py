@@ -26,7 +26,8 @@ The code is the module bits first (bits 0 to cat.size - 1), then the bits of
 the unsupported vertices (bit cat.size + k for the k-th vertex).  The ints
 are sorted once, which sorts the pairs by g-vector; distinct pairs have
 distinct g-vectors (Adachi-Iyama-Reiten, Thm 5.5), and two neighbours with
-one g-vector raise.  A `PairTable` keeps the ints as they are.  Its length,
+one g-vector raise.  A `PairTable` keeps the ints as they are, with the
+catalog they index, so it is read without one at hand.  Its length,
 the full-support modules, `hasse`'s codes, each pair's unsupported-vertex
 bits and each pair's label are read off the ints; a pair is decoded into an
 `STauPair` only where one is read (an index or an iteration), by one
@@ -66,7 +67,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from struct import Struct
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .catalog import Catalog, ModuleRef
 from .errors import InvariantViolation, PreconditionError
@@ -116,14 +117,29 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class PairTable(Sequence[STauPair]):
-    """The enumerated pairs, one int each, read-only: `keys[k]` is pair k's
-    biased packed g-vector, in `width`-byte lanes, shifted above its code
-    (module bits, then unsupported-vertex bits).  `pairs[k]` and iteration
-    decode `STauPair`s; nothing else does."""
+    """The enumerated pairs of `catalog`, one int each, read-only: `keys[k]` is
+    pair k's biased packed g-vector, in `width`-byte lanes, shifted above its
+    code (module bits, which index `catalog`, then unsupported-vertex bits, in
+    the order of its algebra's vertices).  `pairs[k]` and iteration decode
+    `STauPair`s; nothing else does."""
     keys: tuple[int, ...]
-    vertices: tuple[str, ...]
-    size: int
+    catalog: Catalog
     width: int
+
+    @cached_property
+    def vertices(self) -> tuple[str, ...]:
+        return self.catalog.algebra.quiver.vertices
+
+    @cached_property
+    def size(self) -> int:
+        return self.catalog.size
+
+    @cached_property
+    def tau_tilt(self) -> list[ModuleRef]:
+        """The modules of the full-support pairs, in table order, read off the ints."""
+        every_entry = (1 << self.size) - 1
+        proj_bits = (1 << len(self.vertices)) - 1 << self.size
+        return [_bits(key & every_entry) for key in self.keys if not key & proj_bits]
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -227,8 +243,7 @@ def enumerate_stau(cat: Catalog) -> PairTable:
     fewer summands and candidates together than supported vertices leads to
     no kept pair and is not pushed.
     """
-    vertices = cat.algebra.quiver.vertices
-    n, size = len(vertices), cat.size
+    n, size = cat.algebra.n_vertices, cat.size
     all_vertices = (1 << n) - 1
     compat, support_mask = cat.compat_mask, cat.support_mask
     # A kept pair has at most n summands, so |g_k| <= n * max|g entry| + 1 < bound:
@@ -263,7 +278,7 @@ def enumerate_stau(cat: Catalog) -> PairTable:
                 stack.append((child, child_support, g_modules + packed[i], mods | low, depth))
     # Biased lanes, coordinate 0 the most significant: int order is g-vector order.
     kept.sort()
-    pairs = PairTable(tuple(kept), vertices, size, width)
+    pairs = PairTable(tuple(kept), cat, width)
     keys = pairs.keys
     for k in range(1, len(keys)):
         if keys[k - 1] >> code_bits == keys[k] >> code_bits:
@@ -271,22 +286,15 @@ def enumerate_stau(cat: Catalog) -> PairTable:
     return pairs
 
 
-def tau_tilting_modules(pairs: PairTable) -> list[ModuleRef]:
-    """The modules of the full-support pairs, in table order, read off the ints."""
-    every_entry = (1 << pairs.size) - 1
-    proj_bits = (1 << len(pairs.vertices)) - 1 << pairs.size
-    return [_bits(key & every_entry) for key in pairs.keys if not key & proj_bits]
+def tilting_modules(pairs: PairTable) -> list[ModuleRef]:
+    """The tilting modules among the full-support modules of `pairs`."""
+    return [m for m in pairs.tau_tilt if is_tilting(pairs.catalog, m)]
 
 
-def tilting_modules(cat: Catalog, tau_tilt: Iterable[ModuleRef]) -> list[ModuleRef]:
-    """The tilting modules among the tau-tilting modules `tau_tilt`."""
-    return [m for m in tau_tilt if is_tilting(cat, m)]
-
-
-def hasse(cat: Catalog, pairs: PairTable) -> HasseQuiver:
+def hasse(pairs: PairTable) -> HasseQuiver:
     """Mutation arrows between pairs whose summand sets differ in one element."""
-    n = cat.algebra.n_vertices
-    size = cat.size
+    cat = pairs.catalog
+    n, size = cat.algebra.n_vertices, cat.size
     every_entry = (1 << size) - 1
     all_vertices = (1 << n) - 1
     codes = pairs.codes()

@@ -20,8 +20,8 @@ from .dags import dag_iso, glue, hasse_to_dag, to_dot
 from .errors import InvariantViolation, PreconditionError
 from .families import family
 from .modules import extend_by_zero
-from .tilting import (HasseQuiver, enumerate_stau, hasse, is_tau_tilting,
-                      tau_tilting_modules, tilting_modules)
+from .tilting import (HasseQuiver, PairTable, enumerate_stau, hasse, is_tau_tilting,
+                      tilting_modules)
 
 
 @dataclass
@@ -40,26 +40,6 @@ class ClaimReport:
         return out
 
 
-class Enumeration:
-    """Catalog plus canonical pair table for one algebra."""
-
-    def __init__(self, algebra: Algebra):
-        self.algebra = algebra
-        self.catalog = build_catalog(algebra)
-        self.pairs = enumerate_stau(self.catalog)
-
-    @cached_property
-    def tau_tilt(self) -> list[ModuleRef]:
-        """The full-support modules, decoded once."""
-        return tau_tilting_modules(self.pairs)
-
-    def tilt(self) -> list[ModuleRef]:
-        return tilting_modules(self.catalog, self.tau_tilt)
-
-    def hasse(self) -> HasseQuiver:
-        return hasse(self.catalog, self.pairs)
-
-
 class ExtensionContext:
     """Base algebra, its extension at a source, and the vertex-deletion quotient."""
 
@@ -68,13 +48,14 @@ class ExtensionContext:
         self.source_vertex = source_vertex
         self.extended, self.new_vertex = one_point_extension(base, source_vertex)
         self.quotient = delete_vertex(base, source_vertex)
-        self._enums: dict[str, Enumeration] = {}
+        self._enums: dict[str, PairTable] = {}
 
-    def enum(self, which: str) -> Enumeration:
+    def enum(self, which: str) -> PairTable:
+        """The pair table of the base, the extension or the quotient, built once."""
         if which not in self._enums:
             algebra = {"base": self.base, "extended": self.extended,
                        "quotient": self.quotient}[which]
-            self._enums[which] = Enumeration(algebra)
+            self._enums[which] = enumerate_stau(build_catalog(algebra))
         return self._enums[which]
 
     @cached_property
@@ -152,9 +133,9 @@ def verify_count_equations(ctx: ExtensionContext) -> ClaimReport:
         "tau_tilt_extended": len(ctx.enum("extended").tau_tilt),
         "tau_tilt_base": len(ctx.enum("base").tau_tilt),
         "tau_tilt_quotient": len(ctx.enum("quotient").tau_tilt),
-        "stau_extended": len(ctx.enum("extended").pairs),
-        "stau_base": len(ctx.enum("base").pairs),
-        "stau_quotient": len(ctx.enum("quotient").pairs),
+        "stau_extended": len(ctx.enum("extended")),
+        "stau_base": len(ctx.enum("base")),
+        "stau_quotient": len(ctx.enum("quotient")),
     }
     ok_tau = counts["tau_tilt_extended"] == counts["tau_tilt_base"] + counts["tau_tilt_quotient"]
     ok_stau = counts["stau_extended"] == 2 * counts["stau_base"] + counts["stau_quotient"]
@@ -170,8 +151,8 @@ def verify_tilting_transfer(ctx: ExtensionContext) -> ClaimReport:
         raise PreconditionError("tilting transfer requires the source vertex not to be a sink")
     ext, base, quot = map(ctx.enum, ("extended", "base", "quotient"))
     cat_b = ext.catalog
-    image, shape_two = _shape_images(ctx, base.tilt(), quot.tau_tilt)
-    enumerated = set(ext.tilt())
+    image, shape_two = _shape_images(ctx, tilting_modules(base), quot.tau_tilt)
+    enumerated = set(tilting_modules(ext))
     counts = {"tilt_base": len(image), "tilt_extended": len(enumerated)}
     if image != enumerated:
         sample = next(iter(image.symmetric_difference(enumerated)))
@@ -196,7 +177,7 @@ def select_doubled_subset(ctx: ExtensionContext) -> frozenset[int]:
     (g, -1), and its plus-copy N + k adds the isolated simple, g-vector (g, +1).
     The selected vertices are the N + k whose base pair has the source in its
     projective part, read off the base table's unsupported-vertex bits."""
-    pairs = ctx.enum("base").pairs
+    pairs = ctx.enum("base")
     source = 1 << ctx.base.quiver.vertex_pos[ctx.source_vertex]
     return frozenset(len(pairs) + k for k, unsupported in enumerate(pairs.unsupported_masks())
                      if unsupported & source)
@@ -220,7 +201,7 @@ def _glued_vertex_map(ctx: ExtensionContext, h_ext: HasseQuiver, h_base: HasseQu
     if ext.width != base.width:
         raise InvariantViolation(f"the extension packs g-vectors in {ext.width}-byte lanes, "
                                  f"the base in {base.width}-byte lanes")
-    cat = ctx.enum("extended").catalog
+    cat = ext.catalog
     p_new, s_new = cat.projective_index[ctx.new_vertex], cat.simple_index[ctx.new_vertex]
     lane, n_base = 8 * ext.width, len(base)
     unit_i = 1 << lane * (len(base.vertices) - ext.vertices.index(ctx.source_vertex))
@@ -244,9 +225,9 @@ def verify_hasse_gluing(ctx: ExtensionContext) -> ClaimReport:
     selected subset, under the vertex map the classification names.  A failed
     map check carries both quivers as DOT artifacts."""
     base, quot = map(ctx.enum, ("base", "quotient"))
-    h_ext = ctx.enum("extended").hasse()
+    h_ext = hasse(ctx.enum("extended"))
     dag_ext = hasse_to_dag(h_ext)
-    h_base = base.hasse()
+    h_base = hasse(base)
     dag_dbl, _ = glue(hasse_to_dag(h_base), range(len(h_base.pairs)))
     subset = select_doubled_subset(ctx)
     glued, plus = glue(dag_dbl, subset)
@@ -256,13 +237,13 @@ def verify_hasse_gluing(ctx: ExtensionContext) -> ClaimReport:
         "selected": len(subset),
         "glued": glued.size,
     }
-    if len(subset) != len(quot.pairs):
+    if len(subset) != len(quot):
         return ClaimReport("hasse-gluing", "fail", counts,
                            "selected subset size differs from the quotient enumeration")
-    if len(h_ext.pairs) != 2 * len(base.pairs) + len(quot.pairs):
+    if len(h_ext.pairs) != 2 * len(base) + len(quot):
         return ClaimReport("hasse-gluing", "fail", counts,
                            f"the extension's quiver has {len(h_ext.pairs)} vertices, not "
-                           f"2 * {len(base.pairs)} + {len(quot.pairs)}")
+                           f"2 * {len(base)} + {len(quot)}")
     reason = dag_iso(dag_ext, glued, _glued_vertex_map(ctx, h_ext, h_base, plus))
     if reason is not None:
         return ClaimReport("hasse-gluing", "fail", counts, reason,

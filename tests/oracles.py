@@ -82,6 +82,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Iterable, Sequence
 
+from tautilt import verify
 from tautilt.algebra import (Arrow, Path, Quiver, _fresh_vertex, build_algebra,
                              opposite_algebra)
 from tautilt.catalog import build_catalog
@@ -92,8 +93,7 @@ from tautilt.linalg import QMatrix, hstack, rank, rref
 from tautilt.modules import (Morphism, Representation, _top_generators, ext1, hom_basis, iso,
                              kernel_of, pd_at_most_one, projective, projective_cover,
                              sub_representation, syzygy, tau_inverse)
-from tautilt.tilting import (HasseQuiver, STauPair, enumerate_stau, hasse, tau_tilting_modules,
-                             tilting_modules)
+from tautilt.tilting import HasseQuiver, STauPair, enumerate_stau, hasse, tilting_modules
 from tautilt.util import topological_order
 
 
@@ -471,7 +471,7 @@ def assert_matches_oracle(cat):
     reference = reference_pairs(cat)
     assert list(pairs) == reference
     assert list(pairs.keys) == [pair_key(pairs, p) for p in reference]
-    h = hasse(cat, pairs)
+    h = hasse(pairs)
     assert h.arrows.typecode == "q"
     assert all(x < y for x, y in zip(h.arrows, h.arrows[1:]))
     assert decoded_arrows(h) == reference_arrows(cat, reference)
@@ -696,14 +696,14 @@ def searched_doubled_hasse(base):
     run on one base in turn, so the last search is kept."""
     doubled, isolated = add_isolated_vertex(base)
     cat = build_catalog(doubled)
-    return hasse(cat, enumerate_stau(cat)), cat.simple_index[isolated]
+    return hasse(enumerate_stau(cat)), cat.simple_index[isolated]
 
 
 def assert_doubled_quiver_matches_search(ctx):
     """The doubled quiver `verify_hasse_gluing` glues from the base's quiver is the
     searched one: base pair k and its plus-copy N + k are the searched pairs 2k
     and 2k + 1, with g-vectors (g, -1) and (g, +1), and the arrows agree."""
-    h_base = ctx.enum("base").hasse()
+    h_base = verify.hasse(ctx.enum("base"))
     n = len(h_base.pairs)
     product, _ = reference_glue(reference_dag(h_base), range(n))
     searched, _ = searched_doubled_hasse(ctx.base)
@@ -721,13 +721,13 @@ def gluing_search_agrees(ctx):
     subset = [k for k, p in enumerate(h_dbl.pairs)
               if s_iso in p.modules and ctx.source_vertex in p.proj_part]
     glued, _ = reference_glue(reference_dag(h_dbl), subset)
-    return dag_iso_search(reference_dag(ctx.enum("extended").hasse()), glued)
+    return dag_iso_search(reference_dag(verify.hasse(ctx.enum("extended"))), glued)
 
 
 def family_counts(kind, n):
     """(full-support count, pair count) of one family member, by its own enumeration."""
     pairs = enumerate_stau(build_catalog(family(kind, n)))
-    return len(tau_tilting_modules(pairs)), len(pairs)
+    return len(pairs.tau_tilt), len(pairs)
 
 
 @cache
@@ -735,7 +735,7 @@ def _tilting_count(n: int, arrows: tuple[tuple[int, int], ...]) -> int:
     """The tilting modules of the path algebra of the quiver on 0..n-1 with arrows (a, b)."""
     cat = build_catalog(build_algebra(Quiver([str(k) for k in range(n)], [
         Arrow(f"x{k}", str(a), str(b)) for k, (a, b) in enumerate(arrows)])))
-    return len(tilting_modules(cat, tau_tilting_modules(enumerate_stau(cat))))
+    return len(tilting_modules(enumerate_stau(cat)))
 
 
 def orthant_count(algebra, signs: Sequence[int]) -> int:

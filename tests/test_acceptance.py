@@ -16,8 +16,7 @@ from tautilt.catalog import build_catalog
 from tautilt.counting import closed_form
 from tautilt.families import type_a_square, type_d_square
 from tautilt.modules import ext1, pd_at_most_one, tau
-from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, tau_tilting_modules,
-                             tilting_modules)
+from tautilt.tilting import enumerate_stau, hasse, is_tau_rigid, tilting_modules
 from tautilt.verify import (ExtensionContext, reproduce_tables, verify_classification,
                             verify_count_equations, verify_hasse_gluing)
 
@@ -45,7 +44,7 @@ def a_counts():
     for n in range(1, 9):
         cat = build_catalog(type_a_square(n))
         pairs = enumerate_stau(cat)
-        out[n] = (len(tau_tilting_modules(pairs)), len(pairs))
+        out[n] = (len(pairs.tau_tilt), len(pairs))
     return out
 
 
@@ -55,7 +54,7 @@ def d_counts():
     for n in range(4, 9):
         cat = build_catalog(type_d_square(n))
         pairs = enumerate_stau(cat)
-        out[n] = (len(tau_tilting_modules(pairs)), len(pairs))
+        out[n] = (len(pairs.tau_tilt), len(pairs))
     return out
 
 
@@ -72,8 +71,8 @@ def test_criterion_1_worked_example():
             [("a", "b"), ("a", "c")])
         cat = build_catalog(b)
         pairs = enumerate_stau(cat)
-        assert len(tau_tilting_modules(pairs)) == 6
-        assert len(tilting_modules(cat, tau_tilting_modules(pairs))) == 5
+        assert len(pairs.tau_tilt) == 6
+        assert len(tilting_modules(pairs)) == 5
         ctx = ExtensionContext(fork_base(), "2")
         rep = verify_classification(ctx)
         assert rep.status == "pass"
@@ -146,7 +145,7 @@ def test_criterion_4_count_equations():
 def test_criterion_5_hasse_figures():
     with criterion("5 hasse-figures", budget_seconds=60):
         cat2 = build_catalog(type_a_square(2))
-        h2 = hasse(cat2, enumerate_stau(cat2))
+        h2 = hasse(enumerate_stau(cat2))
         assert len(h2.pairs) == 5 and len(h2.arrows) == 5
         indeg = {i: 0 for i in range(5)}
         outdeg = {i: 0 for i in range(5)}
@@ -159,7 +158,7 @@ def test_criterion_5_hasse_figures():
         assert h2.pairs[source].modules == regular and h2.pairs[source].proj_part == ()
         assert h2.pairs[sink].modules == () and set(h2.pairs[sink].proj_part) == {"1", "2"}
         cat3 = build_catalog(type_a_square(3))
-        h3 = hasse(cat3, enumerate_stau(cat3))
+        h3 = hasse(enumerate_stau(cat3))
         assert len(h3.pairs) == 12
 
 
@@ -189,7 +188,7 @@ def test_criterion_7a_extension_projective_rigidity():
                 joined = tuple(sorted(set(ref) | {p_new}))
                 assert is_tau_rigid(cat, joined)
             pairs = enumerate_stau(cat)
-            for m in tau_tilting_modules(pairs):
+            for m in pairs.tau_tilt:
                 assert p_new in m
 
 
@@ -200,7 +199,7 @@ def test_criterion_7b_exchange_regularity():
         algebras.append(fork_base())
         for algebra in algebras:
             cat = build_catalog(algebra)
-            h = hasse(cat, enumerate_stau(cat))  # raises on any regularity or shape violation
+            h = hasse(enumerate_stau(cat))  # raises on any regularity or shape violation
             degree = [0] * len(h.pairs)
             for a, b in decoded_arrows(h):
                 degree[a] += 1

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import tautilt
 from tautilt.algebra import (Arrow, Quiver, build_algebra, load_algebra,
                              one_point_extension, serialize_algebra)
-from tautilt import algebra, cli, modules, verify
+from tautilt import algebra, catalog, cli, modules, verify
 from tautilt.catalog import build_catalog
 from tautilt.cli import main
 from tautilt.errors import InvariantViolation, PreconditionError
@@ -40,17 +40,43 @@ def test_validate(runner, tmp_path, lambda3):
 
 
 def test_validate_parse_error(runner, tmp_path):
-    """An unknown arrow id, a file that is not UTF-8, and JSON nested past the
-    recursion limit: each exits 2 with one `error:` line."""
+    """An unknown arrow id, a file that is not UTF-8, JSON nested past the
+    recursion limit, an integer of 5,000 digits (as a vertex, or under a key
+    nothing reads), and a vertex id, an arrow id or a relation entry with a
+    lone surrogate, which UTF-8 cannot encode: each exits 2 with one
+    `error:` line."""
     f = tmp_path / "bad.json"
+    big = b"1" * 5000
     for content in (b'{"vertices": ["1"], "arrows": [], "relations": [["x"]]}',
-                    b"\xff\xfe{}", b"[" * 100000):
+                    b"\xff\xfe{}", b"[" * 100000,
+                    b'{"vertices": ["1", ' + big + b'], "arrows": [], "relations": []}',
+                    b'{"vertices": ["1"], "arrows": [], "relations": [], "note": ' + big + b'}',
+                    rb'{"vertices": ["1", "\ud800"], "arrows": [], "relations": []}',
+                    rb'{"vertices": ["1", "2"], "arrows": [{"id": "\udc00", "from": "2",'
+                    rb' "to": "1"}], "relations": []}',
+                    rb'{"vertices": ["1", "2", "3"], "arrows": [{"id": "x", "from": "3",'
+                    rb' "to": "2"}, {"id": "y", "from": "2", "to": "1"}],'
+                    rb' "relations": [["x", "\ud800"]]}'):
         f.write_bytes(content)
         result = runner.invoke(main, ["validate", str(f)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
+
+
+def test_hasse_dot_refuses_a_vertex_id_that_utf8_cannot_encode(monkeypatch, runner, tmp_path):
+    """A lone surrogate is valid JSON but no UTF-8 text, and the DOT labels
+    name vertices: exit 2 with one `error:` line, and no DOT or temp file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(r'{"vertices": ["1", "\ud800"], "arrows": '
+                                       r'[{"id": "x", "from": "\ud800", "to": "1"}], '
+                                       r'"relations": []}')
+    result = runner.invoke(main, ["hasse", "--dot", "out.dot", "bad.json"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: id '\\ud800' cannot be encoded as UTF-8\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_an_algebra_file_that_cannot_be_read_is_a_usage_error(monkeypatch, runner, tmp_path,
@@ -183,14 +209,13 @@ def test_unwritable_output_is_one_error_line_and_leaves_no_temp_file(runner, tmp
 def test_unwritable_output_fails_before_the_algebra_is_read(monkeypatch, runner, tmp_path,
                                                              a2, args):
     """The output path is checked first: exit 5 with the `cannot write` line,
-    no output, and neither the algebra read nor an `Enumeration` built."""
+    no output, and neither the algebra read nor a catalog built."""
     f = write_algebra(tmp_path / "a2.json", a2)
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("")
     args = [a.format(dir=tmp_path / "dir", file=tmp_path / "file") for a in args]
     monkeypatch.setattr(cli, "load_algebra", lambda *a: pytest.fail("the algebra was read"))
-    monkeypatch.setattr(verify.Enumeration, "__init__",
-                        lambda *a: pytest.fail("an Enumeration was built"))
+    monkeypatch.setattr(catalog, "build_catalog", lambda *a: pytest.fail("a catalog was built"))
     result = runner.invoke(main, args + [f])
     assert result.exit_code == 5
     assert result.stdout == ""

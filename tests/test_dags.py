@@ -181,14 +181,14 @@ def test_to_dot_empty():
 
 
 def test_to_dot_of_a2_quiver(cat_a2):
-    h = hasse(cat_a2, enumerate_stau(cat_a2))
+    h = hasse(enumerate_stau(cat_a2))
     lines = list(to_dot(hasse_to_dag(h)))
     assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
     assert len([l for l in lines if "label=" in l]) == 5
     assert len([l for l in lines if "->" in l]) == 5
     # the codes and the decoded arrows agree
     assert lines == list(to_dot(as_labeled_dag(reference_dag(h))))
-    again = hasse(cat_a2, enumerate_stau(cat_a2))
+    again = hasse(enumerate_stau(cat_a2))
     assert lines == list(to_dot(hasse_to_dag(again)))  # byte-identical across runs
 
 

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from tautilt.algebra import Arrow, Quiver, build_algebra, one_point_extension
 from tautilt.catalog import build_catalog
 from tautilt.modules import direct_sum, ext1, iso, pd_at_most_one, projective, tau
-from tautilt.tilting import (enumerate_stau, hasse, is_tau_rigid, is_tilting,
-                             tau_tilting_modules)
+from tautilt.tilting import enumerate_stau, hasse, is_tau_rigid, is_tilting
 from tautilt.verify import ExtensionContext, run_claims, verify_count_equations
 
 from oracles import (assert_catalog_matches_tau_inverse_closure,
@@ -129,7 +128,7 @@ def test_catalog_and_exchange_invariants(algebra):
     gs = [p.g for p in pairs]
     assert len(set(gs)) == len(gs)
     # hasse() asserts n-regularity, two completions, acyclicity, unique ends
-    h = hasse(cat, pairs)
+    h = hasse(pairs)
     assert 2 * len(h.arrows) == algebra.n_vertices * len(pairs)
 
 
@@ -158,7 +157,7 @@ def test_extension_invariants(algebra):
     for pair in pairs:
         joined = tuple(sorted(set(pair.modules) | {p_new}))
         assert is_tau_rigid(cat, joined)
-    for m in tau_tilting_modules(pairs):
+    for m in pairs.tau_tilt:
         assert p_new in m
 
 
@@ -199,5 +198,5 @@ def test_catalog_tables_match_the_homological_route(algebra):
     unmapped = {i for i, t in enumerate(cat.tau_index) if t is None}
     assert unmapped == set(cat.projective_index.values())
     oracle = ext1_tilting_test(cat)
-    for m in tau_tilting_modules(enumerate_stau(cat)):
+    for m in enumerate_stau(cat).tau_tilt:
         assert is_tilting(cat, m) == oracle(m)

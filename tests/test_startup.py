@@ -23,6 +23,8 @@ from tautilt.verify import CLAIMS
 DATA = Path(__file__).resolve().parent / "data"
 BASE = {"tautilt", "tautilt.algebra", "tautilt.cli", "tautilt.errors", "tautilt.util"}
 ENGINE = {"tautilt.tilting", "tautilt.dags", "tautilt.verify"}
+# What `enumerate` and `hasse` run: the catalog and its layers, and the enumeration.
+ENUMERATION = BASE | {"tautilt.catalog", "tautilt.linalg", "tautilt.modules", "tautilt.tilting"}
 
 # The console script, with the loaded modules written to argv[1] at exit.
 SCRIPT = """
@@ -56,6 +58,18 @@ def test_a_command_loads_exactly_what_it_runs(tmp_path, args, expected):
 def test_extend_loads_only_the_algebra_layer(tmp_path):
     (tmp_path / "d2.json").write_text(serialize_algebra(type_d_square(5)))
     assert loaded_after(tmp_path, "extend", "d2.json", "--source", "5", "--out", "b.json") == BASE
+
+
+@pytest.mark.parametrize("args, extra", [
+    (["enumerate", "d2.json"], set()),
+    (["enumerate", "--kind", "tilt", "d2.json"], set()),
+    (["hasse", "d2.json"], set()),
+    (["hasse", "--dot", "d2.dot", "d2.json"], {"tautilt.dags"}),
+], ids=["enumerate", "enumerate-tilt", "hasse", "hasse-dot"])
+def test_enumerate_and_hasse_load_no_verifier(tmp_path, args, extra):
+    """No `verify`, `counting` or `families`; `dags` only for the DOT file."""
+    (tmp_path / "d2.json").write_text(serialize_algebra(type_d_square(5)))
+    assert loaded_after(tmp_path, *args) == ENUMERATION | extra
 
 
 def test_catalog_loads_no_enumeration_and_no_verifier(tmp_path):

@@ -8,8 +8,7 @@ from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation
 from tautilt.families import type_a_square
 from tautilt.tilting import (STauPair, _assert_hasse_shape, enumerate_stau, hasse,
-                             is_tau_rigid, is_tau_tilting, is_tilting, tau_tilting_modules,
-                             tilting_modules)
+                             is_tau_rigid, is_tau_tilting, is_tilting, tilting_modules)
 
 from oracles import arrow_codes, decoded_arrows
 
@@ -61,7 +60,8 @@ def test_example_base_tau_tilt_set(example_base):
     # compatibility graph forbids exactly {S2, P2}, {S3, [2/4]}, {S4, [2/3]}
     # and the simple pairs {S_i, S2}; its size-3 cliques are the set below.
     cat = build_catalog(example_base)
-    tau_tilt = tau_tilting_modules(enumerate_stau(cat))
+    pairs = enumerate_stau(cat)
+    tau_tilt = pairs.tau_tilt
     got = {tuple(sorted(cat.entries[i].dims for i in m)) for m in tau_tilt}
     expected = {
         tuple(sorted([(0, 1, 0), (0, 0, 1), (1, 1, 1)])),  # S3 + S4 + P2
@@ -72,7 +72,7 @@ def test_example_base_tau_tilt_set(example_base):
     }
     assert got == expected
     # hereditary: the same five modules are the tilting modules
-    tilt = tilting_modules(cat, tau_tilt)
+    tilt = tilting_modules(pairs)
     assert len(tilt) == 5
     got_tilt = {tuple(sorted(cat.entries[i].dims for i in m)) for m in tilt}
     assert got_tilt == expected
@@ -95,7 +95,7 @@ def test_tilting_counts_linear_family():
     for n in (2, 3, 4, 5):
         cat = build_catalog(type_a_square(n))
         pairs = enumerate_stau(cat)
-        assert len(tilting_modules(cat, tau_tilting_modules(pairs))) == 2
+        assert len(tilting_modules(pairs)) == 2
 
 
 def test_g_vector_examples(cat_a2, a2):
@@ -115,7 +115,7 @@ def test_g_vectors_injective_and_pairs_sorted(cat_example_b):
 
 def test_tau_tilting_subset_matches_predicate(cat_d4):
     pairs = enumerate_stau(cat_d4)
-    via_pairs = set(tau_tilting_modules(pairs))
+    via_pairs = set(pairs.tau_tilt)
     via_predicate = {p.modules for p in pairs if is_tau_tilting(cat_d4, p.modules)
                      and not p.proj_part}
     assert via_pairs == via_predicate
@@ -125,7 +125,7 @@ def test_tau_tilting_subset_matches_predicate(cat_d4):
 
 def test_maximality_of_tau_tilting_modules(cat_example_b):
     pairs = enumerate_stau(cat_example_b)
-    for m in tau_tilting_modules(pairs):
+    for m in pairs.tau_tilt:
         others = set(range(cat_example_b.size)) - set(m)
         for extra in others:
             assert not is_tau_rigid(cat_example_b, tuple(sorted(m + (extra,))))
@@ -137,7 +137,7 @@ def freeze_pair(cat, pair):
 
 
 def test_hasse_of_a2_matches_figure(cat_a2):
-    h = hasse(cat_a2, enumerate_stau(cat_a2))
+    h = hasse(enumerate_stau(cat_a2))
     assert len(h.pairs) == 5 and len(h.arrows) == 5
     key = {freeze_pair(cat_a2, p): i for i, p in enumerate(h.pairs)}
     P1, P2, S1, S2 = (1, 0), (1, 1), (1, 0), (0, 1)
@@ -151,18 +151,18 @@ def test_hasse_of_a2_matches_figure(cat_a2):
 
 
 def test_hasse_of_lambda3(cat_lambda3):
-    h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
+    h = hasse(enumerate_stau(cat_lambda3))
     assert len(h.pairs) == 12
 
 
 def test_hasse_single_vertex(single_vertex):
     cat = build_catalog(single_vertex)
-    h = hasse(cat, enumerate_stau(cat))
+    h = hasse(enumerate_stau(cat))
     assert len(h.pairs) == 2 and len(h.arrows) == 1
 
 
 def test_hasse_regularity_and_boundary(cat_example_b, example_b):
-    h = hasse(cat_example_b, enumerate_stau(cat_example_b))
+    h = hasse(enumerate_stau(cat_example_b))
     n = example_b.n_vertices
     degree = {i: 0 for i in range(len(h.pairs))}
     indeg = {i: 0 for i in range(len(h.pairs))}
@@ -190,9 +190,9 @@ def assert_catalan_counts(n):
     assert cat.size == n * (n + 1) // 2
     pairs = enumerate_stau(cat)
     assert len(pairs) == comb(2 * n + 2, n + 1) // (n + 2)
-    tau_tilt = tau_tilting_modules(pairs)
+    tau_tilt = pairs.tau_tilt
     assert len(tau_tilt) == comb(2 * n, n) // (n + 1)
-    assert tilting_modules(cat, tau_tilt) == tau_tilt
+    assert tilting_modules(pairs) == tau_tilt
 
 
 def test_hereditary_linear_counts_are_catalan():
@@ -217,8 +217,8 @@ def test_hereditary_d_counts_are_cluster_counts(hereditary_d, n):
     assert cat.size == n * (n - 1)
     pairs = enumerate_stau(cat)
     assert len(pairs) == pairs_num // n
-    assert len(tau_tilting_modules(pairs)) == tilt_num // n
-    assert len(tilting_modules(cat, tau_tilting_modules(pairs))) == tilt_num // n
+    assert len(pairs.tau_tilt) == tilt_num // n
+    assert len(tilting_modules(pairs)) == tilt_num // n
 
 
 def test_hereditary_e8_counts_are_cluster_counts(cat_hereditary_e8):
@@ -228,7 +228,7 @@ def test_hereditary_e8_counts_are_cluster_counts(cat_hereditary_e8):
     = 17,342 positive clusters, the tilting modules."""
     pairs = enumerate_stau(cat_hereditary_e8)
     assert len(pairs) == 25_080
-    assert len(tau_tilting_modules(pairs)) == 17_342
+    assert len(pairs.tau_tilt) == 17_342
 
 
 def test_empty_algebra_enumeration():
@@ -237,7 +237,7 @@ def test_empty_algebra_enumeration():
     pairs = enumerate_stau(cat)
     assert len(pairs) == 1
     assert pairs[0].modules == () and pairs[0].proj_part == ()
-    h = hasse(cat, pairs)
+    h = hasse(pairs)
     assert len(h.arrows) == 0
 
 
@@ -275,7 +275,7 @@ def test_third_completion_is_rejected(cat_lambda3):
     pairs = enumerate_stau(cat_lambda3)
     with pytest.raises(InvariantViolation,
                        match="^more than two completions of an almost complete pair$"):
-        hasse(cat_lambda3, replace(pairs, keys=pairs.keys + pairs.keys[-1:]))
+        hasse(replace(pairs, keys=pairs.keys + pairs.keys[-1:]))
 
 
 def test_undecided_mutation_direction_is_rejected(monkeypatch, cat_lambda3):
@@ -284,7 +284,7 @@ def test_undecided_mutation_direction_is_rejected(monkeypatch, cat_lambda3):
     monkeypatch.setattr(cat_lambda3, "tors_mask", [0] * cat_lambda3.size)
     with pytest.raises(InvariantViolation,
                        match="^mutation direction is not uniquely determined$"):
-        hasse(cat_lambda3, pairs)
+        hasse(pairs)
 
 
 def test_missing_pair_breaks_regularity(cat_lambda3):
@@ -293,12 +293,12 @@ def test_missing_pair_breaks_regularity(cat_lambda3):
     kept = tuple(key for key, p in zip(pairs.keys, pairs) if p.modules)
     assert len(kept) == len(pairs) - 1
     with pytest.raises(InvariantViolation, match="^exchange graph is not n-regular$"):
-        hasse(cat_lambda3, replace(pairs, keys=kept))
+        hasse(replace(pairs, keys=kept))
 
 
 def test_second_source_is_rejected(cat_lambda3):
     """Without the arrows into one vertex, that vertex is a second source."""
-    h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
+    h = hasse(enumerate_stau(cat_lambda3))
     n = len(h.pairs)
     head = h.arrows[0] % n
     with pytest.raises(InvariantViolation,
@@ -308,7 +308,7 @@ def test_second_source_is_rejected(cat_lambda3):
 
 def test_reversed_quiver_is_rejected_at_its_source(cat_lambda3):
     """Every arrow reversed: the source is the zero pair."""
-    h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
+    h = hasse(enumerate_stau(cat_lambda3))
     with pytest.raises(InvariantViolation,
                        match="^source of the mutation quiver is not the regular pair$"):
         _assert_hasse_shape(cat_lambda3, h.pairs.codes(),
@@ -317,7 +317,7 @@ def test_reversed_quiver_is_rejected_at_its_source(cat_lambda3):
 
 def test_sink_must_be_the_zero_pair(cat_lambda3):
     """The sink's code replaced by one with no summands and no projective part."""
-    h = hasse(cat_lambda3, enumerate_stau(cat_lambda3))
+    h = hasse(enumerate_stau(cat_lambda3))
     codes = h.pairs.codes()
     (sink,) = set(range(len(codes))) - {a for a, _ in decoded_arrows(h)}
     assert h.pairs[sink] == STauPair((), ("1", "2", "3"), (-1, -1, -1))
@@ -336,6 +336,6 @@ def test_hasse_of_linear_family_a14_finishes_in_process():
         s.append(2 * s[-1] + s[-2])
     assert s[-1] == 195_025
     cat = build_catalog(type_a_square(14))
-    h = hasse(cat, enumerate_stau(cat))
+    h = hasse(enumerate_stau(cat))
     assert len(h.pairs) == s[-1]
     assert len(h.arrows) == 14 * s[-1] // 2 == 1_365_175

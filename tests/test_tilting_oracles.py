@@ -82,7 +82,7 @@ def test_hom_orthogonal_subsets_count_the_pairs_by_out_and_in_degree(request, na
     for (size, _), count in hom_orthogonal_subsets(cat).items():
         by_size[size] += count
     pairs = enumerate_stau(cat)
-    arrows = decoded_arrows(hasse(cat, pairs))
+    arrows = decoded_arrows(hasse(pairs))
     out_degree, in_degree = Counter(a for a, _ in arrows), Counter(b for _, b in arrows)
     assert sum(by_size.values()) == len(pairs) == total
     assert by_size == Counter(out_degree[k] for k in range(len(pairs)))
@@ -137,7 +137,7 @@ def test_hasse_agrees_with_the_reference_on_every_flipped_torsion_bit(monkeypatc
         for i in range(cat.size):
             for j in range(cat.size):
                 monkeypatch.setattr(cat, "tors_mask", tors[:i] + [tors[i] ^ 1 << j] + tors[i + 1:])
-                got = outcome(lambda: decoded_arrows(hasse(cat, pairs)))
+                got = outcome(lambda: decoded_arrows(hasse(pairs)))
                 assert got == outcome(lambda: reference_arrows(cat, reference)), (kind, n, i, j)
                 outcomes.append(got)
     assert outcomes == ["mutation direction is not uniquely determined"] * 414
@@ -162,7 +162,7 @@ def test_golden_dot_and_pair_lines(kind, n):
     n_pairs, n_arrows, dot_hash, pairs_hash = GOLDEN[(kind, n)]
     cat = build_catalog(family(kind, n))
     pairs = enumerate_stau(cat)
-    h = hasse(cat, pairs)
+    h = hasse(pairs)
     assert (len(pairs), len(h.arrows)) == (n_pairs, n_arrows)
     dot = "".join(to_dot(hasse_to_dag(h)))
     assert sha256(dot) == dot_hash
@@ -180,14 +180,14 @@ def a2_6():
 def test_hasse_rejects_a_missing_pair(a2_6):
     cat, pairs = a2_6
     with pytest.raises(InvariantViolation, match="exchange graph is not n-regular"):
-        hasse(cat, replace(pairs, keys=pairs.keys[:-1]))
+        hasse(replace(pairs, keys=pairs.keys[:-1]))
 
 
 def test_hasse_rejects_a_cycle(a2_6):
     # `hasse` is the one place a mutation quiver is checked acyclic; the arrows
     # plus one of them reversed close a 2-cycle.
     cat, pairs = a2_6
-    arrows = decoded_arrows(hasse(cat, pairs))
+    arrows = decoded_arrows(hasse(pairs))
     a, b = arrows[0]
     with pytest.raises(InvariantViolation, match="mutation quiver has a cycle"):
         _assert_hasse_shape(cat, pairs.codes(), arrow_codes(len(pairs), arrows + [(b, a)]))
@@ -197,4 +197,4 @@ def test_hasse_rejects_a_third_completion(a2_6):
     cat, pairs = a2_6
     with pytest.raises(InvariantViolation,
                        match="more than two completions of an almost complete pair"):
-        hasse(cat, replace(pairs, keys=pairs.keys + pairs.keys[-1:]))
+        hasse(replace(pairs, keys=pairs.keys + pairs.keys[-1:]))

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
@@ -10,8 +11,8 @@ from tautilt.counting import REPORTED_D
 from tautilt.dags import to_dot
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
-from tautilt.tilting import HasseQuiver, STauPair, enumerate_stau, tau_tilting_modules
-from tautilt.verify import (Enumeration, ExtensionContext, TableRow, family_rows,
+from tautilt.tilting import HasseQuiver, PairTable, STauPair, enumerate_stau
+from tautilt.verify import (ExtensionContext, TableRow, family_rows,
                             reports_to_json, reproduce_tables, run_claims, select_claims,
                             select_doubled_subset,
                             verify_classification, verify_count_equations,
@@ -141,9 +142,9 @@ def test_radical_square_zero_e_claims_at_every_source(n, base, extended):
 def test_selected_subset_on_a2(a2_ctx):
     subset = select_doubled_subset(a2_ctx)
     base = a2_ctx.enum("base")
-    n = len(base.pairs)
+    n = len(base)
     assert len(subset) == 2 and all(n <= k < 2 * n for k in subset)
-    picked = {base.pairs[k - n].modules for k in subset}
+    picked = {base[k - n].modules for k in subset}
     # the plus-copies (with the isolated simple) of 0 and of the old sink simple
     assert picked == {(), (base.catalog.simple_index["1"],)}
 
@@ -158,18 +159,18 @@ def test_hasse_gluing_small(fork_ctx, single_ctx, a2_ctx):
 
 
 def mutate_extension_arrows(monkeypatch, extended, mutate):
-    """Make `Enumeration.hasse` replace the (a, b) arrows of the Hasse quiver of
+    """Make `verify.hasse` replace the (a, b) arrows of the Hasse quiver of
     `extended`, in code order, by `mutate(arrows)`, and leave every other
-    algebra's quiver as it is.  Returns the true `Enumeration.hasse`."""
-    true_hasse = Enumeration.hasse
+    algebra's quiver as it is.  Returns the true `verify.hasse`."""
+    true_hasse = verify.hasse
 
-    def mutated_hasse(self):
-        h = true_hasse(self)
-        if self.algebra != extended:
+    def mutated_hasse(pairs):
+        h = true_hasse(pairs)
+        if pairs.catalog.algebra != extended:
             return h
         return HasseQuiver(h.pairs, arrow_codes(len(h.pairs), mutate(decoded_arrows(h))))
 
-    monkeypatch.setattr(Enumeration, "hasse", mutated_hasse)
+    monkeypatch.setattr(verify, "hasse", mutated_hasse)
     return true_hasse
 
 
@@ -181,7 +182,7 @@ def reverse_one_extension_arrow(monkeypatch, extended):
 
 def reference_glued(ctx):
     """The doubled quiver glued along the selected subset, by `reference_glue`."""
-    h_base = ctx.enum("base").hasse()
+    h_base = verify.hasse(ctx.enum("base"))
     doubled, _ = reference_glue(reference_dag(h_base), range(len(h_base.pairs)))
     return reference_glue(doubled, select_doubled_subset(ctx))
 
@@ -189,7 +190,7 @@ def reference_glued(ctx):
 def gluing_dot_texts(ctx):
     """The DOT texts of the extension's quiver and of the glued doubled quiver,
     both built by the reference from the decoded arrows and every label."""
-    extended = reference_dag(ctx.enum("extended").hasse())
+    extended = reference_dag(verify.hasse(ctx.enum("extended")))
     glued, _ = reference_glued(ctx)
     return {"hasse_extended.dot": "".join(to_dot(as_labeled_dag(extended))),
             "hasse_glued.dot": "".join(to_dot(as_labeled_dag(glued)))}
@@ -202,7 +203,7 @@ def test_hasse_gluing_names_a_reversed_arrow(monkeypatch, a2):
     ctx = ExtensionContext(a2, "2")
     true_hasse = reverse_one_extension_arrow(monkeypatch, ctx.extended)
     a, b = decoded_arrows(true_hasse(ctx.enum("extended")))[0]
-    pairs = ctx.enum("extended").pairs
+    pairs = ctx.enum("extended")
     rep = verify_hasse_gluing(ctx)
     assert rep.status == "fail"
     assert rep.detail.startswith(f"arrow {pair_label(pairs[b])} -> {pair_label(pairs[a])} maps to ")
@@ -230,37 +231,37 @@ def test_run_claims_hands_back_the_gluing_quivers_and_writes_no_file(monkeypatch
 def test_hasse_gluing_names_a_pair_without_an_image(monkeypatch, a2):
     """A pair whose g-vector names no doubled pair fails the claim by its label."""
     ctx = ExtensionContext(a2, "2")
-    true_hasse = Enumeration.hasse
+    true_hasse = verify.hasse
 
-    def hasse_with_one_g_vector_moved(self):
-        h = true_hasse(self)
-        if self.algebra is not ctx.extended:
+    def hasse_with_one_g_vector_moved(pairs):
+        h = true_hasse(pairs)
+        if pairs.catalog.algebra is not ctx.extended:
             return h
         first = h.pairs[0]
         moved = pair_key(h.pairs, STauPair(first.modules, first.proj_part, (99,) * len(first.g)))
         return HasseQuiver(replace(h.pairs, keys=(moved,) + h.pairs.keys[1:]), h.arrows)
 
-    monkeypatch.setattr(Enumeration, "hasse", hasse_with_one_g_vector_moved)
+    monkeypatch.setattr(verify, "hasse", hasse_with_one_g_vector_moved)
     rep = verify_hasse_gluing(ctx)
     assert rep.status == "fail"
-    assert rep.detail == f"{pair_label(ctx.enum('extended').pairs[0])} maps to no vertex"
+    assert rep.detail == f"{pair_label(ctx.enum('extended')[0])} maps to no vertex"
 
 
 def test_hasse_gluing_checks_the_extension_vertex_count(monkeypatch, a2):
     """An extension quiver one vertex short fails |stau B| = 2 |stau A| + |stau A/i|
     with the counts, before any vertex is mapped."""
     ctx = ExtensionContext(a2, "2")
-    true_hasse = Enumeration.hasse
+    true_hasse = verify.hasse
 
-    def hasse_without_the_last_pair(self):
-        h = true_hasse(self)
-        if self.algebra is not ctx.extended:
+    def hasse_without_the_last_pair(pairs):
+        h = true_hasse(pairs)
+        if pairs.catalog.algebra is not ctx.extended:
             return h
         last = len(h.pairs) - 1
         return HasseQuiver(replace(h.pairs, keys=h.pairs.keys[:last]),
                            arrow_codes(last, (a for a in decoded_arrows(h) if last not in a)))
 
-    monkeypatch.setattr(Enumeration, "hasse", hasse_without_the_last_pair)
+    monkeypatch.setattr(verify, "hasse", hasse_without_the_last_pair)
     monkeypatch.setattr(verify, "_glued_vertex_map",
                         lambda *args: pytest.fail("the vertex map was built"))
     rep = verify_hasse_gluing(ctx)
@@ -334,15 +335,15 @@ def test_gluing_requires_one_lane_width(monkeypatch, a2):
     """A base table packed in wider lanes than the extension's: its keys no
     longer line up with the extension's, lane for lane."""
     ctx = ExtensionContext(a2, "2")
-    true_hasse = Enumeration.hasse
+    true_hasse = verify.hasse
 
-    def hasse_with_wide_base_lanes(self):
-        h = true_hasse(self)
-        if self.algebra is not ctx.base:
+    def hasse_with_wide_base_lanes(pairs):
+        h = true_hasse(pairs)
+        if pairs.catalog.algebra is not ctx.base:
             return h
         return HasseQuiver(replace(h.pairs, width=2 * h.pairs.width), h.arrows)
 
-    monkeypatch.setattr(Enumeration, "hasse", hasse_with_wide_base_lanes)
+    monkeypatch.setattr(verify, "hasse", hasse_with_wide_base_lanes)
     with pytest.raises(InvariantViolation, match="^the extension packs g-vectors in 1-byte "
                                                  "lanes, the base in 2-byte lanes$"):
         verify_hasse_gluing(ctx)
@@ -368,15 +369,18 @@ def test_run_claims_decodes_the_full_support_modules_once_per_enumeration(monkey
     """Four claims read the full-support modules of three enumerations, and
     each table is scanned for them once."""
     scanned = []
+    true_tau_tilt = PairTable.tau_tilt.func
 
-    def counting_tau_tilting_modules(pairs):
+    def counting_tau_tilt(pairs):
         scanned.append(id(pairs))
-        return tau_tilting_modules(pairs)
+        return true_tau_tilt(pairs)
 
-    monkeypatch.setattr(verify, "tau_tilting_modules", counting_tau_tilting_modules)
+    counted = cached_property(counting_tau_tilt)
+    counted.__set_name__(PairTable, "tau_tilt")
+    monkeypatch.setattr(PairTable, "tau_tilt", counted)
     ctx = ExtensionContext(type_a_square(4), "4")
     assert [r.status for r in run_claims(ctx)] == ["pass"] * 4
-    tables = [id(ctx.enum(which).pairs) for which in ("base", "extended", "quotient")]
+    tables = [id(ctx.enum(which)) for which in ("base", "extended", "quotient")]
     assert sorted(scanned) == sorted(tables)
 
 
@@ -394,9 +398,9 @@ def test_gluing_decodes_no_base_pair_for_the_subset(monkeypatch):
 
     monkeypatch.setattr(STauPair, "__init__", counting_init)
     ctx = ExtensionContext(type_d_square(6), "6")
-    assert (len(ctx.enum("base").pairs), len(ctx.enum("extended").pairs)) == (188, 454)
+    assert (len(ctx.enum("base")), len(ctx.enum("extended"))) == (188, 454)
     subset = select_doubled_subset(ctx)
-    assert len(subset) == len(ctx.enum("quotient").pairs) == 78
+    assert len(subset) == len(ctx.enum("quotient")) == 78
     assert built == []
     assert [r.status for r in run_claims(ctx)] == ["pass"] * 4
     assert built == []
@@ -504,8 +508,8 @@ def test_gluing_check_and_search_agree_on_a_faulty_extension_quiver(monkeypatch,
     ends and of their images (or counts the arrows), and the search finds no
     isomorphism either."""
     ctx = ExtensionContext(base, source)
-    h_base = ctx.enum("base").hasse()
-    h_ext = ctx.enum("extended").hasse()
+    h_base = verify.hasse(ctx.enum("base"))
+    h_ext = verify.hasse(ctx.enum("extended"))
     arrows = decoded_arrows(h_ext)
     glued, plus = reference_glued(ctx)
     vertex_map = verify._glued_vertex_map(ctx, h_ext, h_base, plus)
