@@ -41,20 +41,20 @@ class Quiver:
         names = [a.name for a in ars]
         if len(set(names)) != len(names):
             raise AlgebraFormatError("duplicate arrow ids")
-        vset = set(vs)
+        arrows_from: dict[str, list[Arrow]] = {v: [] for v in vs}
         for a in ars:
-            if a.source not in vset or a.target not in vset:
+            if a.source not in arrows_from or a.target not in arrows_from:
                 raise AlgebraFormatError(f"arrow {a.name!r} uses undeclared vertex")
+            arrows_from[a.source].append(a)
         self.vertices = vs
         self.arrows = ars
         self.vertex_pos = {v: i for i, v in enumerate(vs)}
         self.arrow_pos = {a.name: i for i, a in enumerate(ars)}
         self.arrow_by_name = {a.name: a for a in ars}
-        self.arrows_from = {v: tuple(a for a in ars if a.source == v) for v in vs}
-        self.arrows_into = {v: tuple(a for a in ars if a.target == v) for v in vs}
+        self.arrows_from = {v: tuple(out) for v, out in arrows_from.items()}
 
     def is_source(self, v: str) -> bool:
-        return not self.arrows_into[v]
+        return all(a.target != v for a in self.arrows)
 
     def is_sink(self, v: str) -> bool:
         return not self.arrows_from[v]
@@ -112,7 +112,9 @@ class Algebra:
 
 
 def _normalize_relations(quiver: Quiver, relations: Sequence[Sequence[str]]) -> tuple[tuple[str, ...], ...]:
-    rels = []
+    """The relations, sorted, less each one that has another relation as a
+    contiguous subpath: one set lookup per subpath of a length some relation has."""
+    rels = set()
     for rel in relations:
         r = tuple(str(x) for x in rel)
         if len(r) < 2:
@@ -123,16 +125,10 @@ def _normalize_relations(quiver: Quiver, relations: Sequence[Sequence[str]]) -> 
         for a, b in zip(r, r[1:]):
             if quiver.arrow_by_name[a].target != quiver.arrow_by_name[b].source:
                 raise AlgebraFormatError(f"relation {r!r} is not composable at {a!r}->{b!r}")
-        rels.append(r)
-    rels = sorted(set(rels))
-    minimal = [r for r in rels
-               if not any(s != r and _is_factor(s, r) for s in rels)]
-    return tuple(minimal)
-
-
-def _is_factor(needle: tuple[str, ...], haystack: tuple[str, ...]) -> bool:
-    n, h = len(needle), len(haystack)
-    return any(haystack[i:i + n] == needle for i in range(h - n + 1))
+        rels.add(r)
+    lengths = {len(r) for r in rels}
+    return tuple(sorted(r for r in rels if not any(
+        r[i:i + n] in rels for n in lengths if n < len(r) for i in range(len(r) - n + 1))))
 
 
 def _enumerate_paths(quiver: Quiver, relations: tuple[tuple[str, ...], ...]) -> tuple[Path, ...]:
@@ -140,12 +136,13 @@ def _enumerate_paths(quiver: Quiver, relations: tuple[tuple[str, ...], ...]) -> 
     # prefix of a relation.  The state alone decides which arrows may follow and the
     # next state, so a path that meets one of its own states again pumps.  There are
     # at most |V| + sum(len(r) - 1) states, so no path grows longer than that.
+    forbidden = set(relations)
     prefixes = {r[:k] for r in relations for k in range(len(r))} | {()}
     queue = [(Path(v, (), v), ((v, ()),)) for v in quiver.vertices]
     for p, states in queue:  # the queue grows as it is read: shorter paths first
         for arrow in quiver.arrows_from[p.target]:
             word = states[-1][1] + (arrow.name,)
-            if any(word[k:] in relations for k in range(len(word) - 1)):
+            if any(word[k:] in forbidden for k in range(len(word) - 1)):
                 continue
             state = (arrow.target, next(word[k:] for k in range(len(word) + 1)
                                         if word[k:] in prefixes))

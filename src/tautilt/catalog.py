@@ -12,7 +12,8 @@ LNM 1099, 2.4).  Entries are keyed by `dims`.  Two non-isomorphic modules
 with one vector, a coordinate above 6, a projective or simple module the
 closure never reaches, or an oriented cycle in the quiver raise
 `NotDirectedError`.  Every entry must have dim End E = 1, read off the
-diagonal of the Hom table, and Euler form chi(dim E) = 1.
+diagonal of the Hom table, and Euler form chi(dim E) = 1, and every pair must
+satisfy the AR formula, which ties the g-vectors and `tau_index` to the ranks.
 
 The closure computes each entry's minimal presentation P1 -p-> P0 -> E_j -> 0
 once, and the rest is read off it: tau E_j (the kernel of the Nakayama
@@ -105,6 +106,15 @@ class Catalog:
         self.projective_index = {v: presented[v] for v in units}
         self.simple_index = {v: self.index_by_dims[e] for v, e in units.items()}
         _check_euler_form(algebra, self.entries)
+        # The AR formula <g(E_j), dim E_i> = dim Hom(E_j, E_i) - dim Hom(E_i, tau E_j)
+        # is the alternating sum of 0 -> Hom(E_j, E_i) -> Hom(P0, E_i) -> Hom(P1, E_i)
+        # -> D Hom(E_i, tau E_j) -> 0; its last term is another rank, on tau E_j's row.
+        for j, (g, t) in enumerate(zip(self.g_vectors, self.tau_index)):
+            for i, e in enumerate(self.entries):
+                pairing = sum(a * b for a, b in zip(g, e.dims))
+                if pairing != homs[i][j][0] - (0 if t is None else homs[t][i][0]):
+                    raise InvariantViolation(f"the AR formula fails on the catalog entries with "
+                                             f"dims {list(self.entries[j].dims)} and {list(e.dims)}")
 
     def find_index(self, rep: Representation) -> int | None:
         """Index of the entry isomorphic to `rep`: the dims key, confirmed by `iso`."""

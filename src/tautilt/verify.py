@@ -323,17 +323,6 @@ def family_rows(kind: str, first: int, n_max: int) -> list[TableRow]:
 
 
 @dataclass
-class CountTable:
-    family: str
-    rows: list[TableRow]
-
-    def __post_init__(self):
-        for prev, cur in zip(self.rows, self.rows[1:]):
-            if not (0 < prev.tau_tilt < cur.tau_tilt and 0 < prev.stau < cur.stau):
-                raise InvariantViolation("family counts must be positive and increasing")
-
-
-@dataclass
 class TableDiscrepancy:
     family: str
     n: int
@@ -345,8 +334,7 @@ class TableDiscrepancy:
 
 @dataclass
 class TableReproduction:
-    table_a: CountTable
-    table_d: CountTable
+    rows: dict[str, list[TableRow]]  # by family, A2 first
     discrepancies: list[TableDiscrepancy]
     notes = ("pair-count closed form for the linear family is evaluated at n+1; "
              "at its printed index it gives the previous column",)
@@ -357,12 +345,11 @@ class TableReproduction:
 
     def render(self) -> str:
         out = []
-        for table in (self.table_a, self.table_d):
-            ns = [r.n for r in table.rows]
-            out.append(f"family {table.family}")
-            out.append("  n          " + "  ".join(f"{n:>6}" for n in ns))
-            out.append("  tau-tilt   " + "  ".join(f"{r.tau_tilt:>6}" for r in table.rows))
-            out.append("  stau-tilt  " + "  ".join(f"{r.stau:>6}" for r in table.rows))
+        for kind, rows in self.rows.items():
+            out.append(f"family {kind}")
+            out.append("  n          " + "  ".join(f"{r.n:>6}" for r in rows))
+            out.append("  tau-tilt   " + "  ".join(f"{r.tau_tilt:>6}" for r in rows))
+            out.append("  stau-tilt  " + "  ".join(f"{r.stau:>6}" for r in rows))
         if self.discrepancies:
             out.append("discrepancies against the reported tables:")
             for d in self.discrepancies:
@@ -387,13 +374,16 @@ _TABLES = {
 _COLUMNS = (("tau", "tau_tilt", 1), ("stau", "stau", 2))
 
 
-def _count_table(kind: str, n_max: int, discrepancies: list[TableDiscrepancy]) -> CountTable:
+def _count_table(kind: str, n_max: int, discrepancies: list[TableDiscrepancy]) -> list[TableRow]:
     """`kind`'s rows up to n_max, all read off one enumeration of member n_max
     (`family_rows`).  Every column is checked against its closed form; a
     reported value that differs is corroborated when the closed form and the
     two-step recurrence both agree with the computation."""
     first, reported, forms = _TABLES[kind]
     rows = family_rows(kind, first, n_max)
+    for prev, cur in zip(rows, rows[1:]):
+        if not (0 < prev.tau_tilt < cur.tau_tilt and 0 < prev.stau < cur.stau):
+            raise InvariantViolation("family counts must be positive and increasing")
     for k, row in enumerate(rows):
         for (name, attr, weight), (form, shift), rep in zip(_COLUMNS, forms,
                                                           reported.get(row.n, (None, None))):
@@ -407,7 +397,7 @@ def _count_table(kind: str, n_max: int, discrepancies: list[TableDiscrepancy]) -
             if closed != comp:
                 discrepancies.append(TableDiscrepancy(
                     kind, row.n, name + "-closed-form", closed, comp, corroborated=False))
-    return CountTable(kind, rows)
+    return rows
 
 
 def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
@@ -419,9 +409,9 @@ def reproduce_tables(n_max_a: int, n_max_d: int) -> TableReproduction:
         raise PreconditionError(f"the linear table starts at n = 1 and the fork table at "
                                 f"n = 4; got the last columns {n_max_a} and {n_max_d}")
     discrepancies: list[TableDiscrepancy] = []
-    table_a = _count_table("A2", n_max_a, discrepancies)
-    table_d = _count_table("D2", n_max_d, discrepancies)
-    return TableReproduction(table_a, table_d, discrepancies)
+    rows = {kind: _count_table(kind, n_max, discrepancies)
+            for kind, n_max in (("A2", n_max_a), ("D2", n_max_d))}
+    return TableReproduction(rows, discrepancies)
 
 
 def reports_to_json(reports: list[ClaimReport]) -> str:

@@ -3,6 +3,9 @@ presentation, Ext^1 and pd <= 1, the catalog's Hom tables, the clique search,
 the Hasse bucketing, the tilting test and the Hasse gluing.
 
 These are the direct algorithms that the package replaced with faster ones:
+- `pairwise_minimal_relations`: every relation compared with every other
+  one (`algebra._normalize_relations` looks up, in the set of relations,
+  each proper subpath of a relation whose length some relation has);
 - `paths_to_pumping_bound`: every legal path listed up to the pumping bound
   (`algebra._enumerate_paths` stops a path when it meets one of its own
   states in the relation automaton again);
@@ -175,6 +178,14 @@ def algebra_equal_upto_relabel(a, b, vertex_map, arrow_map):
             return False
     mapped_rels = {tuple(arrow_map[x] for x in r) for r in a.relations}
     return mapped_rels == set(b.relations)
+
+
+def pairwise_minimal_relations(relations):
+    """The distinct relations, sorted, less those that another relation is a
+    contiguous subpath of."""
+    rels = sorted({tuple(r) for r in relations})
+    return tuple(r for r in rels if not any(
+        s != r and any(r[i:i + len(s)] == s for i in range(len(r) - len(s) + 1)) for s in rels))
 
 
 def paths_to_pumping_bound(quiver, relations):

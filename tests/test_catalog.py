@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from oracles import (add_isolated_vertex, assert_catalog_matches_tau_inverse_clo
                      rref_fraction, simple, support_of_ref)
 from tautilt import catalog, linalg, modules
 from tautilt.algebra import Arrow, Quiver, build_algebra
-from tautilt.catalog import build_catalog
+from tautilt.catalog import Catalog, build_catalog
 from tautilt.errors import InvariantViolation, NotDirectedError
-from tautilt.families import type_a_square, type_d_square
+from tautilt.families import family, type_a_square, type_d_square
 from tautilt.linalg import QMatrix
 from tautilt.modules import Representation, direct_sum, iso, projective, tau, tau_inverse
 
@@ -278,6 +279,51 @@ def test_entry_off_the_euler_form_is_rejected(monkeypatch):
     monkeypatch.setattr(catalog, "tau_of_entry", lambda rep, pres: steps[rep.dims])
     with pytest.raises(NotDirectedError, match=r"Euler form is 0 on the dimension vector \[1, 1\]"):
         build_catalog(kronecker)
+
+
+AR_MUTANT_ALGEBRAS = [("A2", 5), ("D2", 6)]
+
+
+@pytest.mark.parametrize("kind, n", AR_MUTANT_ALGEBRAS)
+def test_ar_formula_rejects_every_misplaced_tau(kind, n):
+    """tau E_j pointed at any other entry, for every non-projective E_j: the
+    AR formula reads Hom(E_i, tau E_j) off the wrong row for some E_i."""
+    cat = build_catalog(family(kind, n))
+    mutants = 0
+    for j, t in enumerate(cat.tau_index):
+        for k in range(cat.size):
+            if t is not None and k != t:
+                tau_index = cat.tau_index[:j] + [k] + cat.tau_index[j + 1:]
+                with pytest.raises(InvariantViolation, match="the AR formula fails on the "
+                                                             "catalog entries with dims"):
+                    Catalog(cat.algebra, cat.entries, cat.presentations, tau_index)
+                mutants += 1
+    assert mutants == {"A2": 32, "D2": 66}[kind]
+
+
+@pytest.mark.parametrize("kind, n", AR_MUTANT_ALGEBRAS + [("A2", 6), ("D2", 5)])
+def test_ar_formula_rejects_every_g_vector_off_by_one_in_one_lane(kind, n):
+    """One lane of one entry's g-vector moved by +1 or -1: the pairing with the
+    simple at that lane moves too, while both Hom dimensions stay."""
+    cat = build_catalog(family(kind, n))
+    mutants = list(itertools.product(range(cat.size), range(n), (1, -1)))
+
+    class Mutant(Catalog):  # shifts lane `lane` of E_j's g-vector as __init__ stores it
+        @property
+        def g_vectors(self):
+            return self._g
+
+        @g_vectors.setter
+        def g_vectors(self, gs):
+            self._g = [tuple(x + delta * (m == j and k == lane) for k, x in enumerate(g))
+                       for m, g in enumerate(gs)]
+
+    for j, lane, delta in mutants:
+        named = re.escape(f"the AR formula fails on the catalog entries with dims "
+                          f"{list(cat.entries[j].dims)} and ")
+        with pytest.raises(InvariantViolation, match=named):
+            Mutant(cat.algebra, cat.entries, cat.presentations, cat.tau_index)
+    assert len(mutants) == {("A2", 5): 90, ("A2", 6): 132, ("D2", 5): 100, ("D2", 6): 144}[kind, n]
 
 
 def test_singular_cartan_matrix_is_not_directed(monkeypatch):

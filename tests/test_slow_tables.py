@@ -35,8 +35,8 @@ def test_family_rows_match_per_member_enumeration_at_ten(kind, first):
 
 def test_full_table_reproduction_flags():
     result = reproduce_tables(10, 10)
-    assert [r.stau for r in result.table_a.rows][-2:] == [2378, 5741]
-    assert [r.tau_tilt for r in result.table_d.rows][-2:] == [73, 118]
+    assert [r.stau for r in result.rows["A2"]][-2:] == [2378, 5741]
+    assert [r.tau_tilt for r in result.rows["D2"]][-2:] == [73, 118]
     flagged = {(d.n, d.row): (d.reported, d.computed) for d in result.discrepancies}
     assert flagged == {
         (6, "stau"): (118, 188),

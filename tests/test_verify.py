@@ -563,10 +563,10 @@ def test_family_rows_match_per_member_enumeration(kind, first, n_max):
 
 def test_reproduce_tables_small():
     result = reproduce_tables(4, 5)
-    assert [r.tau_tilt for r in result.table_a.rows] == [1, 2, 3, 5]
-    assert [r.stau for r in result.table_a.rows] == [2, 5, 12, 29]
-    assert [r.tau_tilt for r in result.table_d.rows] == [6, 11]
-    assert [r.stau for r in result.table_d.rows] == [32, 78]
+    assert [r.tau_tilt for r in result.rows["A2"]] == [1, 2, 3, 5]
+    assert [r.stau for r in result.rows["A2"]] == [2, 5, 12, 29]
+    assert [r.tau_tilt for r in result.rows["D2"]] == [6, 11]
+    assert [r.stau for r in result.rows["D2"]] == [32, 78]
     assert result.discrepancies == []
     assert result.hard_failures == 0
 
@@ -584,7 +584,7 @@ def test_reproduce_tables_builds_no_pair_record(monkeypatch):
 
     monkeypatch.setattr(STauPair, "__init__", counting_init)
     result = reproduce_tables(5, 5)
-    assert [(r.tau_tilt, r.stau) for r in result.table_a.rows + result.table_d.rows] == [
+    assert [(r.tau_tilt, r.stau) for r in result.rows["A2"] + result.rows["D2"]] == [
         (1, 2), (2, 5), (3, 12), (5, 29), (8, 70), (6, 32), (11, 78)]
     assert built == []
     first = enumerate_stau(build_catalog(type_a_square(2)))[0]
@@ -619,7 +619,7 @@ def test_reproduce_tables_checks_columns_past_the_reported_tables(monkeypatch):
         ("A2", 11, "tau-closed-form"), ("A2", 11, "stau-closed-form"),
         ("A2", 12, "tau-closed-form"), ("A2", 12, "stau-closed-form")]
     assert result.hard_failures == 5
-    assert [r.stau for r in result.table_a.rows[-2:]] == [13860, 33461]
+    assert [r.stau for r in result.rows["A2"][-2:]] == [13860, 33461]
     assert "A2 n=12 tau-closed-form: reported 234, computed 233 (UNEXPLAINED)" in result.render()
 
 
