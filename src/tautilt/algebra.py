@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Container, Sequence
 
 from .errors import AlgebraFormatError, InfiniteDimensionalError, PreconditionError
+from .util import topological_order
 
 
 @dataclass(frozen=True)
@@ -134,24 +135,41 @@ def _normalize_relations(quiver: Quiver, relations: Sequence[Sequence[str]]) -> 
 def _enumerate_paths(quiver: Quiver, relations: tuple[tuple[str, ...], ...]) -> tuple[Path, ...]:
     # A legal path's state is its end vertex and its longest suffix that is a proper
     # prefix of a relation.  The state alone decides which arrows may follow and the
-    # next state, so a path that meets one of its own states again pumps.  There are
-    # at most |V| + sum(len(r) - 1) states, so no path grows longer than that.
+    # next state, so the basis is finite iff the states reachable from the paths e_v
+    # hold no cycle; then each path carries its last state only, and each state's
+    # moves are worked out once.
     forbidden = set(relations)
     prefixes = {r[:k] for r in relations for k in range(len(r))} | {()}
-    queue = [(Path(v, (), v), ((v, ()),)) for v in quiver.vertices]
-    for p, states in queue:  # the queue grows as it is read: shorter paths first
-        for arrow in quiver.arrows_from[p.target]:
-            word = states[-1][1] + (arrow.name,)
+    # State -> its moves (arrow, next state), for every state reachable from an e_v.
+    moves: dict[tuple[str, tuple[str, ...]], list[tuple[Arrow, tuple]]] = {}
+    todo = [(v, ()) for v in quiver.vertices]
+    while todo:
+        state = todo.pop()
+        if state in moves:
+            continue
+        out = moves[state] = []
+        for arrow in quiver.arrows_from[state[0]]:
+            word = state[1] + (arrow.name,)
             if any(word[k:] in forbidden for k in range(len(word) - 1)):
                 continue
-            state = (arrow.target, next(word[k:] for k in range(len(word) + 1)
-                                        if word[k:] in prefixes))
-            if state in states:
-                raise InfiniteDimensionalError(
-                    "path basis is infinite: the quiver has a cycle not cut by any relation")
-            queue.append((Path(p.source, p.arrows + (arrow.name,), arrow.target),
-                          states + (state,)))
-    return tuple(p for p, _ in queue)
+            step = (arrow.target, next(word[k:] for k in range(len(word) + 1)
+                                       if word[k:] in prefixes))
+            out.append((arrow, step))
+            todo.append(step)
+    index = {state: k for k, state in enumerate(moves)}
+    # Each move coded state * |states| + step, listed by state: the order `topological_order` reads.
+    steps = [index[state] * len(index) + index[step]
+             for state, out in moves.items() for _, step in out]
+    if topological_order(len(index), steps)[0] is None:
+        raise InfiniteDimensionalError(
+            "path basis is infinite: the quiver has a cycle not cut by any relation")
+    paths = [Path(v, (), v) for v in quiver.vertices]
+    states = [(v, ()) for v in quiver.vertices]
+    for p, state in zip(paths, states):  # both grow as they are read: shorter paths first
+        for arrow, step in moves[state]:
+            paths.append(Path(p.source, p.arrows + (arrow.name,), arrow.target))
+            states.append(step)
+    return tuple(paths)
 
 
 def build_algebra(quiver: Quiver, relations: Sequence[Sequence[str]] = ()) -> Algebra:

@@ -8,6 +8,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation, PreconditionError
 from .tilting import HasseQuiver
+from .util import sorted_codes
 
 
 @dataclass(frozen=True)
@@ -33,21 +34,26 @@ def glue(dag: LabeledDag, subset: Iterable[int]) -> tuple[LabeledDag, dict[int, 
     the subset survive unchanged, and every copy points at its original.  The
     k-th member's copy is vertex size + k, labeled with the member's label and "+".
     Distinct arrows go to distinct arrows, and an acyclic quiver stays acyclic.
+    The new codes stream into `util.sorted_codes`, so no list of them is built.
     """
     n, members = dag.size, sorted(set(subset))
     if members and not (0 <= members[0] and members[-1] < n):
         raise PreconditionError("subset member out of range")
     plus, m = {v: n + k for k, v in enumerate(members)}, n + len(members)
-    codes = [copy * m + v for v, copy in plus.items()]
-    for a, b in map(divmod, dag.arrows, repeat(n)):
-        if b not in plus:
-            codes.append(a * m + b)
-        elif a in plus:
-            codes += (plus[a] * m + plus[b], a * m + b)
-        else:
-            codes.append(a * m + plus[b])
-    codes.sort()
-    return LabeledDag(m, array("q", codes), lambda k: dag.label(k) if k < n
+
+    def codes() -> Iterator[int]:
+        for v, copy in plus.items():
+            yield copy * m + v
+        for a, b in map(divmod, dag.arrows, repeat(n)):
+            if b not in plus:
+                yield a * m + b
+            elif a in plus:
+                yield plus[a] * m + plus[b]
+                yield a * m + b
+            else:
+                yield a * m + plus[b]
+
+    return LabeledDag(m, sorted_codes(codes(), m * m), lambda k: dag.label(k) if k < n
                       else dag.label(members[k - n]) + "+"), plus
 
 
@@ -57,7 +63,8 @@ def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | No
 
     The map must be a bijection that sends every arrow of x to an arrow of y.
     Both arrow arrays must be strictly increasing (`hasse` and `glue` make them
-    so); then it is one iff the mapped codes, sorted, are y's.  O(V + E log E).
+    so); then it is one iff the mapped codes, sorted by `util.sorted_codes`
+    without a list of them all, are y's.  O(V + E log E).
     """
     n = y.size
     if x.size != n or len(vertex_map) != n:
@@ -71,8 +78,8 @@ def dag_iso(x: LabeledDag, y: LabeledDag, vertex_map: Sequence[int]) -> str | No
         preimage[j] = i
     if len(x.arrows) != len(y.arrows):
         return f"{len(x.arrows)} arrows cannot map onto {len(y.arrows)}"
-    if array("q", sorted(vertex_map[a] * n + vertex_map[b]
-                         for a, b in map(divmod, x.arrows, repeat(n)))) == y.arrows:
+    if sorted_codes((vertex_map[a] * n + vertex_map[b]
+                     for a, b in map(divmod, x.arrows, repeat(n))), n * n) == y.arrows:
         return None
     targets = set(y.arrows)
     for a, b in map(divmod, x.arrows, repeat(n)):

@@ -43,9 +43,16 @@ hold comma-joined entry numbers; `hasse` ANDs the cells that hold torsion
 rows.
 
 `hasse` works on the codes.  Clearing one set bit of a code gives an almost
-complete pair, the key of one dict slot.  The slot holds the first
-completion; the second decides the arrow at once and leaves -1, so a third
-raises.  The module part of `lower` lies in the torsion class of `upper`
+complete pair.  Its completions add one module or one unsupported vertex, so
+for an almost complete pair with t unsupported vertices they have t or t + 1:
+`hasse` runs one pass per t = 0..n, clearing the module bits of the pairs with
+t unsupported vertices and the vertex bits of those with t + 1.  Within a pass
+each almost complete pair is the key of one dict slot.  The slot holds the
+first completion; the second decides the arrow at once and leaves -1, so a
+third raises.  Each pass's dict is freed before the next, and a direction
+that cannot be decided is reported after all passes, so the errors come in
+the order: third completion, undecided direction, n-regularity.  The module
+part of `lower` lies in the torsion class of `upper`
 iff `upper.mods & ~tors[lower] == 0` and `supp[lower] & upper.proj == 0`,
 where `tors` is the AND of `tors_mask` over the summands, read off the
 byte tables, and `supp`, the support, is the complement of the unsupported
@@ -53,12 +60,13 @@ bits (Adachi-Iyama-Reiten, Thm 2.18).  The table cells are the ANDs
 themselves, so each `outside` mask is bit for bit the one the summands give.
 Both tests are one AND of `upper`'s code with `lower`'s `outside` mask, so
 the direction of each arrow is decided in O(1) from the whole torsion class.  An
-arrow a -> b is coded a * |pairs| + b, the codes are sorted once, and
-`HasseQuiver.arrows` keeps them as they are, in one `array('q')`: 8 bytes
-an arrow, and no (a, b) tuple is built.  `divmod(code, |pairs|)` gives the
-arrow back, and sorted codes are sorted by tail, which is what
-`topological_order` reads.  The source and the sink are checked on their
-codes too, so `hasse` decodes no pair.
+arrow a -> b is coded a * |pairs| + b and goes, as it is decided, into one of
+8 buckets of `util.sorted_codes`, which sorts them a bucket at a time; no list
+of every code is built.  `HasseQuiver.arrows` keeps the sorted codes as they
+are, in one `array('q')`: 8 bytes an arrow, and no (a, b) tuple is built.
+`divmod(code, |pairs|)` gives the arrow back, and sorted codes are sorted by
+tail, which is what `topological_order` reads.  The source and the sink are
+checked on their codes too, so `hasse` decodes no pair.
 """
 from __future__ import annotations
 
@@ -71,7 +79,7 @@ from typing import Iterator
 
 from .catalog import Catalog, ModuleRef
 from .errors import InvariantViolation, PreconditionError
-from .util import topological_order
+from .util import sorted_codes, topological_order
 
 
 @dataclass(frozen=True)
@@ -308,32 +316,46 @@ def hasse(pairs: PairTable) -> HasseQuiver:
         for row, byte in zip(tors_rows, (code & every_entry).to_bytes(n_bytes, "little")):
             t &= row[byte]
         outside.append(every_entry ^ t | (all_vertices ^ code >> size) << size)
-    # Almost complete pair -> its first completion, then -1 once a second one came.
-    slot: dict[int, int] = {}
-    arrow_codes = array("q")
-    count = len(pairs)
+    # Pair indices by unsupported-vertex count: pass t clears the module bits of
+    # by_t[t] and the vertex bits of by_t[t + 1], every completion of its slots.
+    by_t = [array("q") for _ in range(n + 2)]
     for b, code in enumerate(codes):
-        rest = code
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            a = slot.setdefault(code ^ low, b)
-            if a == b:
-                continue
-            if a < 0:
-                raise InvariantViolation("more than two completions of an almost complete pair")
-            slot[code ^ low] = -1
-            down_ab = not codes[a] & outside[b]
-            if down_ab == (not code & outside[a]):
-                raise InvariantViolation("mutation direction is not uniquely determined")
-            arrow_codes.append(a * count + b if down_ab else b * count + a)
+        by_t[(code >> size).bit_count()].append(b)
+    count = len(pairs)
+
+    def arrow_codes() -> Iterator[int]:
+        undecided = False  # raised after every pass: a third completion is reported first
+        for t in range(n + 1):
+            # Almost complete pair -> its first completion, then -1 once a second one came.
+            slot: dict[int, int] = {}
+            for members, bits in ((by_t[t], every_entry), (by_t[t + 1], all_vertices << size)):
+                for b in members:
+                    code = codes[b]
+                    rest = code & bits
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        a = slot.setdefault(code ^ low, b)
+                        if a == b:
+                            continue
+                        if a < 0:
+                            raise InvariantViolation(
+                                "more than two completions of an almost complete pair")
+                        slot[code ^ low] = -1
+                        down_ab = not codes[a] & outside[b]
+                        if down_ab == (not code & outside[a]):
+                            undecided = True
+                        else:
+                            yield a * count + b if down_ab else b * count + a
+        if undecided:
+            raise InvariantViolation("mutation direction is not uniquely determined")
+
+    arrows = sorted_codes(arrow_codes(), count * count)
+    del outside, by_t  # freed before the Kahn sort: a lower peak
     # No pair has more neighbours than summands, so n summands each and
     # n * count / 2 arrows leave every pair exactly n neighbours.
-    if 2 * len(arrow_codes) != n * count or any(c.bit_count() != n for c in codes):
+    if 2 * len(arrows) != n * count or any(c.bit_count() != n for c in codes):
         raise InvariantViolation("exchange graph is not n-regular")
-    del slot, outside  # freed before the codes are sorted: a lower peak
-    arrows = array("q", sorted(arrow_codes))
-    del arrow_codes
     _assert_hasse_shape(cat, codes, arrows)
     return HasseQuiver(pairs, arrows)
 

@@ -7,9 +7,12 @@ import stat
 from contextlib import contextmanager, suppress
 from itertools import accumulate, takewhile
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    from array import array
 
 
 @contextmanager
@@ -90,3 +93,22 @@ def topological_order(n: int,
             if not waiting[j]:
                 order.append(j)
     return (order if len(order) == n else None), indeg, outdeg
+
+
+def sorted_codes(codes: Iterable[int], bound: int) -> array:
+    """The codes, each in range(bound), sorted into one `array('q')`.
+
+    Each code goes to one of 8 `array('q')` buckets by its eighth of
+    range(bound), and the buckets are sorted one at a time, so only one bucket
+    at a time is a list of boxed ints: about an eighth of codes spread over
+    range(bound).
+    """
+    from array import array  # here: `validate` and `catalog` never load the extension module
+    buckets = [array("q") for _ in range(8)]
+    eighth = (bound + 7) // 8  # rounded up, so c // eighth < 8 for every c < bound
+    for c in codes:
+        buckets[c // eighth].append(c)
+    out = array("q")
+    while buckets:  # each bucket is freed once it is sorted into `out`
+        out.extend(sorted(buckets.pop(0)))
+    return out

@@ -270,6 +270,18 @@ def test_a_20000_vertex_family_is_read_in_linear_time(kind):
     assert len(algebra.relations) == 19_998
 
 
+@per_example_limit(1)
+def test_the_path_quiver_a400_is_read_in_time_linear_in_its_basis():
+    """A_400 with no relations has 400 * 401 / 2 = 80,200 basis paths.  Each path
+    carries its last automaton state only, so the listing is linear in the total
+    length of the paths and takes a fraction of a second."""
+    algebra = linear(400)
+    assert algebra.dimension == 80_200
+    longest = algebra.path_basis[-1]
+    assert (longest.source, longest.target) == ("400", "1")
+    assert longest.arrows == tuple(f"a{k}" for k in range(399, 0, -1))
+
+
 def test_six_loops_with_four_relations_are_infinite_at_once():
     """Six loops cut by abc, bcd, cde and def still pump (a loop on its own, say);
     the automaton says so without listing every legal path up to the bound of 9."""

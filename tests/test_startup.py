@@ -36,13 +36,17 @@ sys.exit(main())
 """
 
 
-def loaded_after(tmp_path: Path, *args: str) -> set[str]:
+def modules_after(tmp_path: Path, *args: str) -> set[str]:
     out = tmp_path / "modules.json"
     env = dict(os.environ, PYTHONPATH=str(Path(tautilt.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", SCRIPT, str(out), *args], cwd=tmp_path,
                             capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    return {m for m in json.loads(out.read_text()) if m.split(".")[0] == "tautilt"}
+    return set(json.loads(out.read_text()))
+
+
+def loaded_after(tmp_path: Path, *args: str) -> set[str]:
+    return {m for m in modules_after(tmp_path, *args) if m.split(".")[0] == "tautilt"}
 
 
 @pytest.mark.parametrize("args, expected", [
@@ -84,3 +88,13 @@ def test_verify_help_shows_the_claims_of_verify():
     result = CliRunner().invoke(main, ["verify", "--help"])
     assert result.exit_code == 0
     assert f"[default:{','.join(CLAIMS)}]" in "".join(result.output.split())
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", str(DATA / "hereditary_d8.json")],
+    ["catalog", str(DATA / "hereditary_d8.json")],
+], ids=["validate", "catalog"])
+def test_a_command_that_sorts_no_arrow_codes_loads_no_array_module(tmp_path, args):
+    """`util.sorted_codes` imports `array` when it runs, so these commands map
+    no extension module for it: its pages would lift their peak RSS."""
+    assert "array" not in modules_after(tmp_path, *args)

@@ -287,6 +287,16 @@ def test_undecided_mutation_direction_is_rejected(monkeypatch, cat_lambda3):
         hasse(pairs)
 
 
+def test_a_third_completion_is_reported_before_an_undecided_direction(monkeypatch, cat_lambda3):
+    """Both faults at once: the direction of each arrow is judged only after
+    every pass, so the repeated pair's third completion is what is reported."""
+    pairs = enumerate_stau(cat_lambda3)
+    monkeypatch.setattr(cat_lambda3, "tors_mask", [0] * cat_lambda3.size)
+    with pytest.raises(InvariantViolation,
+                       match="^more than two completions of an almost complete pair$"):
+        hasse(replace(pairs, keys=pairs.keys + pairs.keys[-1:]))
+
+
 def test_missing_pair_breaks_regularity(cat_lambda3):
     """Without the zero pair's int, each of its n neighbours has n - 1 neighbours."""
     pairs = enumerate_stau(cat_lambda3)

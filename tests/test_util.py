@@ -1,8 +1,10 @@
-"""The atomic writer and the Kahn sort over arrow codes."""
+"""The atomic writer, the Kahn sort over arrow codes and the bucketed sort."""
+import random
+
 import pytest
 
 from tautilt.errors import PreconditionError
-from tautilt.util import check_writable, topological_order, write_text_atomic
+from tautilt.util import check_writable, sorted_codes, topological_order, write_text_atomic
 
 
 def lines_then_failure(count):
@@ -65,3 +67,26 @@ def test_topological_order_finds_a_cycle():
 
 def test_topological_order_of_no_vertices():
     assert topological_order(0, []) == ([], [], [])
+
+
+@pytest.mark.parametrize("codes,bound", [
+    ([], 0),
+    ([], 5),
+    ([2, 0, 1, 2], 3),
+    ([6, 0, 6, 3, 5], 7),
+    ([99, 0, 50, 99, 0, 12], 100),
+])
+def test_sorted_codes_is_sorted(codes, bound):
+    """Empty input, a bound below 8 (empty buckets), codes at 0 and at
+    bound - 1 (the first and last buckets) and repeated codes."""
+    out = sorted_codes(codes, bound)
+    assert out.typecode == "q"
+    assert list(out) == sorted(codes)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sorted_codes_matches_sorted_on_random_codes(seed):
+    rng = random.Random(seed)
+    bound = rng.randint(1, 10 ** rng.randint(1, 12))
+    codes = [rng.randrange(bound) for _ in range(rng.randint(0, 3000))]
+    assert list(sorted_codes(iter(codes), bound)) == sorted(codes)
