@@ -78,13 +78,13 @@ class Algebra:
         self.path_basis = _enumerate_paths(quiver, self.relations)
         self.dimension = len(self.path_basis)
         buckets: dict[tuple[str, str], list[Path]] = {}
+        # (source, target, arrows) -> the path's index in paths_between(source, target)
+        self._path_pos: dict[tuple[str, str, tuple[str, ...]], int] = {}
         for p in self.path_basis:
-            buckets.setdefault((p.source, p.target), []).append(p)
+            paths = buckets.setdefault((p.source, p.target), [])
+            self._path_pos[p.source, p.target, p.arrows] = len(paths)
+            paths.append(p)
         self._paths_between = {k: tuple(v) for k, v in buckets.items()}
-        self._path_pos = {
-            key: {p.arrows: i for i, p in enumerate(paths)}
-            for key, paths in self._paths_between.items()
-        }
 
     def paths_between(self, v: str, w: str) -> tuple[Path, ...]:
         """Basis paths from v to w, in path-basis order."""
@@ -92,7 +92,7 @@ class Algebra:
 
     def path_position(self, v: str, w: str, arrows: tuple[str, ...]) -> int | None:
         """Index of the path in paths_between(v, w), or None if not in the basis."""
-        return self._path_pos.get((v, w), {}).get(arrows)
+        return self._path_pos.get((v, w, arrows))
 
     @property
     def n_vertices(self) -> int:

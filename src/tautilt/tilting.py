@@ -42,27 +42,33 @@ lookup per byte of module bits.  `PairTable.label` joins the cells that
 hold comma-joined entry numbers; `hasse` ANDs the cells that hold torsion
 rows.
 
-`hasse` works on the codes.  Clearing one set bit of a code gives an almost
+`hasse` works on the codes, each read off its key as `key & code_mask`; no
+list of them is built.  Clearing one set bit of a code gives an almost
 complete pair.  Its completions add one module or one unsupported vertex, so
-for an almost complete pair with t unsupported vertices they have t or t + 1:
-`hasse` runs one pass per t = 0..n, clearing the module bits of the pairs with
-t unsupported vertices and the vertex bits of those with t + 1.  Within a pass
-each almost complete pair is the key of one dict slot.  The slot holds the
-first completion; the second decides the arrow at once and leaves -1, so a
-third raises.  Each pass's dict is freed before the next, and a direction
-that cannot be decided is reported after all passes, so the errors come in
-the order: third completion, undecided direction, n-regularity.  The module
-part of `lower` lies in the torsion class of `upper`
+those of an almost complete pair with unsupported set U are pairs of U with
+one module bit cleared and pairs of U + {v} with bit v cleared.  `hasse`
+indexes the pairs by unsupported mask once: one `array` of pair indices
+grouped by mask, and one of the offsets where each mask's run starts.  It
+then visits each U in order with one dict, in which each almost complete
+pair with set U is the key of one slot.  The slot holds the first
+completion; the second decides
+the arrow at once and leaves -1, so a third raises.  Each U's dict is freed
+before the next (on A2 n=11 the largest holds 1,164 of the 76,230 slots),
+and a direction that cannot be decided is reported after every U, so the
+errors come in the order: third completion, undecided direction,
+n-regularity.  The module part of `lower` lies in the torsion class of `upper`
 iff `upper.mods & ~tors[lower] == 0` and `supp[lower] & upper.proj == 0`,
 where `tors` is the AND of `tors_mask` over the summands, read off the
 byte tables, and `supp`, the support, is the complement of the unsupported
 bits (Adachi-Iyama-Reiten, Thm 2.18).  The table cells are the ANDs
 themselves, so each `outside` mask is bit for bit the one the summands give.
 Both tests are one AND of `upper`'s code with `lower`'s `outside` mask, so
-the direction of each arrow is decided in O(1) from the whole torsion class.  An
-arrow a -> b is coded a * |pairs| + b and goes, as it is decided, into one of
-8 buckets of `util.sorted_codes`, which sorts them a bucket at a time; no list
-of every code is built.  `HasseQuiver.arrows` keeps the sorted codes as they
+the direction of each arrow is decided in O(1) from the whole torsion class;
+the masks hold code bits only, so they AND a whole key as they AND its code.
+An arrow a -> b is coded a * |pairs| + b and goes, as it is decided, into one
+of 8 buckets of `util.code_buckets`.  The masks and the index are freed
+before `util.sort_buckets` sorts the buckets one at a time, and no list of
+every code is built.  `HasseQuiver.arrows` keeps the sorted codes as they
 are, in one `array('q')`: 8 bytes an arrow, and no (a, b) tuple is built.
 `divmod(code, |pairs|)` gives the arrow back, and sorted codes are sorted by
 tail, which is what `topological_order` reads.  The source and the sink are
@@ -74,12 +80,13 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from struct import Struct
 from typing import Iterator
 
 from .catalog import Catalog, ModuleRef
 from .errors import InvariantViolation, PreconditionError
-from .util import sorted_codes, topological_order
+from .util import code_buckets, sort_buckets, topological_order
 
 
 @dataclass(frozen=True)
@@ -300,69 +307,88 @@ def tilting_modules(pairs: PairTable) -> list[ModuleRef]:
 
 
 def hasse(pairs: PairTable) -> HasseQuiver:
-    """Mutation arrows between pairs whose summand sets differ in one element."""
+    """Mutation arrows between pairs whose summand sets differ in one element,
+    found with one slot table per unsupported-vertex set U of an almost
+    complete pair, each freed before the next U is visited."""
     cat = pairs.catalog
     n, size = cat.algebra.n_vertices, cat.size
+    keys, count = pairs.keys, len(pairs)
     every_entry = (1 << size) - 1
     all_vertices = (1 << n) - 1
-    codes = pairs.codes()
+    code_mask = (1 << size + n) - 1
     # Row o, column c: the AND of the torsion rows of the entries 8 * o + b, b a set bit of c.
     tors_rows = _byte_rows(cat.tors_mask, every_entry, int.__and__)
     n_bytes = size + 7 >> 3
     # A kept pair's support is the complement of its unsupported bits.
     outside: list[int] = []
-    for code in codes:
+    # start[u + 1] counts the pairs with unsupported mask u, then is summed up to it.
+    # Each of the 2^n masks is a pair's, (A/<e_U>, e_U A)'s, so there are no more masks than pairs.
+    start = array("q", [0]) * (all_vertices + 2)
+    for key in keys:
         t = every_entry
-        for row, byte in zip(tors_rows, (code & every_entry).to_bytes(n_bytes, "little")):
+        for row, byte in zip(tors_rows, (key & every_entry).to_bytes(n_bytes, "little")):
             t &= row[byte]
-        outside.append(every_entry ^ t | (all_vertices ^ code >> size) << size)
-    # Pair indices by unsupported-vertex count: pass t clears the module bits of
-    # by_t[t] and the vertex bits of by_t[t + 1], every completion of its slots.
-    by_t = [array("q") for _ in range(n + 2)]
-    for b, code in enumerate(codes):
-        by_t[(code >> size).bit_count()].append(b)
-    count = len(pairs)
-
-    def arrow_codes() -> Iterator[int]:
-        undecided = False  # raised after every pass: a third completion is reported first
-        for t in range(n + 1):
-            # Almost complete pair -> its first completion, then -1 once a second one came.
-            slot: dict[int, int] = {}
-            for members, bits in ((by_t[t], every_entry), (by_t[t + 1], all_vertices << size)):
-                for b in members:
-                    code = codes[b]
-                    rest = code & bits
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        a = slot.setdefault(code ^ low, b)
-                        if a == b:
-                            continue
-                        if a < 0:
-                            raise InvariantViolation(
-                                "more than two completions of an almost complete pair")
-                        slot[code ^ low] = -1
-                        down_ab = not codes[a] & outside[b]
-                        if down_ab == (not code & outside[a]):
-                            undecided = True
-                        else:
-                            yield a * count + b if down_ab else b * count + a
-        if undecided:
-            raise InvariantViolation("mutation direction is not uniquely determined")
-
-    arrows = sorted_codes(arrow_codes(), count * count)
-    del outside, by_t  # freed before the Kahn sort: a lower peak
+        unsupported = key >> size & all_vertices
+        outside.append(every_entry ^ t | (all_vertices ^ unsupported) << size)
+        start[unsupported + 1] += 1
+    start = array("q", accumulate(start))
+    # The pair indices grouped by unsupported mask: mask u's are index[start[u]:start[u + 1]].
+    index, fill = array("q", [0]) * count, start[:-1]
+    for b, key in enumerate(keys):
+        unsupported = key >> size & all_vertices
+        index[fill[unsupported]] = b
+        fill[unsupported] += 1
+    del fill
+    buckets, span = code_buckets(count * count)
+    put = [bucket.append for bucket in buckets]
+    # Vertex v's bit in an unsupported mask, and in a code.
+    vertex_bits = [(1 << v, 1 << size + v) for v in range(n)]
+    undecided = False  # raised after every table: a third completion is reported first
+    for u in range(all_vertices + 1):
+        # The completions of an almost complete pair with unsupported mask u: the
+        # pairs of u with one module bit cleared, those of u + {v} with bit v cleared.
+        groups = [(index[start[u]:start[u + 1]], every_entry)]
+        groups += [(index[start[u | vb]:start[(u | vb) + 1]], cb)
+                   for vb, cb in vertex_bits if not u & vb]
+        # Almost complete pair -> its first completion, then -1 once a second one came.
+        slot: dict[int, int] = {}
+        for members, bits in groups:
+            for b in members:
+                code = keys[b] & code_mask
+                rest = code & bits
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    almost = code ^ low
+                    a = slot.setdefault(almost, b)
+                    if a == b:
+                        continue
+                    if a < 0:
+                        raise InvariantViolation(
+                            "more than two completions of an almost complete pair")
+                    slot[almost] = -1
+                    down_ab = not keys[a] & outside[b]
+                    if down_ab == (not code & outside[a]):
+                        undecided = True
+                    else:
+                        c = a * count + b if down_ab else b * count + a
+                        put[c // span](c)
+    if undecided:
+        raise InvariantViolation("mutation direction is not uniquely determined")
+    del tors_rows, outside, index, start, put  # freed before the arrow codes are sorted
+    arrows = sort_buckets(buckets)
     # No pair has more neighbours than summands, so n summands each and
     # n * count / 2 arrows leave every pair exactly n neighbours.
-    if 2 * len(arrows) != n * count or any(c.bit_count() != n for c in codes):
+    if 2 * len(arrows) != n * count or any((key & code_mask).bit_count() != n for key in keys):
         raise InvariantViolation("exchange graph is not n-regular")
-    _assert_hasse_shape(cat, codes, arrows)
+    _assert_hasse_shape(cat, keys, arrows)
     return HasseQuiver(pairs, arrows)
 
 
 def _assert_hasse_shape(cat: Catalog, codes: Sequence[int], arrows: Sequence[int]) -> None:
-    """`codes` are the pairs' codes, as `PairTable.codes` gives them, and
-    `arrows` are codes a * len(codes) + b, sorted."""
+    """`codes` are the pairs' keys, or their codes as `PairTable.codes` gives
+    them: only the code bits are read.  `arrows` are codes a * len(codes) + b,
+    sorted."""
     order, indeg, outdeg = topological_order(len(codes), arrows)
     if order is None:
         raise InvariantViolation("mutation quiver has a cycle")
@@ -370,9 +396,11 @@ def _assert_hasse_shape(cat: Catalog, codes: Sequence[int], arrows: Sequence[int
     sinks = [i for i, d in enumerate(outdeg) if d == 0]
     if len(sources) != 1 or len(sinks) != 1:
         raise InvariantViolation("mutation quiver does not have unique source and sink")
-    if codes[sources[0]] != sum(1 << i for i in cat.projective_index.values()):
+    n, size = cat.algebra.n_vertices, cat.size
+    code_mask = (1 << size + n) - 1
+    if codes[sources[0]] & code_mask != sum(1 << i for i in cat.projective_index.values()):
         raise InvariantViolation("source of the mutation quiver is not the regular pair")
-    if codes[sinks[0]] != (1 << cat.algebra.n_vertices) - 1 << cat.size:
+    if codes[sinks[0]] & code_mask != (1 << n) - 1 << size:
         raise InvariantViolation("sink of the mutation quiver is not the zero pair")
 
 

@@ -83,7 +83,10 @@ def topological_order(n: int,
         a, b = divmod(c, n)
         outdeg[a] += 1
         indeg[b] += 1
-    start = list(accumulate(outdeg, initial=0))
+    # 8 bytes a vertex and no boxed int; a memoryview, as `array` is an extension module.
+    start = memoryview(bytearray(8 * (n + 1))).cast("q")
+    for i, end in enumerate(accumulate(outdeg), 1):
+        start[i] = end
     waiting = indeg.copy()
     order = [i for i, d in enumerate(indeg) if not d]
     for i in order:  # a queue: the loop reaches the vertices appended below
@@ -95,20 +98,31 @@ def topological_order(n: int,
     return (order if len(order) == n else None), indeg, outdeg
 
 
-def sorted_codes(codes: Iterable[int], bound: int) -> array:
-    """The codes, each in range(bound), sorted into one `array('q')`.
-
-    Each code goes to one of 8 `array('q')` buckets by its eighth of
-    range(bound), and the buckets are sorted one at a time, so only one bucket
-    at a time is a list of boxed ints: about an eighth of codes spread over
-    range(bound).
-    """
+def code_buckets(bound: int) -> tuple[list[array], int]:
+    """8 empty `array('q')` buckets for codes in range(bound), and the span of
+    each: code c goes to bucket c // span, its eighth of range(bound)."""
     from array import array  # here: `validate` and `catalog` never load the extension module
-    buckets = [array("q") for _ in range(8)]
-    eighth = (bound + 7) // 8  # rounded up, so c // eighth < 8 for every c < bound
-    for c in codes:
-        buckets[c // eighth].append(c)
+    return [array("q") for _ in range(8)], (bound + 7) // 8  # rounded up: c // span < 8
+
+
+def sort_buckets(buckets: list[array]) -> array:
+    """The codes of `code_buckets`' buckets, filled, in one sorted `array('q')`.
+
+    The buckets are sorted one at a time and each is freed once it is sorted
+    into the result (`buckets` is emptied), so only one bucket at a time is a
+    list of boxed ints: about an eighth of codes spread over their range.
+    """
+    from array import array
     out = array("q")
-    while buckets:  # each bucket is freed once it is sorted into `out`
+    while buckets:
         out.extend(sorted(buckets.pop(0)))
     return out
+
+
+def sorted_codes(codes: Iterable[int], bound: int) -> array:
+    """The codes, each in range(bound), sorted into one `array('q')` through
+    `code_buckets` and `sort_buckets`: no list of every code is built."""
+    buckets, span = code_buckets(bound)
+    for c in codes:
+        buckets[c // span].append(c)
+    return sort_buckets(buckets)

@@ -241,24 +241,36 @@ def test_empty_algebra_enumeration():
     assert len(h.arrows) == 0
 
 
-@pytest.mark.parametrize("scale,width", [(1, 1), (100, 2), (10 ** 6, 4), (10 ** 12, 8)])
+# At scale 40 the lane bound is 165: past a signed byte, within an unsigned one.
+@pytest.mark.parametrize("scale,width", [(1, 1), (40, 2), (100, 2), (10 ** 6, 4), (10 ** 12, 8)])
 def test_packed_g_vectors_are_exact_at_every_lane_width(monkeypatch, scale, width):
     """Scaled g-vector rows widen the lanes to `width` bytes; every pair's
-    g-vector is still the sum of its rows minus its unsupported vertices."""
+    g-vector is still the sum of its rows minus its unsupported vertices, and
+    `hasse` and `PairTable.label`, which read the code bits below the lanes,
+    give the arrows and labels of the 1-byte table, pair by pair."""
     cat = build_catalog(type_a_square(4))
-    cliques = {(p.modules, p.proj_part) for p in enumerate_stau(cat)}
+    narrow = enumerate_stau(cat)
+    assert narrow.width == 1
     rows = [tuple(scale * c for c in g) for g in cat.g_vectors]
     bound = 4 * (max(abs(c) for g in rows for c in g) + 1) + 1
     # `width` bytes hold the lane bound, and half as many (4 * width bits) do not.
     assert bound < 1 << 8 * width - 1 and (width == 1 or bound >= 1 << 4 * width - 1)
     monkeypatch.setattr(cat, "g_vectors", rows)
     pairs = enumerate_stau(cat)
-    assert {(p.modules, p.proj_part) for p in pairs} == cliques
+    assert pairs.width == width
+    assert {(p.modules, p.proj_part) for p in pairs} == {(p.modules, p.proj_part) for p in narrow}
     vertices = cat.algebra.quiver.vertices
     for p in pairs:
         assert p.g == tuple(sum(rows[i][k] for i in p.modules) - (v in p.proj_part)
                             for k, v in enumerate(vertices))
     assert [p.g for p in pairs] == sorted(p.g for p in pairs)
+
+    def arrows_and_labels(table):
+        ids = [(p.modules, p.proj_part) for p in table]
+        return ({(ids[a], ids[b]) for a, b in decoded_arrows(hasse(table))},
+                {ids[k]: table.label(k) for k in range(len(table))})
+
+    assert arrows_and_labels(pairs) == arrows_and_labels(narrow)
 
 
 def test_shared_g_vector_is_rejected(monkeypatch, cat_a2):
