@@ -102,17 +102,16 @@ def validate(file):
 def enumerate_cmd(file, kind):
     """List modules of the requested kind; the final line carries the count."""
     from .catalog import build_catalog
-    from .tilting import enumerate_stau, pair_to_dict, tilting_modules
+    from .tilting import enumerate_stau, tilting_modules
     pairs = enumerate_stau(build_catalog(load_algebra(file)))
-    if kind == "stau":
-        items = [pair_to_dict(p) for p in pairs]
-    elif kind == "tau":
-        items = [{"summands": list(m)} for m in pairs.tau_tilt]
+    if kind == "stau":  # each line read off its pair's key as it is printed
+        items, count = map(pairs.as_dict, range(len(pairs))), len(pairs)
     else:
-        items = [{"summands": list(m)} for m in tilting_modules(pairs)]
+        refs = pairs.tau_tilt if kind == "tau" else tilting_modules(pairs)
+        items, count = ({"summands": list(m)} for m in refs), len(refs)
     for item in items:
         click.echo(json.dumps(item, sort_keys=True))
-    click.echo(f"count {len(items)}")
+    click.echo(f"count {count}")
 
 
 @main.command(name="hasse")

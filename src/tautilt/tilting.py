@@ -27,12 +27,12 @@ the unsupported vertices (bit cat.size + k for the k-th vertex).  The ints
 are sorted once, which sorts the pairs by g-vector; distinct pairs have
 distinct g-vectors (Adachi-Iyama-Reiten, Thm 5.5), and two neighbours with
 one g-vector raise.  A `PairTable` keeps the ints as they are, with the
-catalog they index, so it is read without one at hand.  Its length,
-the full-support modules, `hasse`'s codes, each pair's unsupported-vertex
-bits and each pair's label are read off the ints; a pair is decoded into an
-`STauPair` only where one is read (an index or an iteration), by one
-`struct` unpack of its g-vector, and the pairs of one unsupported-vertex set
-share one projective-part tuple.
+catalog they index, so it is read without one at hand.  Its length, the
+full-support modules, `hasse`'s codes, and each pair's unsupported-vertex
+bits, label and g-vector are read off the ints: `g(k)` unpacks pair k's lanes
+with one `struct` call, and `as_dict(k)`, the line `enumerate` prints, adds
+the module bits and the unsupported vertices to it.  No other record of a
+pair is built.
 
 Where a per-entry value is folded over a pair's module bits, the fold is
 read off per-byte tables instead of walked bit by bit: `_byte_rows` makes
@@ -65,11 +65,12 @@ themselves, so each `outside` mask is bit for bit the one the summands give.
 Both tests are one AND of `upper`'s code with `lower`'s `outside` mask, so
 the direction of each arrow is decided in O(1) from the whole torsion class;
 the masks hold code bits only, so they AND a whole key as they AND its code.
-An arrow a -> b is coded a * |pairs| + b and goes, as it is decided, into one
-of 8 buckets of `util.code_buckets`.  The masks and the index are freed
-before `util.sort_buckets` sorts the buckets one at a time, and no list of
-every code is built.  `HasseQuiver.arrows` keeps the sorted codes as they
-are, in one `array('q')`: 8 bytes an arrow, and no (a, b) tuple is built.
+An arrow a -> b is coded a * |pairs| + b and yielded, as it is decided, by
+the generator `_arrow_codes`, which owns the byte tables, the masks and the
+index, so they are freed when it ends, before `util.sorted_codes` sorts the
+codes it streamed into buckets; no list of every code is built.
+`HasseQuiver.arrows` keeps the sorted codes as they are, in one
+`array('q')`: 8 bytes an arrow, and no (a, b) tuple is built.
 `divmod(code, |pairs|)` gives the arrow back, and sorted codes are sorted by
 tail, which is what `topological_order` reads.  The source and the sink are
 checked on their codes too, so `hasse` decodes no pair.
@@ -86,15 +87,7 @@ from typing import Iterator
 
 from .catalog import Catalog, ModuleRef
 from .errors import InvariantViolation, PreconditionError
-from .util import code_buckets, sort_buckets, topological_order
-
-
-@dataclass(frozen=True)
-class STauPair:
-    """A support tau-tilting pair: catalog indices plus unsupported vertices."""
-    modules: tuple[int, ...]
-    proj_part: tuple[str, ...]
-    g: tuple[int, ...]
+from .util import sorted_codes, topological_order
 
 
 # Lane width in bytes -> its `struct` format character.
@@ -131,12 +124,12 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class PairTable(Sequence[STauPair]):
+class PairTable:
     """The enumerated pairs of `catalog`, one int each, read-only: `keys[k]` is
     pair k's biased packed g-vector, in `width`-byte lanes, shifted above its
     code (module bits, which index `catalog`, then unsupported-vertex bits, in
-    the order of its algebra's vertices).  `pairs[k]` and iteration decode
-    `STauPair`s; nothing else does."""
+    the order of its algebra's vertices).  `g(k)` unpacks pair k's g-vector,
+    and `as_dict(k)` is pair k as `enumerate` prints it."""
     keys: tuple[int, ...]
     catalog: Catalog
     width: int
@@ -159,12 +152,6 @@ class PairTable(Sequence[STauPair]):
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, k: int) -> STauPair:
-        return self._decode(self.keys[k])
-
-    def __iter__(self) -> Iterator[STauPair]:
-        return map(self._decode, self.keys)
-
     @cached_property
     def _layout(self) -> tuple[int, int, Struct, dict[int, tuple[str, ...]]]:
         """(code bits, lane bias, g-vector unpacker, and the projective part of
@@ -183,10 +170,16 @@ class PairTable(Sequence[STauPair]):
                 v for k, v in enumerate(self.vertices) if unsupported >> k & 1)
         return proj
 
-    def _decode(self, key: int) -> STauPair:
+    def g(self, k: int) -> tuple[int, ...]:
+        """Pair k's g-vector: its key's lanes, unbiased, in one `struct` unpack."""
         code_bits, bias, g_struct, _ = self._layout
-        return STauPair(_bits(key & (1 << self.size) - 1), self._proj_part(key),
-                        g_struct.unpack((key >> code_bits ^ bias).to_bytes(g_struct.size, "big")))
+        return g_struct.unpack((self.keys[k] >> code_bits ^ bias).to_bytes(g_struct.size, "big"))
+
+    def as_dict(self, k: int) -> dict:
+        """Pair k as `enumerate` prints it: summands, unsupported vertices, g-vector."""
+        key = self.keys[k]
+        return {"summands": list(_bits(key & (1 << self.size) - 1)),
+                "support_complement": list(self._proj_part(key)), "g": list(self.g(k))}
 
     @cached_property
     def _label_rows(self) -> list[list[str]]:
@@ -196,16 +189,11 @@ class PairTable(Sequence[STauPair]):
 
     def label(self, k: int) -> str:
         """Pair k as `M[modules]|P[unsupported vertices]`, read off its key
-        one byte of module bits at a time: no g-vector, no `STauPair`."""
+        one byte of module bits at a time, with no g-vector."""
         key = self.keys[k]
         mods = (key & (1 << self.size) - 1).to_bytes(self.size + 7 >> 3, "little")
         return (f"M[{','.join([row[b] for row, b in zip(self._label_rows, mods) if b])}]"
                 f"|P[{','.join(self._proj_part(key))}]")
-
-    def codes(self) -> list[int]:
-        """Each pair's code: module bits, then unsupported-vertex bits."""
-        mask = (1 << self.size + len(self.vertices)) - 1
-        return [key & mask for key in self.keys]
 
     def unsupported_masks(self) -> list[int]:
         """Each pair's unsupported-vertex bits: bit k for the k-th vertex."""
@@ -297,7 +285,7 @@ def enumerate_stau(cat: Catalog) -> PairTable:
     keys = pairs.keys
     for k in range(1, len(keys)):
         if keys[k - 1] >> code_bits == keys[k] >> code_bits:
-            raise InvariantViolation(f"distinct pairs share the g-vector {pairs[k].g}")
+            raise InvariantViolation(f"distinct pairs share the g-vector {pairs.g(k)}")
     return pairs
 
 
@@ -307,9 +295,27 @@ def tilting_modules(pairs: PairTable) -> list[ModuleRef]:
 
 
 def hasse(pairs: PairTable) -> HasseQuiver:
-    """Mutation arrows between pairs whose summand sets differ in one element,
-    found with one slot table per unsupported-vertex set U of an almost
-    complete pair, each freed before the next U is visited."""
+    """Mutation arrows between pairs whose summand sets differ in one element:
+    `_arrow_codes` finds them, and `util.sorted_codes` sorts them once it ends."""
+    cat = pairs.catalog
+    n, count = cat.algebra.n_vertices, len(pairs)
+    arrows = sorted_codes(_arrow_codes(pairs), count * count)
+    # No pair has more neighbours than summands, so n summands each and
+    # n * count / 2 arrows leave every pair exactly n neighbours.
+    code_mask = (1 << cat.size + n) - 1
+    if 2 * len(arrows) != n * count or any((key & code_mask).bit_count() != n
+                                           for key in pairs.keys):
+        raise InvariantViolation("exchange graph is not n-regular")
+    _assert_hasse_shape(cat, pairs.keys, arrows)
+    return HasseQuiver(pairs, arrows)
+
+
+def _arrow_codes(pairs: PairTable) -> Iterator[int]:
+    """The code a * len(pairs) + b of each mutation arrow a -> b, as it is
+    decided, found with one slot table per unsupported-vertex set U of an
+    almost complete pair, each freed before the next U is visited.  The byte
+    tables, the `outside` masks and the index are locals of this generator, so
+    they are freed when it ends."""
     cat = pairs.catalog
     n, size = cat.algebra.n_vertices, cat.size
     keys, count = pairs.keys, len(pairs)
@@ -338,9 +344,6 @@ def hasse(pairs: PairTable) -> HasseQuiver:
         unsupported = key >> size & all_vertices
         index[fill[unsupported]] = b
         fill[unsupported] += 1
-    del fill
-    buckets, span = code_buckets(count * count)
-    put = [bucket.append for bucket in buckets]
     # Vertex v's bit in an unsupported mask, and in a code.
     vertex_bits = [(1 << v, 1 << size + v) for v in range(n)]
     undecided = False  # raised after every table: a third completion is reported first
@@ -371,23 +374,14 @@ def hasse(pairs: PairTable) -> HasseQuiver:
                     if down_ab == (not code & outside[a]):
                         undecided = True
                     else:
-                        c = a * count + b if down_ab else b * count + a
-                        put[c // span](c)
+                        yield a * count + b if down_ab else b * count + a
     if undecided:
         raise InvariantViolation("mutation direction is not uniquely determined")
-    del tors_rows, outside, index, start, put  # freed before the arrow codes are sorted
-    arrows = sort_buckets(buckets)
-    # No pair has more neighbours than summands, so n summands each and
-    # n * count / 2 arrows leave every pair exactly n neighbours.
-    if 2 * len(arrows) != n * count or any((key & code_mask).bit_count() != n for key in keys):
-        raise InvariantViolation("exchange graph is not n-regular")
-    _assert_hasse_shape(cat, keys, arrows)
-    return HasseQuiver(pairs, arrows)
 
 
 def _assert_hasse_shape(cat: Catalog, codes: Sequence[int], arrows: Sequence[int]) -> None:
-    """`codes` are the pairs' keys, or their codes as `PairTable.codes` gives
-    them: only the code bits are read.  `arrows` are codes a * len(codes) + b,
+    """`codes` are the pairs' keys, or ints whose low bits are their codes:
+    only the code bits are read.  `arrows` are codes a * len(codes) + b,
     sorted."""
     order, indeg, outdeg = topological_order(len(codes), arrows)
     if order is None:
@@ -403,8 +397,3 @@ def _assert_hasse_shape(cat: Catalog, codes: Sequence[int], arrows: Sequence[int
     if codes[sinks[0]] & code_mask != (1 << n) - 1 << size:
         raise InvariantViolation("sink of the mutation quiver is not the zero pair")
 
-
-def pair_to_dict(pair: STauPair) -> dict:
-    return {"summands": list(pair.modules),
-            "support_complement": list(pair.proj_part),
-            "g": list(pair.g)}

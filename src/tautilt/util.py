@@ -98,31 +98,20 @@ def topological_order(n: int,
     return (order if len(order) == n else None), indeg, outdeg
 
 
-def code_buckets(bound: int) -> tuple[list[array], int]:
-    """8 empty `array('q')` buckets for codes in range(bound), and the span of
-    each: code c goes to bucket c // span, its eighth of range(bound)."""
-    from array import array  # here: `validate` and `catalog` never load the extension module
-    return [array("q") for _ in range(8)], (bound + 7) // 8  # rounded up: c // span < 8
+def sorted_codes(codes: Iterable[int], bound: int) -> array:
+    """The codes, each in range(bound), sorted into one `array('q')`.
 
-
-def sort_buckets(buckets: list[array]) -> array:
-    """The codes of `code_buckets`' buckets, filled, in one sorted `array('q')`.
-
-    The buckets are sorted one at a time and each is freed once it is sorted
-    into the result (`buckets` is emptied), so only one bucket at a time is a
-    list of boxed ints: about an eighth of codes spread over their range.
+    Each code goes, as it comes, into one of 8 `array('q')` buckets, its
+    eighth of range(bound).  The buckets are then sorted one at a time and
+    each is freed once it is sorted into the result, so only one bucket at a
+    time is a list of boxed ints, and no list of every code is built.
     """
-    from array import array
+    from array import array  # here: `validate` and `catalog` never load the extension module
+    buckets = [array("q") for _ in range(8)]
+    span = (bound + 7) // 8  # rounded up: c // span < 8
+    for c in codes:
+        buckets[c // span].append(c)
     out = array("q")
     while buckets:
         out.extend(sorted(buckets.pop(0)))
     return out
-
-
-def sorted_codes(codes: Iterable[int], bound: int) -> array:
-    """The codes, each in range(bound), sorted into one `array('q')` through
-    `code_buckets` and `sort_buckets`: no list of every code is built."""
-    buckets, span = code_buckets(bound)
-    for c in codes:
-        buckets[c // span].append(c)
-    return sort_buckets(buckets)

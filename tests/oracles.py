@@ -43,7 +43,7 @@ These are the direct algorithms that the package replaced with faster ones:
 - `ext1_tilting_test`: a tilting test that computes syzygies and Ext^1
   (`is_tilting` reads the catalog's pd <= 1 table);
 - `pair_label`: a pair's DOT and message label joined from its decoded
-  `STauPair` (`PairTable.label` reads it off the pair's key, one byte of
+  `Pair` (`PairTable.label` reads it off the pair's key, one byte of
   module bits at a time, and decodes nothing);
 - `ReferenceDag` and `reference_glue`: a quiver as a tuple of labels and a
   tuple of (a, b) arrows, glued by rebuilding both tuples (`dags.glue`
@@ -68,11 +68,13 @@ These are the direct algorithms that the package replaced with faster ones:
 They share no code with the fast forms, so the tests can compare the two
 exactly; the last three run the package's own search, on other algebras.
 
-It also keeps the builders and references that only tests use:
-`add_isolated_vertex`, `simple`, `hom_dim` (the length of an intertwiner
-basis), `compose` (two morphisms, block by block), `radical`, `dims_of_ref`,
-`support_of_ref`, `g_vector_of_pair` (summed entry g-vectors, minus e_v per
-unsupported vertex), `algebra_equal_upto_relabel`, and `arrow_codes` and
+It also keeps the builders and references that only tests use: `Pair`
+and `decode`, which read a `PairTable` into (modules, projective part,
+g-vector) records through `PairTable.as_dict`, `add_isolated_vertex`,
+`simple`, `hom_dim` (the length of an intertwiner basis), `compose` (two
+morphisms, block by block), `radical`, `dims_of_ref`, `support_of_ref`,
+`g_vector_of_pair` (summed entry g-vectors, minus e_v per unsupported
+vertex), `algebra_equal_upto_relabel`, and `arrow_codes` and
 `decoded_arrows`, which turn (a, b) arrows into the sorted codes a * n + b
 that `hasse` keeps and back; `reference_dag` and `as_labeled_dag` carry a
 quiver from the package's form to the reference's and back.
@@ -83,7 +85,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from tautilt import verify
 from tautilt.algebra import (Arrow, Path, Quiver, _fresh_vertex, build_algebra,
@@ -96,7 +98,7 @@ from tautilt.linalg import QMatrix, hstack, rank, rref
 from tautilt.modules import (Morphism, Representation, _top_generators, ext1, hom_basis, iso,
                              kernel_of, pd_at_most_one, projective, projective_cover,
                              sub_representation, syzygy, tau_inverse)
-from tautilt.tilting import HasseQuiver, STauPair, enumerate_stau, hasse, tilting_modules
+from tautilt.tilting import HasseQuiver, PairTable, enumerate_stau, hasse, tilting_modules
 from tautilt.util import topological_order
 
 
@@ -157,6 +159,26 @@ def g_vector_of_pair(cat, modules, proj_part):
     for v in proj_part:
         g[pos[v]] -= 1
     return tuple(g)
+
+
+class Pair(NamedTuple):
+    """A support tau-tilting pair: catalog indices plus unsupported vertices."""
+    modules: tuple[int, ...]
+    proj_part: tuple[str, ...]
+    g: tuple[int, ...]
+
+
+def decode(pairs: PairTable) -> list[Pair]:
+    """Every pair of the table, read off its key by `PairTable.as_dict`, whose
+    g-vector is `PairTable.g`'s; each g-vector must be the one its modules and
+    unsupported vertices give, so the packed lanes are checked too."""
+    out = []
+    for k in range(len(pairs)):
+        d = pairs.as_dict(k)
+        pair = Pair(tuple(d["summands"]), tuple(d["support_complement"]), tuple(d["g"]))
+        assert pair.g == g_vector_of_pair(pairs.catalog, pair.modules, pair.proj_part), pair
+        out.append(pair)
+    return out
 
 
 def algebra_equal_upto_relabel(a, b, vertex_map, arrow_map):
@@ -417,7 +439,7 @@ def reference_pairs(cat):
         if len(ref) != len(support):
             continue
         proj = tuple(v for v in vertices if v not in support)
-        pairs.append(STauPair(ref, proj, g_vector_of_pair(cat, ref, proj)))
+        pairs.append(Pair(ref, proj, g_vector_of_pair(cat, ref, proj)))
     pairs.sort(key=lambda p: p.g)
     return pairs
 
@@ -480,7 +502,7 @@ def assert_matches_oracle(cat):
     """`enumerate_stau` and `hasse` equal the reference forms exactly; returns the pairs."""
     pairs = enumerate_stau(cat)
     reference = reference_pairs(cat)
-    assert list(pairs) == reference
+    assert decode(pairs) == reference
     assert list(pairs.keys) == [pair_key(pairs, p) for p in reference]
     h = hasse(pairs)
     assert h.arrows.typecode == "q"
@@ -554,7 +576,7 @@ class ReferenceDag:
     arrows: tuple[tuple[int, int], ...]
 
 
-def pair_label(pair: STauPair) -> str:
+def pair_label(pair: Pair) -> str:
     mods = ",".join(str(i) for i in pair.modules)
     proj = ",".join(pair.proj_part)
     return f"M[{mods}]|P[{proj}]"
@@ -562,7 +584,7 @@ def pair_label(pair: STauPair) -> str:
 
 def reference_dag(h: HasseQuiver) -> ReferenceDag:
     """A Hasse quiver with every label built and every arrow code decoded."""
-    return ReferenceDag(tuple(map(pair_label, h.pairs)), tuple(decoded_arrows(h)))
+    return ReferenceDag(tuple(map(pair_label, decode(h.pairs))), tuple(decoded_arrows(h)))
 
 
 def as_labeled_dag(d: ReferenceDag) -> LabeledDag:
@@ -718,7 +740,8 @@ def assert_doubled_quiver_matches_search(ctx):
     n = len(h_base.pairs)
     product, _ = reference_glue(reference_dag(h_base), range(n))
     searched, _ = searched_doubled_hasse(ctx.base)
-    assert [p.g for p in searched.pairs] == [p.g + (c,) for p in h_base.pairs for c in (-1, 1)]
+    assert ([p.g for p in decode(searched.pairs)]
+            == [p.g + (c,) for p in decode(h_base.pairs) for c in (-1, 1)])
     renumber = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
     assert sorted((renumber[a], renumber[b]) for a, b in product.arrows) == decoded_arrows(searched)
 
@@ -729,7 +752,7 @@ def gluing_search_agrees(ctx):
     in their projective part: the check `verify_hasse_gluing` makes with the
     product rule and the g-vector map, made with neither."""
     h_dbl, s_iso = searched_doubled_hasse(ctx.base)
-    subset = [k for k, p in enumerate(h_dbl.pairs)
+    subset = [k for k, p in enumerate(decode(h_dbl.pairs))
               if s_iso in p.modules and ctx.source_vertex in p.proj_part]
     glued, _ = reference_glue(reference_dag(h_dbl), subset)
     return dag_iso_search(reference_dag(verify.hasse(ctx.enum("extended"))), glued)
@@ -783,7 +806,7 @@ def assert_orthant_counts_match(algebra, pairs) -> None:
     miss somewhere, so that the check is seen to be able to fail."""
     if any(len(p.arrows) > 1 for p in algebra.path_basis):
         raise PreconditionError("the algebra is not radical square zero")
-    found = pairs_per_orthant(pairs)
+    found = pairs_per_orthant(decode(pairs))
     orthants = list(itertools.product((1, -1), repeat=algebra.n_vertices))
     assert {eps: found[eps] for eps in orthants} == {
         eps: orthant_count(algebra, eps) for eps in orthants}

@@ -36,11 +36,13 @@ CASES = {
                          EXPECTED / "catalog-hered-d8.txt", {}),
     "catalog-hered-e8": (lambda w: ["catalog", str(DATA / "hereditary_e8.json")],
                          EXPECTED / "catalog-hered-e8.txt", {}),
-    "enumerate-stau-d2-6": (lambda w: ["enumerate", "--kind", "stau", _family_file(w, "D2", 6)],
-                            EXPECTED / "enumerate-stau-d2-6.txt", {}),
     "hasse-a2-9": (lambda w: ["hasse", "--dot", str(w / "hasse.dot"), _family_file(w, "A2", 9)],
                    EXPECTED / "hasse-a2-9.txt", {"hasse.dot": EXPECTED / "hasse-a2-9.dot"}),
 }
+for _kind in ("stau", "tau", "tilt"):
+    CASES[f"enumerate-{_kind}-d2-6"] = (
+        lambda w, kind=_kind: ["enumerate", "--kind", kind, _family_file(w, "D2", 6)],
+        EXPECTED / f"enumerate-{_kind}-d2-6.txt", {})
 for _kind, _n in (("D2", 6), ("A2", 9), ("A2", 10), ("D2", 10)):
     _name = f"verify-{_kind.lower()}-{_n}"
     CASES[_name] = (

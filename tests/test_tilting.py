@@ -7,10 +7,10 @@ from tautilt.algebra import Arrow, Quiver, build_algebra
 from tautilt.catalog import build_catalog
 from tautilt.errors import InvariantViolation
 from tautilt.families import type_a_square
-from tautilt.tilting import (STauPair, _assert_hasse_shape, enumerate_stau, hasse,
-                             is_tau_rigid, is_tau_tilting, is_tilting, tilting_modules)
+from tautilt.tilting import (_assert_hasse_shape, enumerate_stau, hasse, is_tau_rigid,
+                             is_tau_tilting, is_tilting, tilting_modules)
 
-from oracles import arrow_codes, decoded_arrows
+from oracles import Pair, arrow_codes, decode, decoded_arrows
 
 
 def ref_of(cat, *dim_vectors):
@@ -41,8 +41,8 @@ def test_every_entry_of_linear_family_is_rigid():
 
 
 def test_zero_module_pair(cat_lambda3):
-    zero = [p for p in enumerate_stau(cat_lambda3) if not p.modules]
-    assert zero == [STauPair((), ("1", "2", "3"), (-1, -1, -1))]
+    zero = [p for p in decode(enumerate_stau(cat_lambda3)) if not p.modules]
+    assert zero == [Pair((), ("1", "2", "3"), (-1, -1, -1))]
 
 
 def test_example_tau_tilting_membership(cat_example_b):
@@ -100,14 +100,14 @@ def test_tilting_counts_linear_family():
 
 def test_g_vector_examples(cat_a2, a2):
     s2 = cat_a2.simple_index["2"]
-    by_g = {p.g: p for p in enumerate_stau(cat_a2)}
-    assert by_g[(-2, 1)] == STauPair((s2,), ("1",), (-2, 1))
+    by_g = {p.g: p for p in decode(enumerate_stau(cat_a2))}
+    assert by_g[(-2, 1)] == Pair((s2,), ("1",), (-2, 1))
     regular = tuple(sorted(cat_a2.projective_index.values()))
-    assert by_g[(1, 1)] == STauPair(regular, (), (1, 1))
+    assert by_g[(1, 1)] == Pair(regular, (), (1, 1))
 
 
 def test_g_vectors_injective_and_pairs_sorted(cat_example_b):
-    pairs = enumerate_stau(cat_example_b)
+    pairs = decode(enumerate_stau(cat_example_b))
     gs = [p.g for p in pairs]
     assert len(set(gs)) == len(gs)
     assert gs == sorted(gs)
@@ -116,10 +116,10 @@ def test_g_vectors_injective_and_pairs_sorted(cat_example_b):
 def test_tau_tilting_subset_matches_predicate(cat_d4):
     pairs = enumerate_stau(cat_d4)
     via_pairs = set(pairs.tau_tilt)
-    via_predicate = {p.modules for p in pairs if is_tau_tilting(cat_d4, p.modules)
+    via_predicate = {p.modules for p in decode(pairs) if is_tau_tilting(cat_d4, p.modules)
                      and not p.proj_part}
     assert via_pairs == via_predicate
-    for p in pairs:
+    for p in decode(pairs):
         assert (not p.proj_part) == is_tau_tilting(cat_d4, p.modules)
 
 
@@ -139,7 +139,7 @@ def freeze_pair(cat, pair):
 def test_hasse_of_a2_matches_figure(cat_a2):
     h = hasse(enumerate_stau(cat_a2))
     assert len(h.pairs) == 5 and len(h.arrows) == 5
-    key = {freeze_pair(cat_a2, p): i for i, p in enumerate(h.pairs)}
+    key = {freeze_pair(cat_a2, p): i for i, p in enumerate(decode(h.pairs))}
     P1, P2, S1, S2 = (1, 0), (1, 1), (1, 0), (0, 1)
     regular = key[((P1, P2) if (P1, P2) == tuple(sorted([P1, P2])) else (P2, P1), ())]
     p2s2 = key[(tuple(sorted([P2, S2])), ())]
@@ -176,8 +176,9 @@ def test_hasse_regularity_and_boundary(cat_example_b, example_b):
     sources = [i for i in range(len(h.pairs)) if indeg[i] == 0]
     sinks = [i for i in range(len(h.pairs)) if outdeg[i] == 0]
     assert len(sources) == 1 and len(sinks) == 1
-    assert h.pairs[sources[0]].proj_part == ()
-    assert h.pairs[sinks[0]].modules == ()
+    pairs = decode(h.pairs)
+    assert pairs[sources[0]].proj_part == ()
+    assert pairs[sinks[0]].modules == ()
 
 
 def assert_catalan_counts(n):
@@ -236,7 +237,8 @@ def test_empty_algebra_enumeration():
     cat = build_catalog(empty)
     pairs = enumerate_stau(cat)
     assert len(pairs) == 1
-    assert pairs[0].modules == () and pairs[0].proj_part == ()
+    (only,) = decode(pairs)
+    assert only.modules == () and only.proj_part == ()
     h = hasse(pairs)
     assert len(h.arrows) == 0
 
@@ -251,6 +253,8 @@ def test_packed_g_vectors_are_exact_at_every_lane_width(monkeypatch, scale, widt
     cat = build_catalog(type_a_square(4))
     narrow = enumerate_stau(cat)
     assert narrow.width == 1
+    # Decoded before the rows are scaled: `decode` checks each g-vector against them.
+    narrow_ids = [(p.modules, p.proj_part) for p in decode(narrow)]
     rows = [tuple(scale * c for c in g) for g in cat.g_vectors]
     bound = 4 * (max(abs(c) for g in rows for c in g) + 1) + 1
     # `width` bytes hold the lane bound, and half as many (4 * width bits) do not.
@@ -258,19 +262,20 @@ def test_packed_g_vectors_are_exact_at_every_lane_width(monkeypatch, scale, widt
     monkeypatch.setattr(cat, "g_vectors", rows)
     pairs = enumerate_stau(cat)
     assert pairs.width == width
-    assert {(p.modules, p.proj_part) for p in pairs} == {(p.modules, p.proj_part) for p in narrow}
+    decoded = decode(pairs)
+    ids = [(p.modules, p.proj_part) for p in decoded]
+    assert set(ids) == set(narrow_ids)
     vertices = cat.algebra.quiver.vertices
-    for p in pairs:
+    for p in decoded:
         assert p.g == tuple(sum(rows[i][k] for i in p.modules) - (v in p.proj_part)
                             for k, v in enumerate(vertices))
-    assert [p.g for p in pairs] == sorted(p.g for p in pairs)
+    assert [p.g for p in decoded] == sorted(p.g for p in decoded)
 
-    def arrows_and_labels(table):
-        ids = [(p.modules, p.proj_part) for p in table]
+    def arrows_and_labels(table, ids):
         return ({(ids[a], ids[b]) for a, b in decoded_arrows(hasse(table))},
                 {ids[k]: table.label(k) for k in range(len(table))})
 
-    assert arrows_and_labels(pairs) == arrows_and_labels(narrow)
+    assert arrows_and_labels(pairs, ids) == arrows_and_labels(narrow, narrow_ids)
 
 
 def test_shared_g_vector_is_rejected(monkeypatch, cat_a2):
@@ -312,7 +317,7 @@ def test_a_third_completion_is_reported_before_an_undecided_direction(monkeypatc
 def test_missing_pair_breaks_regularity(cat_lambda3):
     """Without the zero pair's int, each of its n neighbours has n - 1 neighbours."""
     pairs = enumerate_stau(cat_lambda3)
-    kept = tuple(key for key, p in zip(pairs.keys, pairs) if p.modules)
+    kept = tuple(key for key, p in zip(pairs.keys, decode(pairs)) if p.modules)
     assert len(kept) == len(pairs) - 1
     with pytest.raises(InvariantViolation, match="^exchange graph is not n-regular$"):
         hasse(replace(pairs, keys=kept))
@@ -325,7 +330,7 @@ def test_second_source_is_rejected(cat_lambda3):
     head = h.arrows[0] % n
     with pytest.raises(InvariantViolation,
                        match="^mutation quiver does not have unique source and sink$"):
-        _assert_hasse_shape(cat_lambda3, h.pairs.codes(), [c for c in h.arrows if c % n != head])
+        _assert_hasse_shape(cat_lambda3, h.pairs.keys, [c for c in h.arrows if c % n != head])
 
 
 def test_reversed_quiver_is_rejected_at_its_source(cat_lambda3):
@@ -333,16 +338,16 @@ def test_reversed_quiver_is_rejected_at_its_source(cat_lambda3):
     h = hasse(enumerate_stau(cat_lambda3))
     with pytest.raises(InvariantViolation,
                        match="^source of the mutation quiver is not the regular pair$"):
-        _assert_hasse_shape(cat_lambda3, h.pairs.codes(),
+        _assert_hasse_shape(cat_lambda3, h.pairs.keys,
                             arrow_codes(len(h.pairs), ((b, a) for a, b in decoded_arrows(h))))
 
 
 def test_sink_must_be_the_zero_pair(cat_lambda3):
     """The sink's code replaced by one with no summands and no projective part."""
     h = hasse(enumerate_stau(cat_lambda3))
-    codes = h.pairs.codes()
+    codes = list(h.pairs.keys)
     (sink,) = set(range(len(codes))) - {a for a, _ in decoded_arrows(h)}
-    assert h.pairs[sink] == STauPair((), ("1", "2", "3"), (-1, -1, -1))
+    assert decode(h.pairs)[sink] == Pair((), ("1", "2", "3"), (-1, -1, -1))
     codes[sink] = 0
     with pytest.raises(InvariantViolation,
                        match="^sink of the mutation quiver is not the zero pair$"):

@@ -11,7 +11,7 @@ from tautilt.counting import REPORTED_D
 from tautilt.dags import to_dot
 from tautilt.errors import InvariantViolation, PreconditionError
 from tautilt.families import type_a_square, type_d_square
-from tautilt.tilting import HasseQuiver, PairTable, STauPair, enumerate_stau
+from tautilt.tilting import HasseQuiver, PairTable, enumerate_stau
 from tautilt.verify import (ExtensionContext, TableRow, family_rows,
                             reports_to_json, reproduce_tables, run_claims, select_claims,
                             select_doubled_subset,
@@ -19,7 +19,7 @@ from tautilt.verify import (ExtensionContext, TableRow, family_rows,
                             verify_hasse_gluing, verify_tilting_transfer)
 
 from oracles import (arrow_codes, as_labeled_dag, assert_doubled_quiver_matches_search,
-                     decoded_arrows, family_counts, gluing_search_agrees, pair_key,
+                     decode, decoded_arrows, family_counts, gluing_search_agrees, pair_key,
                      pair_label, reference_dag, reference_glue)
 
 
@@ -144,7 +144,8 @@ def test_selected_subset_on_a2(a2_ctx):
     base = a2_ctx.enum("base")
     n = len(base)
     assert len(subset) == 2 and all(n <= k < 2 * n for k in subset)
-    picked = {base[k - n].modules for k in subset}
+    pairs = decode(base)
+    picked = {pairs[k - n].modules for k in subset}
     # the plus-copies (with the isolated simple) of 0 and of the old sink simple
     assert picked == {(), (base.catalog.simple_index["1"],)}
 
@@ -203,7 +204,7 @@ def test_hasse_gluing_names_a_reversed_arrow(monkeypatch, a2):
     ctx = ExtensionContext(a2, "2")
     true_hasse = reverse_one_extension_arrow(monkeypatch, ctx.extended)
     a, b = decoded_arrows(true_hasse(ctx.enum("extended")))[0]
-    pairs = ctx.enum("extended")
+    pairs = decode(ctx.enum("extended"))
     rep = verify_hasse_gluing(ctx)
     assert rep.status == "fail"
     assert rep.detail.startswith(f"arrow {pair_label(pairs[b])} -> {pair_label(pairs[a])} maps to ")
@@ -237,14 +238,14 @@ def test_hasse_gluing_names_a_pair_without_an_image(monkeypatch, a2):
         h = true_hasse(pairs)
         if pairs.catalog.algebra is not ctx.extended:
             return h
-        first = h.pairs[0]
-        moved = pair_key(h.pairs, STauPair(first.modules, first.proj_part, (99,) * len(first.g)))
+        first = decode(h.pairs)[0]
+        moved = pair_key(h.pairs, first._replace(g=(99,) * len(first.g)))
         return HasseQuiver(replace(h.pairs, keys=(moved,) + h.pairs.keys[1:]), h.arrows)
 
     monkeypatch.setattr(verify, "hasse", hasse_with_one_g_vector_moved)
     rep = verify_hasse_gluing(ctx)
     assert rep.status == "fail"
-    assert rep.detail == f"{pair_label(ctx.enum('extended')[0])} maps to no vertex"
+    assert rep.detail == f"{pair_label(decode(ctx.enum('extended'))[0])} maps to no vertex"
 
 
 def test_hasse_gluing_checks_the_extension_vertex_count(monkeypatch, a2):
@@ -384,26 +385,36 @@ def test_run_claims_decodes_the_full_support_modules_once_per_enumeration(monkey
     assert sorted(scanned) == sorted(tables)
 
 
+def count_g_vector_reads(monkeypatch) -> list[int]:
+    """Make `PairTable.g`, the one reader of a pair's g-vector lanes, record the
+    index of each pair it reads; returns the record."""
+    read = []
+    true_g = PairTable.g
+
+    def counting_g(self, k):
+        read.append(k)
+        return true_g(self, k)
+
+    monkeypatch.setattr(PairTable, "g", counting_g)
+    return read
+
+
 def test_gluing_decodes_no_base_pair_for_the_subset(monkeypatch):
     """`select_doubled_subset` reads the source's bit off the base table's ints,
     a passing gluing builds no label, and the vertex map reads both tables'
-    keys, so on D2 n=6 `run_claims` builds no `STauPair` (decoding the 454
-    extension pairs and the 188 base pairs for the map built 642)."""
-    built = []
-    true_init = STauPair.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        true_init(self, *args)
-
-    monkeypatch.setattr(STauPair, "__init__", counting_init)
+    keys, so on D2 n=6 `run_claims` unpacks no pair's g-vector (decoding the
+    454 extension pairs and the 188 base pairs for the map read 642); decoding
+    one pair is counted, so the count is live."""
+    read = count_g_vector_reads(monkeypatch)
     ctx = ExtensionContext(type_d_square(6), "6")
     assert (len(ctx.enum("base")), len(ctx.enum("extended"))) == (188, 454)
     subset = select_doubled_subset(ctx)
     assert len(subset) == len(ctx.enum("quotient")) == 78
-    assert built == []
+    assert read == []
     assert [r.status for r in run_claims(ctx)] == ["pass"] * 4
-    assert built == []
+    assert read == []
+    ctx.enum("base").as_dict(7)
+    assert read == [7]
 
 
 FAULT_CASES = pytest.mark.parametrize("base, source", [(type_a_square(4), "4"),
@@ -573,22 +584,15 @@ def test_reproduce_tables_small():
 
 def test_reproduce_tables_builds_no_pair_record(monkeypatch):
     """The tables read the pair counts and the full-support modules off the
-    enumeration's ints, so not one `STauPair` is built; decoding a pair
-    builds one, so the count below is live."""
-    built = []
-    true_init = STauPair.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        true_init(self, *args)
-
-    monkeypatch.setattr(STauPair, "__init__", counting_init)
+    enumeration's ints, so not one pair's g-vector is unpacked; decoding a
+    pair unpacks one, so the count below is live."""
+    read = count_g_vector_reads(monkeypatch)
     result = reproduce_tables(5, 5)
     assert [(r.tau_tilt, r.stau) for r in result.rows["A2"] + result.rows["D2"]] == [
         (1, 2), (2, 5), (3, 12), (5, 29), (8, 70), (6, 32), (11, 78)]
-    assert built == []
-    first = enumerate_stau(build_catalog(type_a_square(2)))[0]
-    assert built == [(first.modules, first.proj_part, first.g)]
+    assert read == []
+    enumerate_stau(build_catalog(type_a_square(2))).as_dict(0)
+    assert read == [0]
 
 
 def test_reproduce_tables_flags_reported_misprint():
